@@ -139,11 +139,19 @@ def oc_step_values(rho, B, zeta, eta, rho_min):
 
 
 def oc_update(grid, rho, filtered_sens, volume_target, material, frozen, params):
-    """One OC density update with the volume multiplier found by bisection.
+    """One OC density update with the volume multiplier solved exactly.
 
     volume_target is in absolute units (density times element area summed
     over all active elements, frozen included). Returns (new_rho, info)
-    where info carries the multiplier and achieved volume.
+    where info carries the achieved volume and whether the move limits
+    clamped the step short of the target.
+
+    With t = lmbda^(-eta), each free density is clip(a_i t, lo_i, hi_i) with
+    a_i = rho_i (drive_i / cell_vol)^eta and lo_i, hi_i its move limits, so
+    the free volume is continuous, nondecreasing and piecewise linear in t
+    for any eta. Its value at the sorted clip breakpoints follows from
+    cumulative sums of the slope and offset changes, and the target is
+    solved for on the linear segment that holds it.
     """
     rho = np.asarray(rho, dtype=float)
     free = (frozen == FREE) & grid.active.ravel(order="C")
@@ -152,20 +160,18 @@ def oc_update(grid, rho, filtered_sens, volume_target, material, frozen, params)
     frozen_vol = rho[act[frozen[act] != FREE]].sum() * cell_vol
 
     if not free.any():
-        return rho.copy(), {"lmbda": np.nan, "volume": frozen_vol, "clamped": False}
+        return rho.copy(), {"volume": frozen_vol, "clamped": False}
 
     drive = -np.asarray(filtered_sens, dtype=float)[free]
     drive = np.maximum(drive, 0.0)
     rho_f = rho[free]
-
-    def free_volume(lmbda):
-        B = drive / (lmbda * cell_vol)
-        return oc_step_values(rho_f, B, params.zeta, params.eta, material.rho_min).sum() * cell_vol
+    lo = np.maximum((1 - params.zeta) * rho_f, material.rho_min)
+    hi = np.minimum((1 + params.zeta) * rho_f, 1.0)
 
     target_free = volume_target - frozen_vol
-    vmax = np.minimum((1 + params.zeta) * rho_f, 1.0).sum() * cell_vol
-    vmin = np.maximum((1 - params.zeta) * rho_f, material.rho_min).sum() * cell_vol
-    clamped = False
+    vmax = hi.sum() * cell_vol
+    vmin = lo.sum() * cell_vol
+    new = rho.copy()
     if target_free >= vmax or target_free <= vmin:
         # The move limits cannot reach the target this step. If the target is
         # beyond even the unlimited bounds the configuration is infeasible;
@@ -177,50 +183,52 @@ def oc_update(grid, rho, filtered_sens, volume_target, material, frozen, params)
                 f"volume target {volume_target:.6g} unattainable with the "
                 f"current frozen set"
             )
-        new = rho.copy()
-        if target_free >= vmax:
-            new[free] = np.minimum((1 + params.zeta) * rho_f, 1.0)
-            lmbda = 0.0
-        else:
-            new[free] = np.maximum((1 - params.zeta) * rho_f, material.rho_min)
-            lmbda = np.inf
-        clamped = True
+        new[free] = hi if target_free >= vmax else lo
         achieved = new[act].sum() * cell_vol
-        return new, {"lmbda": lmbda, "volume": achieved, "clamped": clamped}
+        return new, {"volume": achieved, "clamped": True}
 
-    # Bracket the multiplier: free volume decreases monotonically in lambda.
-    l1, l2 = 1e-9, 1e9
-    for _ in range(200):
-        if free_volume(l1) > target_free:
-            break
-        l1 *= 0.1
-    for _ in range(200):
-        if free_volume(l2) < target_free:
-            break
-        l2 *= 10.0
+    moving = drive > 0
+    a = rho_f[moving] * (drive[moving] / cell_vol) ** params.eta
+    lo_m, hi_m = lo[moving], hi[moving]
+    breaks = np.concatenate([lo_m / a, hi_m / a])
+    order = np.argsort(breaks, kind="stable")
+    # Past its lower breakpoint a density grows as a_i t instead of sitting
+    # at lo_i; past its upper one it sits at hi_i again.
+    slope = np.cumsum(np.concatenate([a, -a])[order])
+    offset = lo.sum() + np.cumsum(np.concatenate([-lo_m, hi_m])[order])
+    volume = (offset + slope * breaks[order]) * cell_vol
+    if not moving.any() or target_free >= volume[-1]:
+        # Zero-drive densities stay at their lower limit however small the
+        # multiplier, so the target lies beyond the volume reachable as
+        # lmbda -> 0: take that limiting move.
+        new[free] = np.where(moving, hi, lo)
+        achieved = new[act].sum() * cell_vol
+        return new, {"volume": achieved, "clamped": True}
 
-    tol = params.vol_tol * volume_target
-    for _ in range(400):
-        lmid = np.sqrt(l1 * l2)
-        v = free_volume(lmid)
-        if v > target_free:
-            l1 = lmid
-        else:
-            l2 = lmid
-        if abs(v - target_free) <= tol and l2 / l1 < 1 + 1e-10:
-            break
-
-    lmbda = np.sqrt(l1 * l2)
-    new = rho.copy()
-    B = drive / (lmbda * cell_vol)
-    new[free] = oc_step_values(rho_f, B, params.zeta, params.eta, material.rho_min)
+    # The cumulative slope cancels when the drives span many decades, so it
+    # only locates the segment holding the target; that segment's slope and
+    # offset are then summed afresh.
+    k = max(np.searchsorted(volume, target_free, side="right") - 1, 0)
+    passed = np.zeros(breaks.size, dtype=bool)
+    passed[order[: k + 1]] = True
+    started, ended = np.split(passed, 2)
+    seg_slope = a[started & ~ended].sum()
+    seg_offset = lo[~moving].sum() + lo_m[~started].sum() + hi_m[ended].sum()
+    t_start, t_end = breaks[order[k]], breaks[order[k + 1]]
+    t = t_start
+    if seg_slope > 0:
+        t = np.clip((target_free / cell_vol - seg_offset) / seg_slope, t_start, t_end)
+    # The damped factor (drive / (lmbda cell_vol))^eta goes in with exponent
+    # 1: for small eta the undamped one overflows.
+    damped = (drive / cell_vol) ** params.eta * t
+    new[free] = oc_step_values(rho_f, damped, params.zeta, 1.0, material.rho_min)
     achieved = new[act].sum() * cell_vol
     if abs(achieved - volume_target) > params.vol_tol * volume_target:
         raise InfeasibleVolumeError(
-            f"bisection exhausted: volume {achieved:.6g} vs target "
+            f"multiplier search missed: volume {achieved:.6g} vs target "
             f"{volume_target:.6g}"
         )
-    return new, {"lmbda": lmbda, "volume": achieved, "clamped": clamped}
+    return new, {"volume": achieved, "clamped": False}
 
 
 def simp_inner_solve(

@@ -242,7 +242,7 @@ def element_compliance_contributions(grid, rho, material, u, ke=None):
     if ke is None:
         ke = element_stiffness(material, grid.hx, grid.hy)
     ue = element_displacements(grid, u)
-    base = np.einsum("ei,ij,ej->e", ue, ke, ue)
+    base = ((ue @ ke) * ue).sum(axis=1)
     out = np.zeros(grid.n_elems)
     act = grid.active_elems
     out[act] = np.asarray(rho, dtype=float)[act] ** material.p * base[act]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from twolevel_topopt import coarse, fem
@@ -186,6 +188,113 @@ def test_oc_update_infeasible_target(mat):
     target = 3.0 * g.hx * g.hy
     with pytest.raises(InfeasibleVolumeError):
         coarse.oc_update(g, rho, sens, target, mat, frozen, OCParams())
+
+
+def test_oc_update_zero_drive_target_beyond_limit_move(mat):
+    # Zero-drive free densities stay at their lower move limit however small
+    # the multiplier, so a target between that limiting volume and vmax is
+    # out of reach: the update takes the limiting move and flags it.
+    g = Grid(4, 2, 1.0, 1.0)
+    rho = np.full(g.n_elems, 0.5)
+    sens = -np.ones(g.n_elems)
+    sens[:3] = 0.0
+    frozen = np.zeros(g.n_elems, dtype=int)
+    # limiting move: 3 x 0.4 + 5 x 0.6 = 4.2; vmax = 8 x 0.6 = 4.8
+    new, info = coarse.oc_update(g, rho, sens, 4.5, mat, frozen, OCParams())
+    assert info["clamped"]
+    assert np.all(np.isfinite(new))
+    assert np.all((new >= mat.rho_min) & (new <= 1.0))
+    assert_allclose(new[:3], 0.4)
+    assert_allclose(new[3:], 0.6)
+
+
+def bisection_move(rho_f, drive, target_sum, cell_vol, params, rho_min):
+    """Reference OC move: plain bisection for the free volume target.
+
+    It bisects on y = eta log(lmbda), so that the move
+    rho_f (drive / (lmbda cell_vol))^eta = rho_f exp(eta log(drive / cell_vol) - y)
+    neither over- nor underflows for any eta in (0, 1].
+    """
+    lo = np.maximum((1 - params.zeta) * rho_f, rho_min)
+    hi = np.minimum((1 + params.zeta) * rho_f, 1.0)
+    with np.errstate(divide="ignore"):
+        log_drive = np.log(drive / cell_vol)
+
+    def move(y):
+        return np.clip(rho_f * np.exp(params.eta * log_drive - y), lo, hi)
+
+    y_lo, y_hi = -100.0, 100.0
+    for _ in range(200):
+        y = 0.5 * (y_lo + y_hi)
+        if move(y).sum() > target_sum:
+            y_lo = y
+        else:
+            y_hi = y
+    return move(0.5 * (y_lo + y_hi))
+
+
+@st.composite
+def oc_cases(draw):
+    nx = draw(st.integers(min_value=1, max_value=6))
+    ny = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = nx * ny
+    frozen = rng.choice([FREE, SOLID, VOID], size=n, p=[0.7, 0.15, 0.15])
+    rho = rng.uniform(1e-3, 1.0, n)
+    rho[frozen == SOLID] = 1.0
+    rho[frozen == VOID] = 1e-3
+    sens = -10.0 ** rng.uniform(-6.0, 3.0, n)
+    sens[rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = 0.0
+    eta = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    # Position of the free target between vmin (0) and vmax (1); values
+    # outside [0, 1] reach the clamped and the infeasible branches.
+    where = draw(st.floats(min_value=-0.3, max_value=1.3))
+    return Grid(nx, ny, 0.5, 0.25), rho, sens, frozen, eta, where
+
+
+@settings(max_examples=200, deadline=None)
+@given(oc_cases())
+def test_oc_update_exact_multiplier_matches_bisection(case):
+    g, rho, sens, frozen, eta, where = case
+    mat = fem.MaterialModel(E=1.0, nu=0.3, p=3.0)
+    params = OCParams(eta=eta)
+    cv = g.hx * g.hy
+    free = frozen == FREE
+    rho_f, drive = rho[free], -sens[free]
+    lo = np.maximum(0.8 * rho_f, mat.rho_min)
+    hi = np.minimum(1.2 * rho_f, 1.0)
+    vmin, vmax = lo.sum(), hi.sum()
+    target_sum = vmin + where * (vmax - vmin)
+    target = (target_sum + rho[~free].sum()) * cv
+    if not free.any() or target <= 0:
+        return
+    if target_sum > free.sum() or target_sum < free.sum() * mat.rho_min:
+        with pytest.raises(InfeasibleVolumeError):
+            coarse.oc_update(g, rho, sens, target, mat, frozen, params)
+        return
+
+    new, info = coarse.oc_update(g, rho, sens, target, mat, frozen, params)
+    assert np.array_equal(new[~free], rho[~free])
+    assert np.all((new[free] >= lo) & (new[free] <= hi))
+    limit = np.where(drive > 0, hi, lo)
+    # Within round-off of a branch boundary either neighbouring branch is right.
+    if min(abs(target_sum - v) for v in (vmin, vmax, limit.sum())) <= 1e-12 * vmax:
+        return
+    if where >= 1:
+        assert info["clamped"]
+        assert_allclose(new[free], hi, rtol=0, atol=0)
+    elif where <= 0:
+        assert info["clamped"]
+        assert_allclose(new[free], lo, rtol=0, atol=0)
+    elif target_sum > limit.sum():
+        assert info["clamped"]
+        assert_allclose(new[free], limit, rtol=0, atol=0)
+    else:
+        assert not info["clamped"]
+        ref = bisection_move(rho_f, drive, target_sum, cv, params, mat.rho_min)
+        assert_allclose(new[free], ref, rtol=0, atol=1e-9)
+        assert abs(new.sum() * cv - target) <= params.vol_tol * target
+        assert_allclose(info["volume"], new.sum() * cv)
 
 
 def test_threshold_policy_validation(mat):

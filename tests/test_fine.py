@@ -72,25 +72,81 @@ def test_rigid_body_supports_three_constraints():
 
 
 def test_cell_solver_matches_general_solver():
+    # Odd n and hx != hy pin the lower-band index formula. The random fields
+    # span a 1e9 stiffness contrast: u agrees to 1e-9 |u|, which lets element
+    # energies (compliance up to about 6 here) differ by about 1e-8.
+    cases = [(8, 1.0, 1.0, 1e-10), (7, 1.0, 0.6, 1e-8), (5, 0.4, 1.1, 1e-8)]
+    for n, hx, hy, energy_atol in cases:
+        problem = fine.FineCellProblem(
+            cell=0, target=0.5, tractions=uniaxial_tractions(), hx=hx, hy=hy, n=n
+        )
+        g = fine.cell_grid(problem)
+        bc = fine.rigid_body_supports(problem.n)
+        ke = fem.element_stiffness(problem.material, g.hx, g.hy)
+        solver = fine._CellSolver(g, problem.material, bc, ke)
+        rng = np.random.default_rng(21)
+        loads = fine.apply_cell_tractions(problem, g)
+        for _ in range(5):
+            rho = rng.uniform(problem.material.rho_min, 1.0, g.n_elems)
+            fast = solver.solve(rho, loads)
+            ref = fem.solve(g, rho, problem.material, bc, extra_loads=loads, ke=ke)
+            scale = np.abs(ref.u).max()
+            assert_allclose(fast.u, ref.u, atol=1e-9 * scale)
+            assert_allclose(fast.compliance, ref.compliance, rtol=1e-9)
+            assert_allclose(
+                fast.element_energy, ref.element_energy, rtol=1e-6, atol=energy_atol
+            )
+            free = solver.keep
+            K = fem.assemble(g, rho, problem.material, ke=ke)[free][:, free]
+            knorm = abs(K).sum(axis=1).max()
+            assert_allclose(solver.norm_inf(rho), knorm, rtol=1e-12)
+
+
+@pytest.mark.parametrize("balanced", [True, False])
+def test_fine_cell_solve_final_check_matches_general_solver(balanced):
+    t = bending_plus_tension_tractions()
+    if not balanced:
+        t[1, :, 1] = 0.5  # a net vertical force the supports must carry
     problem = fine.FineCellProblem(
-        cell=0, target=0.5, tractions=uniaxial_tractions(), hx=1.0, hy=1.0, n=8
+        cell=0, target=0.4, tractions=t, hx=1.0, hy=0.7, n=9, max_iter=12,
+        require_equilibrated=balanced,
+    )
+    result = fine.fine_cell_solve(problem)
+    g = fine.cell_grid(problem)
+    bc = fine.rigid_body_supports(problem.n)
+    loads = fine.apply_cell_tractions(problem, g)
+    ref = fem.solve(g, result.rho, problem.material, bc, extra_loads=loads)
+    K = fem.assemble(g, result.rho, problem.material)
+    reaction = np.abs((K @ ref.u - loads)[bc.constrained_dofs(g)]).max()
+    assert_allclose(result.compliance, ref.compliance, rtol=1e-9)
+    if balanced:
+        assert reaction <= 1e-9 * result.reaction_scale
+        assert result.max_reaction <= 1e-9 * result.reaction_scale
+    else:
+        assert reaction > 1e-3 * result.reaction_scale
+        assert_allclose(result.max_reaction, reaction, rtol=1e-9)
+
+
+def test_cell_solver_reaction_check_rejects_inexact_solution():
+    problem = fine.FineCellProblem(
+        cell=0, target=0.5, tractions=bending_plus_tension_tractions(), hx=1.0,
+        hy=1.0, n=6,
     )
     g = fine.cell_grid(problem)
     bc = fine.rigid_body_supports(problem.n)
     ke = fem.element_stiffness(problem.material, g.hx, g.hy)
     solver = fine._CellSolver(g, problem.material, bc, ke)
-    rng = np.random.default_rng(21)
-    loads = fine.apply_cell_tractions(problem, g)
-    for _ in range(5):
-        rho = rng.uniform(problem.material.rho_min, 1.0, g.n_elems)
-        fast = solver.solve(rho, loads)
-        ref = fem.solve(g, rho, problem.material, bc, extra_loads=loads, ke=ke)
-        scale = np.abs(ref.u).max()
-        assert_allclose(fast.u, ref.u, atol=1e-9 * scale)
-        assert_allclose(fast.compliance, ref.compliance, rtol=1e-9)
-        assert_allclose(
-            fast.element_energy, ref.element_energy, rtol=1e-6, atol=1e-10
-        )
+    rng = np.random.default_rng(3)
+    rho = rng.uniform(0.2, 1.0, g.n_elems)
+    solution = solver.solve(rho, fine.apply_cell_tractions(problem, g))
+    assert solver.max_reaction(rho, solution) <= 1e-10 * np.abs(solution.f).max()
+    # an error of 1e-6 |u| in a random direction leaves a residual far above
+    # the backward-error bound
+    noise = rng.normal(size=solver.keep.size)
+    scale = 1e-6 * np.linalg.norm(solution.u) / np.linalg.norm(noise)
+    solution.u[solver.keep] += scale * noise
+    with pytest.raises(fem.SolverError):
+        solver.max_reaction(rho, solution)
 
 
 def test_cell_solver_rejects_bad_density():
