@@ -234,8 +234,8 @@ def oc_update(grid, rho, filtered_sens, volume_target, material, frozen, params)
 def simp_inner_solve(
     grid,
     rho,
-    material,
-    bc,
+    operator,
+    loads,
     volume_target,
     frozen,
     r_min,
@@ -244,24 +244,25 @@ def simp_inner_solve(
     max_iter=200,
     stage=1,
     history=None,
-    ke=None,
 ):
     """Iterate FE solve / filter / OC update until max |drho| < eps.
 
-    Returns (rho, solution, converged). The last FE solution corresponds to
-    the densities before the final update; callers needing forces consistent
-    with the returned field should re-solve.
+    operator is the fem.Operator of the grid and its supports, loads the
+    full-length load vector. Every solve passes the operator's residual
+    gates. Returns (rho, solution, converged). The last FE solution
+    corresponds to the densities before the final update; callers needing
+    forces consistent with the returned field should re-solve.
     """
     if history is None:
         history = []
-    if ke is None:
-        ke = fem.element_stiffness(material, grid.hx, grid.hy)
+    material = operator.material
     rho = np.asarray(rho, dtype=float).copy()
     free = (frozen == FREE) & grid.active.ravel(order="C")
     solution = None
     converged = False
     for it in range(1, max_iter + 1):
-        solution = fem.solve(grid, rho, material, bc, ke=ke)
+        solution = operator.solve(rho, loads)
+        operator.check(rho, solution)
         sens = sensitivity(grid, rho, material, solution.element_energy)
         filtered = filter_sensitivities(grid, rho, sens, r_min)
         new_rho, info = oc_update(
@@ -342,7 +343,8 @@ def stage_loop(
     """
     policy.validate(material.rho_min)
     oc_params = oc_params or OCParams()
-    ke = fem.element_stiffness(material, grid.hx, grid.hy)
+    operator = fem.Operator(grid, material, bc)
+    loads = fem.load_vector(grid, bc)
 
     act_mask = grid.active.ravel(order="C")
     rho = np.zeros(grid.n_elems)
@@ -359,8 +361,8 @@ def stage_loop(
         rho, _, inner_ok = simp_inner_solve(
             grid,
             rho,
-            material,
-            bc,
+            operator,
+            loads,
             volume_target,
             frozen,
             r_min,
@@ -369,7 +371,6 @@ def stage_loop(
             max_iter=max_inner,
             stage=stage,
             history=history,
-            ke=ke,
         )
         if not inner_ok:
             log.warning("stage %d hit the inner iteration cap", stage)
@@ -385,7 +386,8 @@ def stage_loop(
             converged = True
             break
 
-    solution = fem.solve(grid, rho, material, bc, ke=ke)
+    solution = operator.solve(rho, loads)
+    operator.check(rho, solution)
     return CoarseResult(
         rho=rho,
         frozen=frozen,

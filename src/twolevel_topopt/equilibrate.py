@@ -121,11 +121,6 @@ def _segment_midpoint(vertices):
     return 0.5 * (best[1] + best[2])
 
 
-def side_forces_to_tractions(p_start, p_end, length):
-    """Invert the 2x2 edge mass matrix: consistent end forces -> linear traction."""
-    return fem.tractions_from_forces(p_start, p_end, length)
-
-
 @dataclass
 class NodeClass:
     """Classification of one node with its ordered element fan."""
@@ -463,14 +458,10 @@ def equilibrate_all(grid, rho, material, bc, u, void_mask=None):
         raise EquilibrationError(f"{missing} elements have unassigned edge forces")
     side[~grid.active.ravel(order="C")] = 0.0
 
-    tractions = np.zeros_like(side)
-    for e in act:
-        for ledge in range(4):
-            t_s, t_e = fem.tractions_from_forces(
-                side[e, ledge, 0], side[e, ledge, 1], grid.edge_length(ledge)
-            )
-            tractions[e, ledge, 0] = t_s
-            tractions[e, ledge, 1] = t_e
+    lengths = np.array([grid.hx, grid.hy, grid.hx, grid.hy])[:, None]
+    tractions = np.stack(
+        fem.tractions_from_forces(side[:, :, 0], side[:, :, 1], lengths), axis=2
+    )
 
     field_out = EdgeTractionField(tractions, side, classes, lambdas)
     field_out.report = build_report(grid, field_out, force_scale)
@@ -537,26 +528,9 @@ def build_report(grid, field_in, force_scale):
     act = grid.active_elems
     net_force = np.zeros((grid.n_elems, 2))
     net_moment = np.zeros(grid.n_elems)
-    coords = grid.node_coords()
-    centers = np.zeros((grid.n_elems, 2))
-    centers[act] = grid.elem_centers(act)
-
-    for e in act:
-        c = centers[e]
-        for ledge in range(4):
-            n1, n2 = grid.edge_nodes(e, ledge)
-            a, b = coords[n1], coords[n2]
-            L = grid.edge_length(ledge)
-            t_s = field_in.tractions[e, ledge, 0]
-            t_e = field_in.tractions[e, ledge, 1]
-            dvec = b - a
-            dt = t_e - t_s
-            net_force[e] += 0.5 * L * (t_s + t_e)
-            net_moment[e] += L * (
-                _cross(a - c, t_s)
-                + 0.5 * (_cross(a - c, dt) + _cross(dvec, t_s))
-                + _cross(dvec, dt) / 3.0
-            )
+    net_force[act], net_moment[act] = fem.edge_traction_resultants(
+        field_in.tractions[act], grid.hx, grid.hy
+    )
 
     lambda_norms = np.zeros(grid.n_nodes)
     for n, lam in field_in.lambdas.items():
@@ -572,23 +546,19 @@ def build_report(grid, field_in, force_scale):
 
 def action_reaction_residual(grid, field_in):
     """Largest pointwise traction mismatch across interior shared edges."""
+    t = field_in.tractions.reshape(grid.nx, grid.ny, 4, 2, 2)
+    active = grid.active
+    # Right edges meet the left edges of their right neighbours, top edges
+    # the bottom edges of their upper neighbours. A shared edge runs in
+    # opposite directions on its two sides, so start pairs with end.
+    pairs = (
+        (t[:-1, :, 1], t[1:, :, 3], active[:-1, :] & active[1:, :]),
+        (t[:, :-1, 2], t[:, 1:, 0], active[:, :-1] & active[:, 1:]),
+    )
     worst = 0.0
-    for e in grid.active_elems:
-        for ledge in range(4):
-            nbr = grid.neighbor(e, ledge)
-            if nbr < 0 or nbr < e:
-                continue
-            opp = (ledge + 2) % 4
-            # Shared edge: opposite orientations, so start pairs with end.
-            worst = max(
-                worst,
-                np.abs(
-                    field_in.tractions[e, ledge, 0] + field_in.tractions[nbr, opp, 1]
-                ).max(),
-                np.abs(
-                    field_in.tractions[e, ledge, 1] + field_in.tractions[nbr, opp, 0]
-                ).max(),
-            )
+    for mine, theirs, shared in pairs:
+        mismatch = mine[shared] + theirs[shared][:, ::-1]
+        worst = max(worst, float(np.abs(mismatch).max(initial=0.0)))
     return worst
 
 

@@ -17,8 +17,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 
 from . import coarse, fem
 from .grid import EDGE_LNODES, BoundaryConditions, Grid
@@ -138,106 +136,21 @@ def rigid_body_supports(n):
     return bc
 
 
-class _CellSolver:
-    """Banded Cholesky FE solver for the fixed cell mesh.
+class _CellSolver(fem.Operator):
+    """The fem.Operator of an n x n cell of a coarse hx x hy element.
 
     Mesh, supports and unit element stiffness never change while a cell is
-    optimized, so the linear map from the element factors rho^p to the lower
-    band of the reduced stiffness is built once as a sparse matrix; each
-    iteration is one sparse product and the LAPACK banded Cholesky. Produces
-    the same FESolution as fem.solve (a property test pins the agreement) at
-    a fraction of the cost, which dominates the farm runtime.
+    optimized, so the band map is built once and each iteration is one
+    sparse product and one banded Cholesky factorization.
     """
 
-    def __init__(self, grid, material, bc, ke):
-        self.grid = grid
-        self.material = material
-        self.ke = ke
-        ndof = 2 * grid.n_nodes
-        fixed = bc.constrained_dofs(grid)
-        if fixed.size and np.any(bc.prescribed_values(grid) != 0.0):
-            raise FineSolveError("cell supports must prescribe zero displacement")
-        keep = np.setdiff1d(np.arange(ndof), fixed)
-        remap = np.full(ndof, -1)
-        remap[keep] = np.arange(keep.size)
-        self.keep = keep
-        self.fixed = fixed
-        self.ndof = ndof
+    def __init__(self, n, hx, hy, material):
+        grid = Grid(n, n, hx / n, hy / n)
+        ke = fem.element_stiffness(material, grid.hx, grid.hy)
+        super().__init__(grid, material, rigid_body_supports(n), ke)
 
-        dofs = remap[grid.elem_dofs]  # (n_elems, 8), -1 where eliminated
-        rows = np.repeat(dofs, 8, axis=1).reshape(-1, 8, 8)
-        cols = np.tile(dofs, (1, 8)).reshape(-1, 8, 8)
-        mask = (rows >= 0) & (cols >= 0) & (rows >= cols)
-        self.bandwidth = int((rows[mask] - cols[mask]).max())
-        # Flat position in the (bandwidth+1, n_kept) lower band storage:
-        # K[row, col] sits at ab[row - col, col].
-        flat = (rows - cols) * keep.size + cols
-        elems = np.broadcast_to(np.arange(grid.n_elems)[:, None, None], mask.shape)
-        kvals = np.broadcast_to(ke[None, :, :], mask.shape)
-        self.band_map = sp.csc_matrix(
-            (kvals[mask], (flat[mask], elems[mask])),
-            shape=((self.bandwidth + 1) * keep.size, grid.n_elems),
-        )
-
-    def band(self, rho):
-        """Lower band of the reduced stiffness K(rho)."""
-        rho = np.asarray(rho, dtype=float)
-        if (rho < self.material.rho_min - 1e-12).any() or (rho > 1 + 1e-12).any():
-            raise ValueError("density out of [rho_min, 1]")
-        ab = self.band_map @ rho**self.material.p
-        return ab.reshape(self.bandwidth + 1, self.keep.size)
-
-    def solve(self, rho, f):
-        try:
-            uf = sla.solveh_banded(
-                self.band(rho), f[self.keep], lower=True, check_finite=False
-            )
-        except np.linalg.LinAlgError as exc:
-            raise fem.SolverError(f"banded factorization failed: {exc}") from exc
-        if not np.isfinite(uf).all():
-            raise fem.SolverError("singular cell stiffness")
-        u = np.zeros(self.ndof)
-        u[self.keep] = uf
-        energy = fem.element_compliance_contributions(
-            self.grid, rho, self.material, u, ke=self.ke
-        )
-        return fem.FESolution(
-            u=u, f=f, compliance=float(f @ u), element_energy=energy
-        )
-
-    def norm_inf(self, rho):
-        """Infinity norm of the reduced stiffness: the largest row sum of |K|.
-
-        Row r holds ab[d, r - d] on and below the diagonal and, by symmetry,
-        ab[d, r] above it.
-        """
-        ab = np.abs(self.band(rho))
-        n = self.keep.size
-        rows = np.add.outer(np.arange(self.bandwidth + 1), np.arange(n))
-        lower = np.bincount(rows.ravel(), weights=ab.ravel())[:n]
-        return float((lower + ab[1:].sum(axis=0)).max())
-
-    def max_reaction(self, rho, solution):
-        """Largest support reaction of a solution, after a backward-error gate.
-
-        The residual K u - f is assembled from the element nodal forces. On
-        the free dofs it must pass fem.solve's gate 1e-8 (|f| + |K| |u|);
-        on the supports it is the reaction.
-        """
-        forces = fem.element_nodal_forces(
-            self.grid, rho, self.material, solution.u, ke=self.ke
-        )
-        residual = np.bincount(
-            self.grid.elem_dofs.ravel(), weights=forces.ravel(), minlength=self.ndof
-        ) - solution.f
-        res = np.linalg.norm(residual[self.keep])
-        fnorm = np.linalg.norm(solution.f[self.keep])
-        unorm = np.linalg.norm(solution.u[self.keep])
-        if fnorm > 0 and res > 1e-8 * (fnorm + self.norm_inf(rho) * unorm):
-            raise fem.SolverError(
-                f"cell residual {res:.3e} exceeds 1e-8 * (|f| + |K||u|)"
-            )
-        return float(np.abs(residual[self.fixed]).max()) if self.fixed.size else 0.0
+    # The benchmark traces the farm's banded solves under this name.
+    solve = fem.Operator.solve
 
 
 @functools.lru_cache(maxsize=4)
@@ -248,10 +161,7 @@ def _cell_solver(n, hx, hy, E, nu, p, rho_min):
     band pattern, so each process builds them once. The solver and its grid
     are shared between callers and must not be mutated.
     """
-    material = fem.MaterialModel(E=E, nu=nu, p=p, rho_min=rho_min)
-    grid = Grid(n, n, hx / n, hy / n)
-    ke = fem.element_stiffness(material, grid.hx, grid.hy)
-    return _CellSolver(grid, material, rigid_body_supports(n), ke)
+    return _CellSolver(n, hx, hy, fem.MaterialModel(E=E, nu=nu, p=p, rho_min=rho_min))
 
 
 # Cell-local corner coordinates in the order of grid corner numbering.
@@ -298,34 +208,16 @@ def apply_cell_tractions(problem, grid=None):
     return f
 
 
-def _cross(a, b):
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def traction_equilibrium(tractions, hx, hy):
-    """Net force, net moment (about the cell centre) and force scale."""
+    """Net force, net moment (about the cell centre) and force scale.
+
+    The force scale is the largest resultant of one edge's traction.
+    """
     tractions = np.asarray(tractions, dtype=float)
-    corners = _cell_corners(hx, hy)
-    center = np.array([hx / 2.0, hy / 2.0])
-    net_f = np.zeros(2)
-    net_m = 0.0
-    scale = 0.0
-    for ledge in range(4):
-        c0, c1 = EDGE_LNODES[ledge]
-        a, b = corners[c0], corners[c1]
-        L = np.linalg.norm(b - a)
-        t_s, t_e = tractions[ledge]
-        resultant = 0.5 * L * (t_s + t_e)
-        net_f += resultant
-        dvec = b - a
-        dt = t_e - t_s
-        net_m += L * (
-            _cross(a - center, t_s)
-            + 0.5 * (_cross(a - center, dt) + _cross(dvec, t_s))
-            + _cross(dvec, dt) / 3.0
-        )
-        scale = max(scale, float(np.linalg.norm(resultant)))
-    return net_f, float(net_m), scale
+    net_f, net_m = fem.edge_traction_resultants(tractions, hx, hy)
+    lengths = np.array([hx, hy, hx, hy])[:, None]
+    resultants = 0.5 * lengths * tractions.sum(axis=1)
+    return net_f, float(net_m), float(np.linalg.norm(resultants, axis=1).max())
 
 
 def fine_cell_solve(problem):
@@ -407,7 +299,7 @@ def fine_cell_solve(problem):
 
     # Final solve on the returned field for compliance and support reactions.
     solution = solver.solve(rho, loads)
-    max_reaction = solver.max_reaction(rho, solution)
+    max_reaction = solver.check(rho, solution)
 
     return FineCellResult(
         cell=problem.cell,

@@ -20,6 +20,8 @@ import csv
 import json
 import logging
 import time
+import zipfile
+import zlib
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -83,7 +85,6 @@ class RunConfig:
     # execution
     out: str = "out"
     workers: int = 1
-    deterministic: bool = True
 
     def validate(self):
         if self.nx < 1 or self.ny < 1:
@@ -290,8 +291,7 @@ def preset_config(name, **overrides):
 # -- config parsing --------------------------------------------------------
 
 _SECTION_FIELDS = {
-    "run": {"preset": None, "name": str, "out": str, "workers": int,
-            "deterministic": bool},
+    "run": {"preset": None, "name": str, "out": str, "workers": int},
     "grid": {"nx": int, "ny": int, "hx": float, "hy": float, "mask": str},
     "material": {"e": float, "nu": float},
     "thresholds": {"rho0": float, "rho_bar_min": float, "rho_bar_max": float},
@@ -308,7 +308,6 @@ _KEY_TO_FIELD = {
     ("run", "name"): "name",
     ("run", "out"): "out",
     ("run", "workers"): "workers",
-    ("run", "deterministic"): "deterministic",
     ("grid", "nx"): "nx",
     ("grid", "ny"): "ny",
     ("grid", "hx"): "hx",
@@ -338,9 +337,6 @@ _KEY_TO_FIELD = {
     ("supports", "preset"): "support_preset",
 }
 
-_BOOL_STRINGS = {"true": True, "1": True, "yes": True,
-                 "false": False, "0": False, "no": False}
-
 
 def parse_config(text):
     """Parse and validate an INI run configuration into a RunConfig."""
@@ -369,11 +365,8 @@ def parse_config(text):
         raw = parser.get(section, key)
         caster = _SECTION_FIELDS[section][key]
         try:
-            if caster is bool:
-                updates[fname] = _BOOL_STRINGS[raw.strip().lower()]
-            else:
-                updates[fname] = caster(raw)
-        except (ValueError, KeyError) as exc:
+            updates[fname] = caster(raw)
+        except ValueError as exc:
             raise ConfigError(f"{section}.{key}: bad value {raw!r}") from exc
 
     if parser.has_option("loads", "neumann"):
@@ -570,7 +563,8 @@ def _save_coarse_state(path, result):
 
 
 def _load_coarse_state(path):
-    data = np.load(path)
+    with np.load(path) as archive:
+        data = dict(archive)
     history = [
         {
             "stage": int(s),
@@ -621,7 +615,8 @@ def _save_cells(path, batch):
 
 
 def _load_cells(path):
-    data = np.load(path)
+    with np.load(path) as archive:
+        data = dict(archive)
     cells = {}
     for row, cell in enumerate(data["ids"]):
         cells[int(cell)] = fine.FineCellResult(
@@ -675,6 +670,24 @@ def equilibrium_certificate(grid, field_out):
     }
 
 
+def _read_checkpoint(path, load):
+    """A stage's checkpoint loaded from path, or None when missing or unreadable.
+
+    An unreadable file (truncated, or not an archive of the expected arrays)
+    is logged and its stage recomputed, which overwrites it.
+    """
+    if not path.exists():
+        return None
+    try:
+        result = load(path)
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile,
+            zlib.error) as exc:
+        log.warning("unreadable checkpoint %s (%s); recomputing its stage", path, exc)
+        return None
+    log.info("checkpoint %s found, skipping its stage", path)
+    return result
+
+
 def run_pipeline(config, skip_fine=False):
     """Execute a full run; returns the summary dict written to summary.json.
 
@@ -696,10 +709,8 @@ def run_pipeline(config, skip_fine=False):
     bc = config.build_bc(grid)
 
     coarse_ckpt = out / "coarse_state.npz"
-    if coarse_ckpt.exists():
-        log.info("coarse checkpoint found, skipping the stage loop")
-        result = _load_coarse_state(coarse_ckpt)
-    else:
+    result = _read_checkpoint(coarse_ckpt, _load_coarse_state)
+    if result is None:
         result = coarse.stage_loop(
             grid,
             config.coarse_material(),
@@ -751,10 +762,8 @@ def run_pipeline(config, skip_fine=False):
         return summary
 
     cells_ckpt = out / "cells.npz"
-    if cells_ckpt.exists():
-        log.info("cell checkpoint found, skipping the fine farm")
-        batch = _load_cells(cells_ckpt)
-    else:
+    batch = _read_checkpoint(cells_ckpt, _load_cells)
+    if batch is None:
         batch = fine.solve_all_cells(
             grid,
             result,

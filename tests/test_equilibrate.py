@@ -78,15 +78,17 @@ def test_centroid_bowtie_matches_monte_carlo():
 
 
 def test_side_forces_to_tractions_inverts_consistent_loads():
+    # equilibrate_all turns split side forces into tractions with
+    # fem.tractions_from_forces
     L = 0.7
-    t_s, t_e = eq.side_forces_to_tractions((L / 3, 0.0), (L / 6, 0.0), L)
+    t_s, t_e = fem.tractions_from_forces((L / 3, 0.0), (L / 6, 0.0), L)
     assert_allclose(t_s, (1.0, 0.0), atol=1e-14)
     assert_allclose(t_e, (0.0, 0.0), atol=1e-14)
     rng = np.random.default_rng(5)
     for _ in range(10):
         t1, t2 = rng.normal(size=(2, 2))
         p1, p2 = fem.consistent_edge_loads(t1, t2, 1.3)
-        r1, r2 = eq.side_forces_to_tractions(p1, p2, 1.3)
+        r1, r2 = fem.tractions_from_forces(p1, p2, 1.3)
         assert_allclose(r1, t1, atol=1e-12)
         assert_allclose(r2, t2, atol=1e-12)
 
@@ -514,6 +516,34 @@ def test_equilibrate_moment_balance_is_pole_independent():
                     + (dvec[0] * dt[1] - dvec[1] * dt[0]) / 3.0
                 )
             assert abs(m_tot) <= 1e-10 * field.report.moment_scale
+
+
+def test_action_reaction_residual_matches_edge_loop():
+    # random tractions on an L-shaped domain against a loop over every
+    # active element's neighbours; edges facing the carved-out quadrant and
+    # the outer boundary must not count
+    active = np.ones((5, 4), dtype=bool)
+    active[3:, 2:] = False
+    g = Grid(5, 4, 0.4, 0.3, active=active)
+
+    class Holder:
+        pass
+
+    holder = Holder()
+    holder.tractions = np.random.default_rng(4).normal(size=(g.n_elems, 4, 2, 2))
+    holder.tractions[~active.ravel()] = 100.0
+    worst = 0.0
+    for e in g.active_elems:
+        for ledge in range(4):
+            nbr = g.neighbor(e, ledge)
+            if nbr >= 0:
+                opp = (ledge + 2) % 4
+                for end in (0, 1):
+                    mismatch = holder.tractions[e, ledge, end] + holder.tractions[
+                        nbr, opp, 1 - end
+                    ]
+                    worst = max(worst, np.abs(mismatch).max())
+    assert eq.action_reaction_residual(g, holder) == worst
 
 
 def test_stress_tractions_control_field():

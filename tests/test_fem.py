@@ -72,6 +72,10 @@ def test_consistent_edge_loads_linear_exact():
 
 
 def test_tractions_from_forces_round_trip():
+    L = 0.7
+    t_s, t_e = fem.tractions_from_forces((L / 3, 0.0), (L / 6, 0.0), L)
+    assert_allclose(t_s, (1.0, 0.0), atol=1e-14)
+    assert_allclose(t_e, (0.0, 0.0), atol=1e-14)
     rng = np.random.default_rng(7)
     for _ in range(25):
         t_s, t_e = rng.normal(size=(2, 2))
@@ -108,26 +112,55 @@ def clamp_left(g, bc):
         bc.fix_node(g.node_id(0, jy))
 
 
-def test_solve_matches_dense_reference(steelish):
+def dense_solve(g, rho, material, bc, f):
+    """Reference displacements from a dense solve on the assembled stiffness."""
+    dense = fem.assemble(g, rho, material).toarray()
+    fixed = bc.constrained_dofs(g)
+    active = np.flatnonzero(np.repeat(g.node_active, 2))
+    free = np.setdiff1d(active, fixed)
+    u = np.zeros(2 * g.n_nodes)
+    u[fixed] = bc.prescribed_values(g)
+    rhs = f[free] - dense[np.ix_(free, fixed)] @ u[fixed]
+    u[free] = np.linalg.solve(dense[np.ix_(free, free)], rhs)
+    return u
+
+
+def full_beam():
     g = Grid(8, 4, 0.25, 0.25)
     bc = BoundaryConditions()
     clamp_left(g, bc)
     bc.add_edge_traction(g.elem_id(7, 0), 1, (0.0, -1.0), (0.0, -1.0))
-    rng = np.random.default_rng(11)
-    rho = rng.uniform(0.3, 1.0, g.n_elems)
+    return g, bc
 
-    sol = fem.solve(g, rho, steelish, bc)
 
-    dense = fem.assemble(g, rho, steelish).toarray()
-    f = fem.load_vector(g, bc)
-    fixed = bc.constrained_dofs(g)
-    free = np.setdiff1d(np.arange(2 * g.n_nodes), fixed)
-    u_ref = np.zeros(2 * g.n_nodes)
-    u_ref[free] = np.linalg.solve(dense[np.ix_(free, free)], f[free])
+def masked_l_bracket():
+    # L-shaped domain with one support node pushed sideways: inactive dofs
+    # are eliminated and the prescribed value enters the loads as K u0
+    active = np.ones((6, 6), dtype=bool)
+    active[3:, 3:] = False
+    g = Grid(6, 6, 0.3, 0.2, active=active)
+    bc = BoundaryConditions()
+    for jx in range(4):
+        bc.fix_node(g.node_id(jx, 6))
+    bc.fix_node(g.node_id(1, 6), ux=2e-3)
+    bc.add_edge_traction(g.elem_id(5, 1), 1, (0.0, -1.0), (0.5, -2.0))
+    return g, bc
 
-    assert_allclose(sol.u, u_ref, rtol=1e-9, atol=1e-12)
-    assert_allclose(sol.compliance, f @ u_ref, rtol=1e-9)
-    assert_allclose(sol.f, f)
+
+def test_solve_matches_dense_reference(steelish):
+    for case in (full_beam, masked_l_bracket):
+        g, bc = case()
+        rng = np.random.default_rng(11)
+        rho = rng.uniform(0.3, 1.0, g.n_elems)
+
+        sol = fem.solve(g, rho, steelish, bc)
+
+        f = fem.load_vector(g, bc)
+        u_ref = dense_solve(g, rho, steelish, bc, f)
+
+        assert_allclose(sol.u, u_ref, rtol=1e-9, atol=1e-12)
+        assert_allclose(sol.compliance, f @ u_ref, rtol=1e-9)
+        assert_allclose(sol.f, f)
 
 
 def test_compliance_equals_energy_sum(steelish):

@@ -70,9 +70,8 @@ def test_parse_config_preset_with_override():
 
 
 def test_parse_config_bool_and_int_casting():
-    text = "[run]\ndeterministic = yes\nworkers = 3\n"
+    text = "[run]\nworkers = 3\n"
     config = pipeline.parse_config(text)
-    assert config.deterministic is True
     assert config.workers == 3
 
 
@@ -413,6 +412,24 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     )
     assert code == cli.EXIT_NUMERICAL
     assert "run failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, checkpoint", [("verify", "coarse_state.npz"), ("run", "cells.npz")]
+)
+def test_cli_recomputes_truncated_checkpoint(tmp_path, capsys, command, checkpoint):
+    path = tmp_path / "run.ini"
+    path.write_text(SMALL_RUN)
+    args = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(args) == 0
+    fresh = json.loads(capsys.readouterr().out)
+    ckpt = tmp_path / "out" / checkpoint
+    ckpt.write_bytes(ckpt.read_bytes()[:300])
+    assert cli.main(args) == 0
+    again = json.loads(capsys.readouterr().out)
+    fresh.pop("wall_time_s")
+    again.pop("wall_time_s")
+    assert again == fresh
 
 
 def test_cli_io_failure_exit_code(tmp_path, capsys, monkeypatch):
