@@ -240,7 +240,6 @@ def simp_inner_solve(
     frozen,
     r_min,
     eps,
-    oc_params,
     max_iter=200,
     stage=1,
     history=None,
@@ -249,13 +248,15 @@ def simp_inner_solve(
 
     operator is the fem.Operator of the grid and its supports, loads the
     full-length load vector. Every solve passes the operator's residual
-    gates. Returns (rho, solution, converged). The last FE solution
-    corresponds to the densities before the final update; callers needing
-    forces consistent with the returned field should re-solve.
+    gates; the OC updates use the default OCParams. Returns (rho, solution,
+    converged). The last FE solution corresponds to the densities before
+    the final update; callers needing forces consistent with the returned
+    field should re-solve.
     """
     if history is None:
         history = []
     material = operator.material
+    oc_params = OCParams()
     rho = np.asarray(rho, dtype=float).copy()
     free = (frozen == FREE) & grid.active.ravel(order="C")
     solution = None
@@ -303,26 +304,13 @@ def freeze_out_of_range(grid, rho, frozen, policy, rho_min):
     rho[to_void] = rho_min
     count = int(to_solid.sum() + to_void.sum())
 
-    void2 = (frozen == VOID).reshape(grid.nx, grid.ny)
     while True:
-        void_neighbors = np.zeros((grid.nx, grid.ny), dtype=int)
-        void_neighbors[:-1, :] += void2[1:, :]
-        void_neighbors[1:, :] += void2[:-1, :]
-        void_neighbors[:, :-1] += void2[:, 1:]
-        void_neighbors[:, 1:] += void2[:, :-1]
-        forced = (
-            (frozen.reshape(grid.nx, grid.ny) == FREE)
-            & grid.active
-            & (void_neighbors >= 3)
-        )
+        forced = (frozen == FREE) & act_mask & (grid.count_neighbours(frozen == VOID) >= 3)
         if not forced.any():
-            break
-        idx = forced.ravel(order="C")
-        frozen[idx] = VOID
-        rho[idx] = rho_min
-        void2 = (frozen == VOID).reshape(grid.nx, grid.ny)
-        count += int(idx.sum())
-    return count
+            return count
+        frozen[forced] = VOID
+        rho[forced] = rho_min
+        count += int(forced.sum())
 
 
 def stage_loop(
@@ -332,7 +320,6 @@ def stage_loop(
     policy,
     r_min=1.5,
     eps=0.03,
-    oc_params=None,
     max_inner=200,
     stage_cap=50,
 ):
@@ -342,7 +329,6 @@ def stage_loop(
     until a stage ends with every free density inside the threshold range.
     """
     policy.validate(material.rho_min)
-    oc_params = oc_params or OCParams()
     operator = fem.Operator(grid, material, bc)
     loads = fem.load_vector(grid, bc)
 
@@ -367,7 +353,6 @@ def stage_loop(
             frozen,
             r_min,
             eps,
-            oc_params,
             max_iter=max_inner,
             stage=stage,
             history=history,

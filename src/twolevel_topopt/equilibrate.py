@@ -20,15 +20,12 @@ shared edge holds exact negations on its two sides.
 from __future__ import annotations
 
 import csv
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fem
 from .grid import EDGE_LNODES, EDGE_NORMALS
-
-log = logging.getLogger(__name__)
 
 # Local (xi, eta) coordinates of element corners 0..3.
 _CORNER_XI = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
@@ -133,10 +130,6 @@ class NodeClass:
     void_flags: list
     extreme_dirichlet: tuple = (False, False)
 
-    @property
-    def n_dirichlet_extremes(self):
-        return int(self.extreme_dirichlet[0]) + int(self.extreme_dirichlet[1])
-
 
 def _edge_is_dirichlet(grid, bc, elem, ledge):
     """A boundary edge transmits reactions when both end nodes are constrained."""
@@ -159,20 +152,14 @@ def classify_nodes(grid, bc, void_mask=None):
         void_mask = np.zeros(grid.n_elems, dtype=bool)
     void_mask = np.asarray(void_mask, dtype=bool).ravel()
 
-    act = grid.active_elems
-    for e in act:
-        if void_mask[e]:
-            continue
-        n_void = 0
-        for ledge in range(4):
-            nbr = grid.neighbor(e, ledge)
-            if nbr >= 0 and void_mask[nbr]:
-                n_void += 1
-        if n_void >= 3:
-            raise EquilibrationError(
-                f"element {e} has {n_void} void edge-neighbours; it should "
-                f"have been voided by the coarse freezing stage"
-            )
+    n_void = grid.count_neighbours(void_mask)
+    crowded = np.flatnonzero(grid.active.ravel(order="C") & ~void_mask & (n_void >= 3))
+    if crowded.size:
+        e = crowded[0]
+        raise EquilibrationError(
+            f"element {e} has {n_void[e]} void edge-neighbours; it should "
+            f"have been voided by the coarse freezing stage"
+        )
 
     classes = {}
     for n in np.flatnonzero(grid.node_active):
@@ -249,6 +236,34 @@ def _void_aware_pole(vertices, voids, default):
     return default
 
 
+def _vertices(forces):
+    """Running polygon vertices W[0] = 0, W[i + 1] = W[i] + forces[i]."""
+    return np.cumsum(np.concatenate([np.zeros((1, 2)), forces]), axis=0)
+
+
+def _sides(Q):
+    """(preceding, following) side forces per element from pole-to-vertex vectors."""
+    return list(zip(Q[:-1], -Q[1:]))
+
+
+def _pole(forces, W, voids):
+    """Default pole: centroid of the force polygon closed by a last side.
+
+    Around a cycle the closing side -W[3] stands in for the fourth force, so
+    the FE nodal residual cannot trip the centroid's closure check; on a
+    chain with two reactions it is the total reaction. A single force is
+    split evenly. The pole then moves next to void elements; the vertices W
+    run over W[0..m-1] around a cycle and W[0..m] along a chain.
+    """
+    m = len(forces)
+    if m == 1:
+        pole = 0.5 * W[1]
+    else:
+        k = min(m, 3)
+        pole = polygon_centroid(*forces[:k], -W[k], *[np.zeros(2)] * (3 - k))
+    return _void_aware_pole(W, [] if voids is None else list(voids), pole)
+
+
 def split_internal_node(forces, pole):
     """Side forces of a 4-element interior fan for a given pole.
 
@@ -257,15 +272,9 @@ def split_internal_node(forces, pole):
     preceding and following edge, and lam is the polygon closure defect
     (absorbed by the last element's corner identity).
     """
-    forces = [np.asarray(F, dtype=float) for F in forces]
-    m = len(forces)
-    W = np.zeros((m + 1, 2))
-    for i, F in enumerate(forces):
-        W[i + 1] = W[i] + F
-    Q = [pole - W[i % m] for i in range(m + 1)]
-    sides = [(Q[i], -Q[i + 1]) for i in range(m)]
-    lam = W[m].copy()
-    return sides, lam
+    W = _vertices(forces)
+    m = len(W) - 1
+    return _sides(pole - W[np.arange(m + 1) % m]), W[m].copy()
 
 
 def split_dirichlet_node(g, pole=None, voids=None):
@@ -278,23 +287,12 @@ def split_dirichlet_node(g, pole=None, voids=None):
     elements through the extreme edges; lam is identically zero because the
     reactions close the polygon exactly.
     """
-    g = [np.asarray(v, dtype=float) for v in g]
-    m = len(g)
-    W = np.zeros((m + 1, 2))
-    for i, v in enumerate(g):
-        W[i + 1] = W[i] + v
+    g = np.asarray(g, dtype=float).reshape(-1, 2)
+    W = _vertices(g)
     if pole is None:
-        sides_f = list(g) + [-W[m]] + [np.zeros(2)] * (3 - m)
-        if m == 1:
-            pole = 0.5 * W[1]
-        else:
-            pole = polygon_centroid(*sides_f[:4])
-        if voids is not None:
-            pole = _void_aware_pole(W[: m + 1], list(voids), pole)
-    Q = [pole - W[i] for i in range(m + 1)]
-    sides = [(Q[i], -Q[i + 1]) for i in range(m)]
-    reactions = (Q[0], -Q[m])
-    return sides, reactions, np.zeros(2)
+        pole = _pole(g, W, voids)
+    Q = pole - W
+    return _sides(Q), (Q[0], -Q[-1]), np.zeros(2)
 
 
 def split_neumann_node(g, dirichlet_first=False, dirichlet_last=False):
@@ -310,24 +308,18 @@ def split_neumann_node(g, dirichlet_first=False, dirichlet_last=False):
     """
     if dirichlet_first and dirichlet_last:
         raise EquilibrationError("use split_dirichlet_node for two reactions")
-    g = [np.asarray(v, dtype=float) for v in g]
-    m = len(g)
-    W = np.zeros((m + 1, 2))
-    for i, v in enumerate(g):
-        W[i + 1] = W[i] + v
-
+    W = _vertices(g)
+    m = len(W) - 1
     if dirichlet_first or dirichlet_last:
-        pole = W[m] if dirichlet_first else W[0]
-        Q = [pole - W[i] for i in range(m + 1)]
-        sides = [(Q[i], -Q[i + 1]) for i in range(m)]
+        Q = (W[m] if dirichlet_first else W[0]) - W
         reaction = Q[0] if dirichlet_first else -Q[m]
-        return sides, reaction, np.zeros(2)
+        return _sides(Q), reaction, np.zeros(2)
 
-    # Both extremes prescribed: exact from each end, defect in the middle.
-    mid = (m - 1) // 2
-    Q = [-W[i] if i <= mid else W[m] - W[i] for i in range(m + 1)]
-    sides = [(Q[i], -Q[i + 1]) for i in range(m)]
-    return sides, None, W[m].copy()
+    # Both extremes prescribed: exact from each end (pole 0 for the first
+    # half, W[m] for the second), defect in the middle.
+    Q = -W
+    Q[(m - 1) // 2 + 1 :] += W[m]
+    return _sides(Q), None, W[m].copy()
 
 
 @dataclass
@@ -353,17 +345,6 @@ class EquilibrationReport:
     def max_lambda(self):
         return float(self.lambda_norms.max())
 
-    def summary(self):
-        fs = self.force_scale or 1.0
-        ms = self.moment_scale or 1.0
-        return {
-            "force_scale": self.force_scale,
-            "max_force_residual_rel": self.max_force_residual / fs,
-            "max_moment_residual_rel": self.max_moment_residual / ms,
-            "max_lambda_rel": self.max_lambda / fs,
-            "class_counts": dict(self.class_counts),
-        }
-
 
 @dataclass
 class EdgeTractionField:
@@ -382,33 +363,6 @@ class EdgeTractionField:
 
     def edge_tractions(self, elem, ledge):
         return self.tractions[elem, ledge, 0], self.tractions[elem, ledge, 1]
-
-
-def _corner_slot(grid, elem, node):
-    nodes = grid.elem_nodes[elem]
-    for k in range(4):
-        if nodes[k] == node:
-            return k
-    raise EquilibrationError(f"node {node} is not a corner of element {elem}")
-
-
-def _end_slot(grid, elem, ledge, node):
-    n_start, n_end = grid.edge_nodes(elem, ledge)
-    if node == n_start:
-        return 0
-    if node == n_end:
-        return 1
-    raise EquilibrationError(f"node {node} not on edge {ledge} of element {elem}")
-
-
-def _prescribed_end_force(grid, bc, elem, ledge, node):
-    """Consistent end force at `node` of the prescribed traction on an edge."""
-    data = bc.neumann.get((elem, ledge))
-    if data is None:
-        return np.zeros(2)
-    t_start, t_end = data
-    p_start, p_end = fem.consistent_edge_loads(t_start, t_end, grid.edge_length(ledge))
-    return np.asarray(p_start if _end_slot(grid, elem, ledge, node) == 0 else p_end)
 
 
 def equilibrate_all(grid, rho, material, bc, u, void_mask=None):
@@ -432,25 +386,21 @@ def equilibrate_all(grid, rho, material, bc, u, void_mask=None):
     # Boundary edges start from their prescription (zero where unloaded);
     # reaction edges are overwritten by the node splits below.
     for elem, ledge, _ in grid.boundary_edges():
-        L = grid.edge_length(ledge)
         data = bc.neumann.get((elem, ledge))
         if data is None:
             side[elem, ledge] = 0.0
         else:
-            p_start, p_end = fem.consistent_edge_loads(data[0], data[1], L)
-            side[elem, ledge, 0] = p_start
-            side[elem, ledge, 1] = p_end
+            side[elem, ledge] = fem.consistent_edge_loads(
+                data[0], data[1], grid.edge_length(ledge)
+            )
 
     lambdas = {}
     for n, cls in classes.items():
         try:
-            writes, lam = _split_node(grid, bc, forces, cls)
+            lam = _split_node(forces, side, cls)
         except EquilibrationError as exc:
             raise EquilibrationError(f"node {n} ({cls.kind}): {exc}") from exc
-        for elem, ledge, value in writes:
-            slot = _end_slot(grid, elem, ledge, n)
-            side[elem, ledge, slot] = value
-        if np.linalg.norm(lam) > 0:
+        if lam.any():
             lambdas[n] = lam
 
     if np.isnan(side[act]).any():
@@ -468,59 +418,41 @@ def equilibrate_all(grid, rho, material, bc, u, void_mask=None):
     return field_out
 
 
-def _split_node(grid, bc, forces, cls):
-    """Solve one node's splitting; returns ([(elem, ledge, force)], lam)."""
-    n = cls.node
+def _split_node(forces, side, cls):
+    """Split one node's corner forces into side forces; returns its closure defect.
+
+    The counter-clockwise fan fixes every slot: element c meets the node at
+    the corner that starts its preceding edge k (slot 0), and its following
+    edge (k + 3) % 4 ends there (slot 1). Around a cycle every side is
+    written. A chain writes its two extreme edges only where they carry a
+    reaction; elsewhere they keep the prescribed end forces the boundary
+    initialisation stored in `side`, which are taken off the nodal forces
+    first.
+    """
     m = len(cls.elements)
-    F = [forces[e, _corner_slot(grid, e, n)] for e in cls.elements]
-
+    edges = cls.edges[:m]
+    g = forces[cls.elements, [k for _, k in edges]]
     if cls.is_cycle:
-        W = np.zeros((m + 1, 2))
-        for i, v in enumerate(F):
-            W[i + 1] = W[i] + v
-        # Close the polygon exactly through the last side so the FE nodal
-        # residual cannot trip the centroid closure check; the defect is
-        # still absorbed by the last element's corner identity.
-        pole = polygon_centroid(F[0], F[1], F[2], -W[3])
-        pole = _void_aware_pole(W[:m], cls.void_flags, pole)
-        sides, lam = split_internal_node(F, pole)
-        writes = []
-        for i in range(m):
-            owner, ledge = cls.edges[i]
-            prev_elem = cls.elements[i - 1]
-            q = sides[i][0]
-            writes.append((owner, ledge, q))
-            writes.append((prev_elem, (ledge + 2) % 4, -q))
-        return writes, lam
-
-    # Chain: subtract prescribed end forces on the two extreme edges.
-    g = [np.asarray(v, dtype=float).copy() for v in F]
-    first_d, last_d = cls.extreme_dirichlet
-    if not first_d:
-        g[0] = g[0] - _prescribed_end_force(grid, bc, *cls.edges[0], n)
-    if not last_d:
-        g[-1] = g[-1] - _prescribed_end_force(grid, bc, *cls.edges[-1], n)
-
-    d = cls.n_dirichlet_extremes
-    if d == 2:
-        sides, reactions, lam = split_dirichlet_node(g, voids=cls.void_flags)
+        pole = _pole(g, _vertices(g)[:m], cls.void_flags)
+        sides, lam = split_internal_node(g, pole)
+        write_first = write_last = True
     else:
-        sides, reaction, lam = split_neumann_node(g, first_d, last_d)
+        write_first, write_last = cls.extreme_dirichlet
+        if not write_first:
+            g[0] -= side[edges[0]][0]
+        if not write_last:
+            g[-1] -= side[cls.edges[-1]][1]
+        if write_first and write_last:
+            sides, _, lam = split_dirichlet_node(g, voids=cls.void_flags)
+        else:
+            sides, _, lam = split_neumann_node(g, write_first, write_last)
 
-    writes = []
-    for i in range(1, m):
-        owner, ledge = cls.edges[i]
-        prev_elem = cls.elements[i - 1]
-        q = sides[i][0]
-        writes.append((owner, ledge, q))
-        writes.append((prev_elem, (ledge + 2) % 4, -q))
-    if first_d:
-        owner, ledge = cls.edges[0]
-        writes.append((owner, ledge, sides[0][0]))
-    if last_d:
-        owner, ledge = cls.edges[-1]
-        writes.append((owner, ledge, sides[-1][1]))
-    return writes, lam
+    for c, (e, k) in enumerate(edges):
+        if c > 0 or write_first:
+            side[e, k, 0] = sides[c][0]
+        if c < m - 1 or write_last:
+            side[e, (k + 3) % 4, 1] = sides[c][1]
+    return lam
 
 
 def build_report(grid, field_in, force_scale):
@@ -570,23 +502,22 @@ def stress_tractions(grid, rho, material, u):
     this is discontinuous across edges and does not balance per element; it
     serves as the comparison baseline for boundary-continuity measurements.
     """
-    rho = np.asarray(rho, dtype=float)
-    ue = fem.element_displacements(grid, u)
-    tractions = np.zeros((grid.n_elems, 4, 2, 2))
-    for e in grid.active_elems:
-        sig = {}
-        for corner in range(4):
-            xi, eta = _CORNER_XI[corner]
-            sxx, syy, sxy = fem.element_stress(
-                material, grid.hx, grid.hy, ue[e], rho=rho[e], p=material.p,
-                xi=xi, eta=eta,
+    act = grid.active_elems
+    ue = fem.element_displacements(grid, u)[act]
+    rho = np.asarray(rho, dtype=float)[act]
+    stress = np.stack(
+        [
+            fem.element_stress(
+                material, grid.hx, grid.hy, ue, rho=rho, p=material.p, xi=xi, eta=eta
             )
-            sig[corner] = np.array([[sxx, sxy], [sxy, syy]])
-        for ledge in range(4):
-            c_start, c_end = EDGE_LNODES[ledge]
-            normal = EDGE_NORMALS[ledge]
-            tractions[e, ledge, 0] = sig[c_start] @ normal
-            tractions[e, ledge, 1] = sig[c_end] @ normal
+            for xi, eta in _CORNER_XI
+        ],
+        axis=1,
+    )
+    # Stress tensors [[sxx, sxy], [sxy, syy]] at each edge's (start, end) corner.
+    ends = stress[:, np.array(EDGE_LNODES)][..., [[0, 2], [2, 1]]]
+    tractions = np.zeros((grid.n_elems, 4, 2, 2))
+    tractions[act] = np.einsum("akeij,kj->akei", ends, EDGE_NORMALS)
     return tractions
 
 

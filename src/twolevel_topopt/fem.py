@@ -42,7 +42,7 @@ class MaterialModel:
         if self.E <= 0:
             raise ValueError(f"E must be positive, got {self.E}")
         if not 0 <= self.nu < 0.5:
-            raise ValueError(f"nu must be in [0, 0.5), got {self.nu}")
+            raise ValueError(f"nu out of range [0, 0.5): {self.nu}")
         if self.p < 1:
             raise ValueError(f"penalty p must be >= 1, got {self.p}")
         if not 0 < self.rho_min < 1:
@@ -365,6 +365,10 @@ def element_nodal_forces(grid, rho, material, u, ke=None):
 
 
 def element_stress(material, hx, hy, ue, rho=1.0, p=1.0, xi=0.0, eta=0.0):
-    """Stress vector (sxx, syy, sxy) of one element at a reference point."""
+    """Stress vector (sxx, syy, sxy) at a reference point of each element.
+
+    ue is one element's displacement vector (8,) or a stack (..., 8) with
+    rho a matching stack of densities; the result has shape (..., 3).
+    """
     B = strain_matrix(xi, eta, hx, hy)
-    return (rho**p) * (material.D0 @ (B @ ue))
+    return (np.asarray(rho, dtype=float) ** p)[..., None] * (ue @ B.T @ material.D0.T)

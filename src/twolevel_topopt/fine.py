@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coarse, fem
-from .grid import EDGE_LNODES, BoundaryConditions, Grid
+from .grid import CORNER_OFFSETS, EDGE_LNODES, BoundaryConditions, Grid
 
 log = logging.getLogger(__name__)
 
@@ -39,9 +39,9 @@ class ProjectionParams:
     cadence: int = 2
 
     def __post_init__(self):
-        if self.beta0 > self.beta_max:
+        if not 0 <= self.beta0 <= self.beta_max:
             raise ValueError(
-                f"beta0 {self.beta0} must not exceed beta_max {self.beta_max}"
+                f"need 0 <= beta0 <= beta_max, got {self.beta0} vs {self.beta_max}"
             )
         if not 0 < self.mu < 1:
             raise ValueError(f"mu must be in (0, 1), got {self.mu}")
@@ -71,7 +71,6 @@ class FineCellProblem:
     eps: float = 0.01
     projection: ProjectionParams = field(default_factory=ProjectionParams)
     max_iter: int = 300
-    oc_params: coarse.OCParams = field(default_factory=coarse.OCParams)
     # Control runs (e.g. loading cells with raw FE stresses for comparison)
     # may disable the balance check; the supports then carry real reactions.
     require_equilibrated: bool = True
@@ -164,19 +163,6 @@ def _cell_solver(n, hx, hy, E, nu, p, rho_min):
     return _CellSolver(n, hx, hy, fem.MaterialModel(E=E, nu=nu, p=p, rho_min=rho_min))
 
 
-# Cell-local corner coordinates in the order of grid corner numbering.
-def _cell_corners(hx, hy):
-    return np.array([(0.0, 0.0), (hx, 0.0), (hx, hy), (0.0, hy)])
-
-
-_SIDE_ELEMS = {
-    0: lambda n: [(ix, 0) for ix in range(n)],
-    1: lambda n: [(n - 1, iy) for iy in range(n)],
-    2: lambda n: [(ix, n - 1) for ix in range(n)],
-    3: lambda n: [(0, iy) for iy in range(n)],
-}
-
-
 def apply_cell_tractions(problem, grid=None):
     """Distribute the 4 coarse edge tractions onto the fine boundary mesh.
 
@@ -186,25 +172,24 @@ def apply_cell_tractions(problem, grid=None):
     """
     if grid is None:
         grid = cell_grid(problem)
-    corners = _cell_corners(problem.hx, problem.hy)
-    coords = grid.node_coords()
+    lnodes = np.array(EDGE_LNODES)
+    # The fine elements along the bottom, right, top and left sides, each
+    # side in order of increasing ix or iy, and their sub-edges' end nodes.
+    ids = np.arange(grid.n_elems).reshape(grid.nx, grid.ny)
+    side_elems = np.stack([ids[:, 0], ids[-1, :], ids[:, -1], ids[0, :]])
+    ends = grid.elem_nodes[side_elems[:, :, None], lnodes[:, None, :]]  # (4, n, 2)
+    # Position of each end along its coarse edge a -> b, as a fraction.
+    corners = CORNER_OFFSETS * np.array([problem.hx, problem.hy])
+    a, b = corners[lnodes[:, 0]], corners[lnodes[:, 1]]
+    axis = b - a
+    frac = ((grid.node_coords(ends) - a[:, None, None]) * axis[:, None, None]).sum(axis=-1)
+    frac /= (axis * axis).sum(axis=1)[:, None, None]
+    t_start, t_end = np.asarray(problem.tractions, dtype=float).transpose(1, 0, 2)
+    t = t_start[:, None, None] + frac[..., None] * (t_end - t_start)[:, None, None]
+    lengths = np.array([grid.hx, grid.hy, grid.hx, grid.hy])[:, None, None]
+    loads = np.stack(fem.consistent_edge_loads(t[:, :, 0], t[:, :, 1], lengths), axis=2)
     f = np.zeros(2 * grid.n_nodes)
-    for ledge in range(4):
-        t_start, t_end = problem.tractions[ledge]
-        c0, c1 = EDGE_LNODES[ledge]
-        a, b = corners[c0], corners[c1]
-        axis = b - a
-        L2 = axis @ axis
-        for ix, iy in _SIDE_ELEMS[ledge](problem.n):
-            e = grid.elem_id(ix, iy)
-            n1, n2 = grid.edge_nodes(e, ledge)
-            f1 = ((coords[n1] - a) @ axis) / L2
-            f2 = ((coords[n2] - a) @ axis) / L2
-            t1 = t_start + f1 * (t_end - t_start)
-            t2 = t_start + f2 * (t_end - t_start)
-            p1, p2 = fem.consistent_edge_loads(t1, t2, grid.edge_length(ledge))
-            f[2 * n1 : 2 * n1 + 2] += p1
-            f[2 * n2 : 2 * n2 + 2] += p2
+    np.add.at(f, 2 * ends[..., None] + np.arange(2), loads)
     return f
 
 
@@ -255,6 +240,7 @@ def fine_cell_solve(problem):
     frozen = np.zeros(grid.n_elems, dtype=np.int8)
     volume_target = problem.target * grid.n_elems * grid.hx * grid.hy
 
+    oc_params = coarse.OCParams()
     rho = np.full(grid.n_elems, problem.target)
     beta = problem.projection.beta0
     mu = problem.projection.mu
@@ -267,8 +253,7 @@ def fine_cell_solve(problem):
         sens = coarse.sensitivity(grid, rho, problem.material, solution.element_energy)
         filtered = coarse.filter_sensitivities(grid, rho, sens, problem.r_min)
         new_rho, info = coarse.oc_update(
-            grid, rho, filtered, volume_target, problem.material, frozen,
-            problem.oc_params,
+            grid, rho, filtered, volume_target, problem.material, frozen, oc_params
         )
         m_nd = measure_nondiscreteness(new_rho)
         projected = False

@@ -43,11 +43,9 @@ class Grid:
     active : array-like of bool, shape (nx, ny), optional
         Element activity mask; defaults to all active. The active region
         must form a single edge-connected component.
-    origin : pair of float
-        Physical coordinates of the lower-left corner.
     """
 
-    def __init__(self, nx, ny, hx, hy, active=None, origin=(0.0, 0.0)):
+    def __init__(self, nx, ny, hx, hy, active=None):
         if nx < 1 or ny < 1:
             raise GridError(f"element counts must be positive, got {nx}x{ny}")
         if hx <= 0 or hy <= 0:
@@ -56,7 +54,6 @@ class Grid:
         self.ny = int(ny)
         self.hx = float(hx)
         self.hy = float(hy)
-        self.origin = np.asarray(origin, dtype=float)
 
         if active is None:
             active = np.ones((self.nx, self.ny), dtype=bool)
@@ -101,7 +98,7 @@ class Grid:
             nodes = np.arange(self.n_nodes)
         nodes = np.asarray(nodes)
         jx, jy = np.divmod(nodes, self.ny + 1)
-        return self.origin + np.stack([jx * self.hx, jy * self.hy], axis=-1)
+        return np.stack([jx * self.hx, jy * self.hy], axis=-1)
 
     def elem_id(self, ix, iy):
         return ix * self.ny + iy
@@ -109,17 +106,12 @@ class Grid:
     def elem_index(self, e):
         return divmod(e, self.ny)
 
-    def is_active(self, e):
-        return bool(self.active.ravel(order="C")[e])
-
     def elem_centers(self, elems=None):
         if elems is None:
             elems = np.arange(self.n_elems)
         elems = np.asarray(elems)
         ix, iy = np.divmod(elems, self.ny)
-        return self.origin + np.stack(
-            [(ix + 0.5) * self.hx, (iy + 0.5) * self.hy], axis=-1
-        )
+        return np.stack([(ix + 0.5) * self.hx, (iy + 0.5) * self.hy], axis=-1)
 
     def edge_length(self, edge):
         return self.hx if edge in (0, 2) else self.hy
@@ -138,6 +130,20 @@ class Grid:
         if 0 <= mx < self.nx and 0 <= my < self.ny and self.active[mx, my]:
             return self.elem_id(mx, my)
         return -1
+
+    def count_neighbours(self, mask):
+        """Per element, the number of active edge-neighbours flagged in mask.
+
+        mask is per element, flat or (nx, ny); the counts come back in the
+        same shape.
+        """
+        flagged = np.asarray(mask, dtype=bool).reshape(self.nx, self.ny) & self.active
+        counts = np.zeros((self.nx, self.ny), dtype=int)
+        counts[:-1, :] += flagged[1:, :]
+        counts[1:, :] += flagged[:-1, :]
+        counts[:, :-1] += flagged[:, 1:]
+        counts[:, 1:] += flagged[:, :-1]
+        return counts.reshape(np.shape(mask))
 
     # -- boundary topology ---------------------------------------------------
 

@@ -3,9 +3,10 @@
 A run executes coarse stage loop -> traction equilibration -> per-cell fine
 farm -> stitching, writing rasters (binary PGM and CSV), CSV logs, an
 equilibrium certificate and a JSON summary into the output directory.
-Expensive stages checkpoint their state as .npz files, so rerunning after a
-partial failure only regenerates what is missing; everything is
-deterministic for a fixed config.
+Expensive stages checkpoint their state as .npz files stamped with a
+fingerprint of the config, so rerunning the same config after a partial
+failure only recomputes what is missing; everything is deterministic for a
+fixed config.
 
 Config files are INI-style (configparser) with sections [run], [grid],
 [material], [thresholds], [coarse], [fine], [projection], [loads] and
@@ -17,18 +18,19 @@ from __future__ import annotations
 
 import configparser
 import csv
+import hashlib
 import json
 import logging
 import time
 import zipfile
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import coarse, equilibrate, fem, fine
-from .grid import BoundaryConditions, Grid, GridError
+from .grid import BoundaryConditions, Grid
 
 log = logging.getLogger(__name__)
 
@@ -95,30 +97,21 @@ class RunConfig:
             "file:"
         ):
             raise ConfigError(f"grid.mask: unknown mask spec {self.mask!r}")
-        if self.E <= 0:
-            raise ConfigError("material.E must be positive")
-        if not -1 < self.nu < 0.5:
-            raise ConfigError(f"material.nu out of range: {self.nu}")
-        if not 0 < self.rho0 <= 1:
-            raise ConfigError(f"thresholds.rho0 out of range: {self.rho0}")
-        if not 0 < self.rho_bar_min < self.rho_bar_max < 1:
-            raise ConfigError(
-                f"thresholds: need 0 < rho_bar_min < rho_bar_max < 1, got "
-                f"[{self.rho_bar_min}, {self.rho_bar_max}]"
-            )
-        for key in ("coarse_p", "coarse_r_min", "coarse_eps", "fine_p", "fine_r_min",
-                    "fine_eps", "beta_max", "mu", "m_nd_min"):
+        # Material, thresholds and projection are range-checked where they
+        # are defined.
+        try:
+            material = self.coarse_material()
+            self.fine_material()
+            self.threshold_policy().validate(material.rho_min)
+            self.projection_params()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        for key in ("coarse_r_min", "coarse_eps", "fine_r_min", "fine_eps", "beta_max",
+                    "m_nd_min"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be positive")
-        if self.beta0 < 0 or self.beta0 > self.beta_max:
-            raise ConfigError(
-                f"projection: need 0 <= beta0 <= beta_max, got "
-                f"{self.beta0} vs {self.beta_max}"
-            )
-        if not 0 < self.mu < 1:
-            raise ConfigError(f"projection.mu out of range: {self.mu}")
-        if self.cadence < 1 or self.fine_n < 2:
-            raise ConfigError("projection.cadence >= 1 and fine.n >= 2 required")
+        if self.fine_n < 2:
+            raise ConfigError("fine.n >= 2 required")
         if self.max_inner < 1 or self.stage_cap < 1 or self.fine_max_iter < 1:
             raise ConfigError("iteration caps must be positive")
         if self.load_preset not in ("shear-right", "none"):
@@ -188,11 +181,11 @@ def _clamp_line(grid, bc, axis, value):
             bc.fix_node(node)
 
 
-def apply_parabolic_edge_shear(grid, bc, magnitude=1.0):
+def apply_parabolic_edge_shear(grid, bc):
     """Parabolic downward shear on the structure's right boundary edges.
 
     Finds the active boundary edges on the rightmost material column, spans
-    a beam-style parabola tau(y) = magnitude * (1 - (2(y-c)/h)^2) over their
+    a beam-style parabola tau(y) = 1 - (2(y-c)/h)^2 of unit peak over their
     joint vertical extent (zero at the extent's ends, peak at its middle)
     and stores each edge's best linear fit. The per-edge fits are the exact
     L2 projections of the parabola, so every edge keeps its exact share of
@@ -212,7 +205,7 @@ def apply_parabolic_edge_shear(grid, bc, magnitude=1.0):
     c = 0.5 * (y_lo + y_hi)
 
     def tau(y):
-        return magnitude * (1.0 - (2.0 * (y - c) / h) ** 2)
+        return 1.0 - (2.0 * (y - c) / h) ** 2
 
     for elem, iy in edges:
         y0 = iy * grid.hy
@@ -429,14 +422,13 @@ class HighResImage:
         return np.flipud(self.data.T)
 
 
-def stitch(grid, batch, n=None):
+def stitch(grid, batch):
     """Place every cell's fine raster into one high-resolution image.
 
     Inactive coarse cells render as zero-density background. Raises
     PipelineError when an active cell has no raster.
     """
-    if n is None:
-        n = batch.n
+    n = batch.n
     image = np.zeros((grid.nx * n, grid.ny * n))
     for e in grid.active_elems:
         result = batch.cells.get(e)
@@ -517,28 +509,27 @@ def field_raster(grid, values):
 # -- pipeline ---------------------------------------------------------------
 
 def _write_coarse_artifacts(out, grid, result):
+    # A previous run may have left more stages than this one has.
+    for stale in out.glob("coarse_stage_*"):
+        stale.unlink()
     for k, rho_k in enumerate(result.stage_fields, 1):
         base = out / f"coarse_stage_{k:02d}"
         raster = field_raster(grid, rho_k)
-        if not base.with_suffix(".pgm").exists():
-            write_pgm(base.with_suffix(".pgm"), raster)
-        if not base.with_suffix(".csv").exists():
-            write_csv_raster(base.with_suffix(".csv"), raster)
-    hist = out / "coarse_history.csv"
-    if not hist.exists():
-        with open(hist, "w", newline="") as fh:
-            writer = csv.writer(fh)
+        write_pgm(base.with_suffix(".pgm"), raster)
+        write_csv_raster(base.with_suffix(".csv"), raster)
+    with open(out / "coarse_history.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["stage", "iteration", "compliance", "volume_fraction", "max_delta"]
+        )
+        for row in result.history:
             writer.writerow(
-                ["stage", "iteration", "compliance", "volume_fraction", "max_delta"]
+                [row["stage"], row["iteration"], repr(row["compliance"]),
+                 repr(row["volume_fraction"]), repr(row["max_delta"])]
             )
-            for row in result.history:
-                writer.writerow(
-                    [row["stage"], row["iteration"], repr(row["compliance"]),
-                     repr(row["volume_fraction"]), repr(row["max_delta"])]
-                )
 
 
-def _save_coarse_state(path, result):
+def _save_coarse_state(path, result, fingerprint):
     history = np.array(
         [
             (r["stage"], r["iteration"], r["compliance"], r["volume_fraction"],
@@ -549,6 +540,7 @@ def _save_coarse_state(path, result):
     )
     np.savez_compressed(
         path,
+        fingerprint=fingerprint,
         rho=result.rho,
         frozen=result.frozen,
         stages=result.stages,
@@ -562,9 +554,7 @@ def _save_coarse_state(path, result):
     )
 
 
-def _load_coarse_state(path):
-    with np.load(path) as archive:
-        data = dict(archive)
+def _load_coarse_state(data):
     history = [
         {
             "stage": int(s),
@@ -596,10 +586,11 @@ _KIND_CODES = {"frozen-solid": 0, "frozen-void": 1, "optimized": 2}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 
-def _save_cells(path, batch):
+def _save_cells(path, batch, fingerprint):
     ids = sorted(batch.cells)
     np.savez_compressed(
         path,
+        fingerprint=fingerprint,
         n=batch.n,
         ids=np.array(ids, dtype=int),
         rasters=np.array([batch.cells[i].rho for i in ids]),
@@ -614,9 +605,7 @@ def _save_cells(path, batch):
     )
 
 
-def _load_cells(path):
-    with np.load(path) as archive:
-        data = dict(archive)
+def _load_cells(data):
     cells = {}
     for row, cell in enumerate(data["ids"]):
         cells[int(cell)] = fine.FineCellResult(
@@ -670,16 +659,39 @@ def equilibrium_certificate(grid, field_out):
     }
 
 
-def _read_checkpoint(path, load):
-    """A stage's checkpoint loaded from path, or None when missing or unreadable.
+def _fingerprint(config, grid):
+    """Hash of every input that can change a result.
 
-    An unreadable file (truncated, or not an archive of the expected arrays)
-    is logged and its stage recomputed, which overwrites it.
+    That is the config less its output directory, worker count and run
+    name, plus the activity mask the grid was built from, since a `file:`
+    mask can change under the same path.
+    """
+    values = asdict(config)
+    for key in ("out", "workers", "name"):
+        del values[key]
+    digest = hashlib.sha256(json.dumps(values, sort_keys=True).encode())
+    digest.update(grid.active.tobytes())
+    return digest.hexdigest()
+
+
+def _read_checkpoint(path, build, fingerprint):
+    """A stage's state rebuilt from its checkpoint, or None to recompute the stage.
+
+    A missing file, an unreadable one (truncated, or not an archive of the
+    expected arrays) and one stamped with another config's fingerprint all
+    send the stage to be recomputed, which overwrites the file; the last two
+    are logged.
     """
     if not path.exists():
         return None
     try:
-        result = load(path)
+        with np.load(path) as archive:
+            data = dict(archive)
+        if str(data.get("fingerprint")) != fingerprint:
+            log.warning("checkpoint %s is from another config; recomputing its stage",
+                        path)
+            return None
+        result = build(data)
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile,
             zlib.error) as exc:
         log.warning("unreadable checkpoint %s (%s); recomputing its stage", path, exc)
@@ -692,9 +704,10 @@ def run_pipeline(config, skip_fine=False):
     """Execute a full run; returns the summary dict written to summary.json.
 
     Artifacts land in config.out. Stages checkpoint to .npz files and are
-    skipped when their checkpoint already exists, so reruns after a partial
-    failure regenerate only what is missing (identically, as the whole
-    pipeline is deterministic). With skip_fine=True the run stops after
+    skipped when their checkpoint holds this config's fingerprint, so reruns
+    after a partial failure recompute only what is missing (identically, as
+    the whole pipeline is deterministic); every other artifact is rewritten
+    from the state in hand. With skip_fine=True the run stops after
     writing the equilibration certificate (CLI `verify`).
     """
     config.validate()
@@ -708,8 +721,9 @@ def run_pipeline(config, skip_fine=False):
     grid = config.build_grid()
     bc = config.build_bc(grid)
 
+    fingerprint = _fingerprint(config, grid)
     coarse_ckpt = out / "coarse_state.npz"
-    result = _read_checkpoint(coarse_ckpt, _load_coarse_state)
+    result = _read_checkpoint(coarse_ckpt, _load_coarse_state, fingerprint)
     if result is None:
         result = coarse.stage_loop(
             grid,
@@ -721,7 +735,7 @@ def run_pipeline(config, skip_fine=False):
             max_inner=config.max_inner,
             stage_cap=config.stage_cap,
         )
-        _save_coarse_state(coarse_ckpt, result)
+        _save_coarse_state(coarse_ckpt, result, fingerprint)
     _write_coarse_artifacts(out, grid, result)
     if not result.converged:
         raise PipelineError(
@@ -737,9 +751,7 @@ def run_pipeline(config, skip_fine=False):
     cert_path = out / "equilibrium_certificate.json"
     with open(cert_path, "w") as fh:
         json.dump(certificate, fh, indent=2, sort_keys=True)
-    tr_path = out / "tractions.csv"
-    if not tr_path.exists():
-        equilibrate.dump_tractions_csv(grid, field_out, tr_path)
+    equilibrate.dump_tractions_csv(grid, field_out, out / "tractions.csv")
 
     summary = {
         "name": config.name,
@@ -762,7 +774,7 @@ def run_pipeline(config, skip_fine=False):
         return summary
 
     cells_ckpt = out / "cells.npz"
-    batch = _read_checkpoint(cells_ckpt, _load_cells)
+    batch = _read_checkpoint(cells_ckpt, _load_cells, fingerprint)
     if batch is None:
         batch = fine.solve_all_cells(
             grid,
@@ -782,16 +794,12 @@ def run_pipeline(config, skip_fine=False):
                 f"cell {cell}: {msg}" for cell, msg in sorted(batch.failures.items())
             )
             raise PipelineError(f"fine farm failures: {details}")
-        _save_cells(cells_ckpt, batch)
+        _save_cells(cells_ckpt, batch, fingerprint)
     _write_cells_csv(out / "cells.csv", batch)
 
     image = stitch(grid, batch)
-    pgm_path = out / "highres.pgm"
-    csv_path = out / "highres.csv"
-    if not pgm_path.exists():
-        render(image, "pgm", pgm_path)
-    if not csv_path.exists():
-        render(image, "csv", csv_path)
+    render(image, "pgm", out / "highres.pgm")
+    render(image, "csv", out / "highres.csv")
     metric = continuity_metric(image)
 
     summary.update(

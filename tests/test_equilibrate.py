@@ -8,11 +8,14 @@ Both routes must agree to near machine precision.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import ndimage
 
 from twolevel_topopt import equilibrate as eq
 from twolevel_topopt import fem
-from twolevel_topopt.grid import EDGE_NORMALS, BoundaryConditions, Grid
+from twolevel_topopt.grid import EDGE_LNODES, EDGE_NORMALS, BoundaryConditions, Grid, GridError
 
 
 # ---------------------------------------------------------------- centroid
@@ -439,6 +442,20 @@ def test_classify_rejects_three_void_neighbours():
         eq.classify_nodes(g, bc, voids)
 
 
+def test_classify_rejects_three_void_neighbours_around_solid_corners():
+    # the diagonals are void too, so every node sees adjacent voids and only
+    # the neighbour census can reject the middle element
+    g = Grid(3, 3, 1.0, 1.0)
+    bc = BoundaryConditions()
+    for jy in range(4):
+        bc.fix_node(g.node_id(0, jy))
+    voids = np.zeros(g.n_elems, dtype=bool)
+    for ix, iy in ((0, 0), (1, 0), (2, 0), (0, 1), (2, 1)):
+        voids[g.elem_id(ix, iy)] = True
+    with pytest.raises(eq.EquilibrationError, match="element 4 has 3 void"):
+        eq.classify_nodes(g, bc, voids)
+
+
 # --------------------------------------------------------------- full field
 
 
@@ -587,6 +604,44 @@ def test_stress_tractions_exact_on_patch():
             assert_allclose(raw[e, k, 1], t_exact, atol=1e-10)
 
 
+def test_stress_tractions_uniform_stress_on_every_edge():
+    # a linear displacement field strains every element uniformly, so each
+    # edge end carries sigma . n of one full (sxx, syy, sxy) stress state
+    g = Grid(3, 2, 0.5, 0.3)
+    mat = fem.MaterialModel(E=200.0, nu=0.3, p=3.0)
+    a = np.array([[1e-3, 4e-4], [-2e-4, 2e-3]])
+    u = (g.node_coords() @ a.T).ravel()
+    rho = np.full(g.n_elems, 0.5)
+    sxx, syy, sxy = 0.5**3 * mat.D0 @ (a[0, 0], a[1, 1], a[0, 1] + a[1, 0])
+    sigma = np.array([[sxx, sxy], [sxy, syy]])
+    raw = eq.stress_tractions(g, rho, mat, u)
+    for k in range(4):
+        assert_allclose(raw[:, k], np.broadcast_to(sigma @ EDGE_NORMALS[k], (g.n_elems, 2, 2)),
+                        rtol=1e-12, atol=1e-15)
+
+
+def test_stress_tractions_matches_element_loop():
+    # reference: each element's corner stresses and edge tractions one at a
+    # time; the products sum in another order, so agreement is to round-off
+    active = np.ones((5, 4), dtype=bool)
+    active[3:, 2:] = False
+    g = Grid(5, 4, 0.4, 0.3, active=active)
+    mat = fem.MaterialModel(E=50.0, nu=0.25, p=3.0)
+    rng = np.random.default_rng(6)
+    u = rng.normal(size=2 * g.n_nodes)
+    rho = rng.uniform(0.1, 1.0, g.n_elems)
+    ue = fem.element_displacements(g, u)
+    expected = np.zeros((g.n_elems, 4, 2, 2))
+    for e in g.active_elems:
+        for k, (c_start, c_end) in enumerate(EDGE_LNODES):
+            for end, corner in enumerate((c_start, c_end)):
+                B = fem.strain_matrix(*eq._CORNER_XI[corner], g.hx, g.hy)
+                sxx, syy, sxy = rho[e] ** mat.p * (mat.D0 @ (B @ ue[e]))
+                expected[e, k, end] = np.array([[sxx, sxy], [sxy, syy]]) @ EDGE_NORMALS[k]
+    raw = eq.stress_tractions(g, rho, mat, u)
+    assert_allclose(raw, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
+
+
 def test_dump_tractions_csv(tmp_path):
     g, bc = cantilever(3, 2)
     mat = fem.MaterialModel(E=100.0, nu=0.3, p=1.0)
@@ -603,3 +658,72 @@ def test_dump_tractions_csv(tmp_path):
     recovered = np.array([float(v) for v in first[2:]])
     t_s, t_e = field.edge_tractions(0, 0)
     assert_allclose(recovered, np.concatenate([t_s, t_e]))
+
+
+@st.composite
+def clamped_masks(draw):
+    """A random connected mask clamped along its full left column, loaded on
+    the right end of every row, with random void flags and densities."""
+    nx = draw(st.integers(min_value=2, max_value=6))
+    ny = draw(st.integers(min_value=1, max_value=6))
+    cells = nx * ny
+    bits = np.array(draw(st.lists(st.booleans(), min_size=cells, max_size=cells)))
+    bits = bits.reshape(nx, ny)
+    bits[0, :] = True
+    labels, _ = ndimage.label(bits)
+    active = labels == labels[0, 0]
+    # Loads in steps of 1e-3: near-subnormal loads would leave the relative
+    # bounds below to underflow.
+    loads = draw(
+        st.lists(
+            st.lists(st.integers(-1000, 1000).map(lambda k: k / 1000.0), min_size=4,
+                     max_size=4),
+            min_size=ny, max_size=ny,
+        )
+    )
+    voids = np.array(
+        draw(st.lists(st.integers(0, 2), min_size=cells, max_size=cells))
+    ) == 0
+    rho = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=cells, max_size=cells)))
+    hx, hy = draw(st.floats(0.2, 2.0)), draw(st.floats(0.2, 2.0))
+    p = draw(st.sampled_from([1.0, 3.0]))
+    return active, loads, voids & active.ravel(), rho, hx, hy, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(clamped_masks())
+def test_equilibrate_random_masks_certify_or_reject(case):
+    # Reentrant chains and void-adjacent cycles with 1-3 voids arise here
+    # that no fixture reaches. A case may be rejected up front; otherwise
+    # action-reaction is exact and each element is out of balance by no more
+    # than its FE input: the closure defects it absorbs (FE nodal residuals,
+    # at most one per corner), the imbalance of its own FE corner forces
+    # (round-off of rho^p K_e u_e, large where soft elements let the stiff
+    # ones move far as rigid bodies) and round-off of the split itself.
+    active, loads, voids, rho, hx, hy, p = case
+    nx, ny = active.shape
+    mat = fem.MaterialModel(E=1.0, nu=0.3, p=p)
+    rho = np.where(voids, mat.rho_min, rho)
+    try:
+        g = Grid(nx, ny, hx, hy, active=active)
+        bc = BoundaryConditions()
+        for jy in range(ny + 1):
+            bc.fix_node(g.node_id(0, jy))
+        for iy, (tsx, tsy, tex, tey) in enumerate(loads):
+            ix = np.flatnonzero(active[:, iy])[-1]
+            bc.add_edge_traction(g.elem_id(ix, iy), 1, (tsx, tsy), (tex, tey))
+        bc.validate(g)
+        sol = fem.solve(g, rho, mat, bc)
+        field = eq.equilibrate_all(g, rho, mat, bc, sol.u, void_mask=voids)
+    except (GridError, eq.EquilibrationError, fem.SolverError):
+        return
+    rep = field.report
+    assert eq.action_reaction_residual(g, field) == 0.0
+    act = g.active_elems
+    forces = fem.element_nodal_forces(g, rho, mat, sol.u)[act]
+    corners = np.array([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)]) * (hx, hy)
+    fe_force = np.linalg.norm(forces.sum(axis=1), axis=1)
+    fe_moment = np.abs((corners[:, 0] * forces[..., 1] - corners[:, 1] * forces[..., 0]).sum(axis=1))
+    slack = 1e-12 * rep.force_scale + 4.0 * rep.max_lambda
+    assert (np.linalg.norm(rep.net_force[act], axis=1) <= fe_force + slack).all()
+    assert (np.abs(rep.net_moment[act]) <= fe_moment + slack * max(hx, hy)).all()

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from twolevel_topopt import coarse, fem, fine
-from twolevel_topopt.grid import BoundaryConditions, Grid
+from twolevel_topopt.grid import EDGE_LNODES, BoundaryConditions, Grid
 
 
 def uniaxial_tractions(sigma=1.0):
@@ -213,6 +213,33 @@ def test_apply_cell_tractions_preserves_force_and_moment():
         fv = f.reshape(-1, 2)
         moment = float(np.sum(coords[:, 0] * fv[:, 1] - coords[:, 1] * fv[:, 0]))
         assert_allclose(moment, net_m, atol=1e-12 * max(scale, 1.0))
+
+
+def test_apply_cell_tractions_matches_sub_edge_loop():
+    # reference: sample each coarse traction at the ends of every fine
+    # sub-edge, one side and one element at a time; the same arithmetic in
+    # the same order gives the same loads bit for bit
+    rng = np.random.default_rng(12)
+    for n, hx, hy in ((1, 1.0, 1.0), (3, 0.5, 0.8), (7, 2.0, 0.3)):
+        t = rng.normal(size=(4, 2, 2))
+        problem = fine.FineCellProblem(cell=0, target=0.5, tractions=t, hx=hx, hy=hy, n=n)
+        g = fine.cell_grid(problem)
+        corners = np.array([(0.0, 0.0), (hx, 0.0), (hx, hy), (0.0, hy)])
+        coords = g.node_coords()
+        expected = np.zeros(2 * g.n_nodes)
+        sides = ([(i, 0) for i in range(n)], [(n - 1, i) for i in range(n)],
+                 [(i, n - 1) for i in range(n)], [(0, i) for i in range(n)])
+        for ledge, cells in enumerate(sides):
+            a, b = corners[EDGE_LNODES[ledge][0]], corners[EDGE_LNODES[ledge][1]]
+            axis = b - a
+            for ix, iy in cells:
+                ends = g.edge_nodes(g.elem_id(ix, iy), ledge)
+                ts = [t[ledge, 0] + ((coords[m] - a) @ axis) / (axis @ axis)
+                      * (t[ledge, 1] - t[ledge, 0]) for m in ends]
+                loads = fem.consistent_edge_loads(ts[0], ts[1], g.edge_length(ledge))
+                for m, load in zip(ends, loads):
+                    expected[2 * m : 2 * m + 2] += load
+        assert np.array_equal(fine.apply_cell_tractions(problem, g), expected)
 
 
 def test_traction_equilibrium_balanced_and_not():

@@ -255,3 +255,17 @@ def test_constrained_dofs_and_values_align():
     vals = bc.prescribed_values(g)
     assert dofs.tolist() == [3, 6, 7]
     assert_allclose(vals, [2.0, 0.5, -1.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_grids(), st.randoms(use_true_random=False))
+def test_count_neighbours_matches_neighbor_loop(g, random):
+    mask = np.array([random.random() < 0.5 for _ in range(g.n_elems)])
+    counts = g.count_neighbours(mask)
+    assert counts.shape == mask.shape
+    for e in range(g.n_elems):
+        expected = sum(
+            1 for k in range(4) if g.neighbor(e, k) >= 0 and mask[g.neighbor(e, k)]
+        )
+        assert counts[e] == expected
+    assert_allclose(g.count_neighbours(mask.reshape(g.nx, g.ny)), counts.reshape(g.nx, g.ny))

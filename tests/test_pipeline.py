@@ -453,3 +453,64 @@ def test_cli_workers_override(tmp_path):
         )
     )
     assert config.workers == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[material]\nnu = -0.2\n",
+        "[thresholds]\nrho_bar_min = 0.0005\n",
+        "[coarse]\np = 0.5\n",
+    ],
+)
+def test_cli_rejects_parameters_out_of_model_range(tmp_path, capsys, text):
+    # each value passes a loose check but not the material, threshold or
+    # projection object it builds, which must still end as a config error
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    args = ["verify", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+def test_cli_rerun_with_another_config_recomputes(tmp_path, capsys, command):
+    first, second = tmp_path / "first.ini", tmp_path / "second.ini"
+    first.write_text(SMALL_RUN)
+    second.write_text(SMALL_RUN + "\n[thresholds]\nrho0 = 0.3\n")
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert cli.main([command, "--config", str(first), "--out", str(reused)]) == 0
+    capsys.readouterr()
+    # as if the first config had taken more coarse stages
+    (reused / "coarse_stage_99.csv").write_text("stale")
+    summaries = []
+    for out in (reused, fresh):
+        assert cli.main([command, "--config", str(second), "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        summary.pop("wall_time_s")
+        summaries.append(summary)
+    assert abs(summaries[0]["coarse_volume_fraction"] - 0.3) < 1e-3
+    assert summaries[0] == summaries[1]
+    # every artifact but the checkpoints and the timed summary, byte for byte
+    names = sorted(p.name for p in fresh.iterdir() if p.suffix != ".npz")
+    assert sorted(p.name for p in reused.iterdir() if p.suffix != ".npz") == names
+    names.remove("summary.json")
+    for name in names:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_verify_rerun_after_mask_file_edit(tmp_path):
+    # the config text is unchanged, but the mask file it names is not
+    mask = tmp_path / "mask.csv"
+    text = SMALL_RUN.replace("[grid]\n", f"[grid]\nmask = file:{mask}\n")
+    summaries = []
+    for rows, out in (("1,1,1,1\n1,1,1,1\n", "reused"), ("1,1,1,0\n1,1,1,1\n", "reused"),
+                      ("1,1,1,0\n1,1,1,1\n", "fresh")):
+        mask.write_text(rows)
+        config = pipeline.parse_config(text)
+        config.out = str(tmp_path / out)
+        summary = pipeline.run_pipeline(config, skip_fine=True)
+        summary.pop("wall_time_s")
+        summaries.append(summary)
+    assert summaries[1]["certificate"]["elements"] == 7
+    assert summaries[1] == summaries[2]
