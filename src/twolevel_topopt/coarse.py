@@ -8,6 +8,8 @@ freezes densities beyond the prescribed thresholds to solid (1) or void
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -89,16 +91,22 @@ def sensitivity(grid, rho, material, element_energy):
     return sens
 
 
-def filter_weights(grid, r_min):
-    """Cone-weight offsets (dx, dy, r_min - dist) within radius r_min."""
+@functools.lru_cache(maxsize=8)
+def _filter_plan(nx, ny, r_min, active_bytes):
+    """Cone weights H_ef = r_min - dist within r_min, per offset as (dst, src,
+    weight raster), and their sums; built once per mesh and r_min in each
+    process, and shared between callers, which must not mutate them."""
+    act = np.frombuffer(active_bytes, dtype=bool).reshape(nx, ny).astype(float)
     reach = max(int(np.ceil(r_min)), 0)
-    offsets = []
-    for dx in range(-reach, reach + 1):
-        for dy in range(-reach, reach + 1):
-            dist = np.hypot(dx, dy)
-            if dist < r_min:
-                offsets.append((dx, dy, r_min - dist))
-    return offsets
+    plan, den = [], np.zeros((nx, ny))
+    for dx, dy in itertools.product(range(-reach, reach + 1), repeat=2):
+        dist = np.hypot(dx, dy)
+        if dist < r_min:
+            src = (slice(max(0, -dx), nx - max(0, dx)), slice(max(0, -dy), ny - max(0, dy)))
+            dst = (slice(max(0, dx), nx - max(0, -dx)), slice(max(0, dy), ny - max(0, -dy)))
+            plan.append((dst, src, (r_min - dist) * act[src]))
+            den[dst] += plan[-1][2]
+    return plan, den
 
 
 def filter_sensitivities(grid, rho, sens, r_min):
@@ -111,18 +119,11 @@ def filter_sensitivities(grid, rho, sens, r_min):
     shape = (grid.nx, grid.ny)
     rho2 = np.asarray(rho, dtype=float).reshape(shape)
     sens2 = np.asarray(sens, dtype=float).reshape(shape)
-    act = grid.active.astype(float)
+    plan, den = _filter_plan(grid.nx, grid.ny, float(r_min), grid.active.tobytes())
 
     num = np.zeros(shape)
-    den = np.zeros(shape)
-    for dx, dy, w in filter_weights(grid, r_min):
-        src_x = slice(max(0, -dx), grid.nx - max(0, dx))
-        dst_x = slice(max(0, dx), grid.nx - max(0, -dx))
-        src_y = slice(max(0, -dy), grid.ny - max(0, dy))
-        dst_y = slice(max(0, dy), grid.ny - max(0, -dy))
-        contrib = w * act[src_x, src_y]
-        num[dst_x, dst_y] += contrib * rho2[src_x, src_y] * sens2[src_x, src_y]
-        den[dst_x, dst_y] += contrib
+    for dst, src, contrib in plan:
+        num[dst] += contrib * rho2[src] * sens2[src]
 
     out = np.zeros(shape)
     mask = grid.active & (den > 0)
@@ -191,7 +192,9 @@ def oc_update(grid, rho, filtered_sens, volume_target, material, frozen, params)
     a = rho_f[moving] * (drive[moving] / cell_vol) ** params.eta
     lo_m, hi_m = lo[moving], hi[moving]
     breaks = np.concatenate([lo_m / a, hi_m / a])
-    order = np.argsort(breaks, kind="stable")
+    # Tied breaks sit on one side of any segment of positive length, and a
+    # zero-length one clips t to the tie, so their order cannot move t.
+    order = np.argsort(breaks)
     # Past its lower breakpoint a density grows as a_i t instead of sitting
     # at lo_i; past its upper one it sits at hi_i again.
     slope = np.cumsum(np.concatenate([a, -a])[order])
@@ -313,6 +316,7 @@ def freeze_out_of_range(grid, rho, frozen, policy, rho_min):
         count += int(forced.sum())
 
 
+@fem.one_blas_thread()
 def stage_loop(
     grid,
     material,

@@ -19,7 +19,7 @@ shared edge holds exact negations on its two sides.
 
 from __future__ import annotations
 
-import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,25 +32,35 @@ _CORNER_XI = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
 
 
 class EquilibrationError(RuntimeError):
-    """Node splitting failed (inconsistent input or unsupported pattern)."""
+    """Node splitting failed; row is the first failing node of a batched split."""
+
+    def __init__(self, message, row=0):
+        super().__init__(message)
+        self.row = row
 
 
 def _cross(a, b):
-    return a[0] * b[1] - a[1] * b[0]
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _norm(v):
+    """Norms over the last axis, rounded as np.linalg.norm rounds one vector
+    (a stacked 1 x 2 by 2 x 1 product runs the same dot kernel)."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
 def _segment_crossing(p1, p2, p3, p4):
-    """Proper interior intersection point of segments p1p2 and p3p4, or None."""
-    d1 = np.asarray(p2) - p1
-    d2 = np.asarray(p4) - p3
+    """Proper interior intersection of segments p1p2 and p3p4 as (point, found)."""
+    d1 = p2 - p1
+    d2 = p4 - p3
     denom = _cross(d1, d2)
-    if abs(denom) < 1e-14 * (np.abs(d1).sum() + np.abs(d2).sum() + 1e-300) ** 2:
-        return None
-    s = _cross(np.asarray(p3) - p1, d2) / denom
-    t = _cross(np.asarray(p3) - p1, d1) / denom
-    if 1e-12 < s < 1 - 1e-12 and 1e-12 < t < 1 - 1e-12:
-        return np.asarray(p1) + s * d1
-    return None
+    ok = ~(np.abs(denom) < 1e-14 * (np.abs(d1).sum(axis=-1) + np.abs(d2).sum(axis=-1)
+                                    + 1e-300) ** 2) & (denom != 0.0)
+    denom = np.where(ok, denom, 1.0)
+    s = _cross(p3 - p1, d2) / denom
+    t = _cross(p3 - p1, d1) / denom
+    found = ok & (1e-12 < s) & (s < 1 - 1e-12) & (1e-12 < t) & (t < 1 - 1e-12)
+    return p1 + s[..., None] * d1, found
 
 
 def polygon_centroid(F1, F2, F3, F4):
@@ -68,54 +78,52 @@ def polygon_centroid(F1, F2, F3, F4):
     flattened along the force axis) and the segment midpoint is the unique
     pole reproducing the exact uniform tractions on every edge, which also
     covers the all-zero polygon (midpoint at the origin).
+
+    Leading axes of the sides hold one polygon each; an open polygon raises
+    with the flat index of the first as `row`.
     """
-    forces = [np.asarray(F, dtype=float) for F in (F1, F2, F3, F4)]
-    scale = max(np.linalg.norm(F) for F in forces)
-    if scale == 0.0:
-        return np.zeros(2)
-    closure = forces[0] + forces[1] + forces[2] + forces[3]
-    if np.linalg.norm(closure) > 1e-6 * scale:
-        raise EquilibrationError(
-            f"force polygon not closed: residual {np.linalg.norm(closure):.3e} "
-            f"exceeds 1e-6 x scale {scale:.3e}"
-        )
-    V = np.zeros((4, 2))
-    V[1] = forces[0]
-    V[2] = forces[0] + forces[1]
-    V[3] = forces[0] + forces[1] + forces[2]
+    forces = np.stack(np.broadcast_arrays(*map(np.asarray, (F1, F2, F3, F4))), -2).astype(float)
+    scale = _norm(forces).max(axis=-1)
+    residual = _norm(forces.sum(axis=-2))
+    open_ = residual > 1e-6 * scale
+    if open_.any():
+        row = int(np.flatnonzero(open_)[0])
+        raise EquilibrationError(f"force polygon not closed: residual {residual.flat[row]:.3e} "
+                                 f"exceeds 1e-6 x scale {scale.flat[row]:.3e}", row)
+    V = np.zeros(forces.shape)
+    V[..., 1:, :] = np.cumsum(forces[..., :3, :], axis=-2)
+    V0, V1, V2, V3 = np.moveaxis(V, -2, 0)
 
-    a1 = 0.5 * _cross(V[1] - V[0], V[3] - V[0])
-    c1 = (V[0] + V[1] + V[3]) / 3.0
-    a2 = 0.5 * _cross(V[2] - V[1], V[3] - V[1])
-    c2 = (V[1] + V[2] + V[3]) / 3.0
+    a1 = 0.5 * _cross(V1 - V0, V3 - V0)
+    c1 = (V0 + V1 + V3) / 3.0
+    a2 = 0.5 * _cross(V2 - V1, V3 - V1)
+    c2 = (V1 + V2 + V3) / 3.0
 
-    crossing = _segment_crossing(V[0], V[1], V[2], V[3])
-    if crossing is None:
-        crossing = _segment_crossing(V[1], V[2], V[3], V[0])
-    tiny = 1e-9 * scale * scale
-    if crossing is None:
-        area = a1 + a2
-        if abs(area) >= tiny:
-            return (a1 * c1 + a2 * c2) / area
-        return _segment_midpoint(V)
-
-    a_ov = abs(0.5 * _cross(V[1] - crossing, V[3] - crossing))
-    c_ov = (crossing + V[1] + V[3]) / 3.0
-    den = abs(a1) + abs(a2) - 2.0 * a_ov
-    if abs(den) >= tiny:
-        return (abs(a1) * c1 + abs(a2) * c2 - 2.0 * a_ov * c_ov) / den
-    return _segment_midpoint(V)
+    crossing, crossed = _segment_crossing(V0, V1, V2, V3)
+    crossing2, crossed2 = _segment_crossing(V1, V2, V3, V0)
+    crossing = np.where(crossed[..., None], crossing, crossing2)
+    crossed |= crossed2
+    a_ov = np.abs(0.5 * _cross(V1 - crossing, V3 - crossing))
+    c_ov = (crossing + V1 + V3) / 3.0
+    area = np.where(crossed, np.abs(a1) + np.abs(a2) - 2.0 * a_ov, a1 + a2)
+    moment = np.where(crossed[..., None], np.abs(a1)[..., None] * c1 + np.abs(a2)[..., None] * c2
+                      - 2.0 * a_ov[..., None] * c_ov, a1[..., None] * c1 + a2[..., None] * c2)
+    flat = ~(np.abs(area) >= 1e-9 * scale * scale) | (scale == 0.0)
+    pole = moment / np.where(flat, 1.0, area)[..., None]
+    pole[flat] = _segment_midpoint(V[flat])
+    return pole
 
 
-def _segment_midpoint(vertices):
-    """Midpoint of the farthest pair among the vertices of a flat polygon."""
-    best = (0.0, vertices[0], vertices[0])
-    for i in range(len(vertices)):
-        for j in range(i + 1, len(vertices)):
-            d = float(np.linalg.norm(vertices[i] - vertices[j]))
-            if d > best[0]:
-                best = (d, vertices[i], vertices[j])
-    return 0.5 * (best[1] + best[2])
+def _segment_midpoint(V):
+    """Midpoint of the farthest vertex pair of each flat polygon V[node].
+
+    Pairs rank in (i, j) order, i < j, and the first farthest one wins; with
+    every vertex at the origin the midpoint is the origin.
+    """
+    i, j = np.array(list(itertools.combinations(range(V.shape[1]), 2))).T
+    best = np.argmax(_norm(V[:, i] - V[:, j]), axis=1)
+    rows = np.arange(len(V))
+    return 0.5 * (V[rows, i[best]] + V[rows, j[best]])
 
 
 @dataclass
@@ -216,34 +224,37 @@ def _void_aware_pole(vertices, voids, default):
 
     One void side -> midpoint of that (vanishing) side; two adjacent void
     sides -> their shared vertex; three void sides -> midpoint of the sole
-    non-void side, halving its nodal force between its two edges.
+    non-void side, halving its nodal force between its two edges. The void
+    flags are shared by every node of a batch.
     """
     nv = sum(voids)
     m = len(voids)
+    n_vert = vertices.shape[-2]
     if nv == 0 or nv == m:
         return default
     if nv == 1:
         v = voids.index(True)
-        return 0.5 * (vertices[v] + vertices[(v + 1) % len(vertices)])
+        return 0.5 * (vertices[..., v, :] + vertices[..., (v + 1) % n_vert, :])
     if nv == 2:
         for i in range(m):
             if voids[i] and voids[(i + 1) % m]:
-                return vertices[(i + 1) % len(vertices)]
+                return vertices[..., (i + 1) % n_vert, :]
         return default
     if nv == m - 1:
         s = voids.index(False)
-        return 0.5 * (vertices[s] + vertices[(s + 1) % len(vertices)])
+        return 0.5 * (vertices[..., s, :] + vertices[..., (s + 1) % n_vert, :])
     return default
 
 
 def _vertices(forces):
     """Running polygon vertices W[0] = 0, W[i + 1] = W[i] + forces[i]."""
-    return np.cumsum(np.concatenate([np.zeros((1, 2)), forces]), axis=0)
+    forces = np.asarray(forces, dtype=float)
+    return np.cumsum(np.concatenate([np.zeros_like(forces[..., :1, :]), forces], axis=-2), axis=-2)
 
 
 def _sides(Q):
-    """(preceding, following) side forces per element from pole-to-vertex vectors."""
-    return list(zip(Q[:-1], -Q[1:]))
+    """Side forces [..., c, 0] (preceding) and [..., c, 1] (following) per element."""
+    return np.stack([Q[..., :-1, :], -Q[..., 1:, :]], axis=-2)
 
 
 def _pole(forces, W, voids):
@@ -255,12 +266,13 @@ def _pole(forces, W, voids):
     split evenly. The pole then moves next to void elements; the vertices W
     run over W[0..m-1] around a cycle and W[0..m] along a chain.
     """
-    m = len(forces)
+    m = forces.shape[-2]
     if m == 1:
-        pole = 0.5 * W[1]
+        pole = 0.5 * W[..., 1, :]
     else:
         k = min(m, 3)
-        pole = polygon_centroid(*forces[:k], -W[k], *[np.zeros(2)] * (3 - k))
+        sides = [forces[..., c, :] for c in range(k)] + [-W[..., k, :]]
+        pole = polygon_centroid(*sides, *[np.zeros(2)] * (3 - k))
     return _void_aware_pole(W, [] if voids is None else list(voids), pole)
 
 
@@ -270,11 +282,13 @@ def split_internal_node(forces, pole):
     forces are the four nodal forces in cyclic fan order. Returns (sides,
     lam) where sides[c] = (P_left, P_right) acting on element c through its
     preceding and following edge, and lam is the polygon closure defect
-    (absorbed by the last element's corner identity).
+    (absorbed by the last element's corner identity). Leading axes of forces
+    and pole hold one node each.
     """
     W = _vertices(forces)
-    m = len(W) - 1
-    return _sides(pole - W[np.arange(m + 1) % m]), W[m].copy()
+    m = W.shape[-2] - 1
+    Q = np.asarray(pole)[..., None, :] - W[..., np.arange(m + 1) % m, :]
+    return _sides(Q), W[..., m, :].copy()
 
 
 def split_dirichlet_node(g, pole=None, voids=None):
@@ -287,12 +301,12 @@ def split_dirichlet_node(g, pole=None, voids=None):
     elements through the extreme edges; lam is identically zero because the
     reactions close the polygon exactly.
     """
-    g = np.asarray(g, dtype=float).reshape(-1, 2)
+    g = np.asarray(g, dtype=float)
     W = _vertices(g)
     if pole is None:
         pole = _pole(g, W, voids)
-    Q = pole - W
-    return _sides(Q), (Q[0], -Q[-1]), np.zeros(2)
+    Q = np.asarray(pole)[..., None, :] - W
+    return _sides(Q), (Q[..., 0, :], -Q[..., -1, :]), np.zeros(g.shape[:-2] + (2,))
 
 
 def split_neumann_node(g, dirichlet_first=False, dirichlet_last=False):
@@ -309,17 +323,17 @@ def split_neumann_node(g, dirichlet_first=False, dirichlet_last=False):
     if dirichlet_first and dirichlet_last:
         raise EquilibrationError("use split_dirichlet_node for two reactions")
     W = _vertices(g)
-    m = len(W) - 1
+    m = W.shape[-2] - 1
     if dirichlet_first or dirichlet_last:
-        Q = (W[m] if dirichlet_first else W[0]) - W
-        reaction = Q[0] if dirichlet_first else -Q[m]
-        return _sides(Q), reaction, np.zeros(2)
+        Q = W[..., m if dirichlet_first else 0, None, :] - W
+        reaction = Q[..., 0, :] if dirichlet_first else -Q[..., m, :]
+        return _sides(Q), reaction, np.zeros(W.shape[:-2] + (2,))
 
     # Both extremes prescribed: exact from each end (pole 0 for the first
     # half, W[m] for the second), defect in the middle.
     Q = -W
-    Q[(m - 1) // 2 + 1 :] += W[m]
-    return _sides(Q), None, W[m].copy()
+    Q[..., (m - 1) // 2 + 1 :, :] += W[..., m, None, :]
+    return _sides(Q), None, W[..., m, :].copy()
 
 
 @dataclass
@@ -394,14 +408,23 @@ def equilibrate_all(grid, rho, material, bc, u, void_mask=None):
                 data[0], data[1], grid.edge_length(ledge)
             )
 
-    lambdas = {}
-    for n, cls in classes.items():
+    # Nodes of one class share their fan size, reaction extremes and void
+    # flags, so each class is split as one batch.
+    groups = {}
+    for n, c in classes.items():
+        groups.setdefault((c.is_cycle, len(c.elements), c.extreme_dirichlet, tuple(c.void_flags)),
+                          []).append(n)
+    lam = np.zeros((grid.n_nodes, 2))
+    failures = []
+    for nodes in groups.values():
         try:
-            lam = _split_node(forces, side, cls)
+            lam[nodes] = _split_nodes(forces, side, [classes[n] for n in nodes])
         except EquilibrationError as exc:
-            raise EquilibrationError(f"node {n} ({cls.kind}): {exc}") from exc
-        if lam.any():
-            lambdas[n] = lam
+            failures.append((nodes[exc.row], exc))
+    if failures:
+        n, exc = min(failures, key=lambda failure: failure[0])
+        raise EquilibrationError(f"node {n} ({classes[n].kind}): {exc}") from exc
+    lambdas = {n: lam[n] for n in np.flatnonzero(lam.any(axis=1))}
 
     if np.isnan(side[act]).any():
         missing = int(np.isnan(side[act]).any(axis=(1, 2, 3)).sum())
@@ -418,40 +441,41 @@ def equilibrate_all(grid, rho, material, bc, u, void_mask=None):
     return field_out
 
 
-def _split_node(forces, side, cls):
-    """Split one node's corner forces into side forces; returns its closure defect.
+def _split_nodes(forces, side, members):
+    """Split the corner forces of nodes of one class into side forces.
 
-    The counter-clockwise fan fixes every slot: element c meets the node at
-    the corner that starts its preceding edge k (slot 0), and its following
-    edge (k + 3) % 4 ends there (slot 1). Around a cycle every side is
-    written. A chain writes its two extreme edges only where they carry a
-    reaction; elsewhere they keep the prescribed end forces the boundary
-    initialisation stored in `side`, which are taken off the nodal forces
-    first.
+    Returns the nodes' closure defects. The counter-clockwise fan fixes
+    every slot: element c meets the node at the corner that starts its
+    preceding edge k (slot 0), and its following edge (k + 3) % 4 ends
+    there (slot 1). Around a cycle every side is written. A chain writes its
+    two extreme edges only where they carry a reaction; elsewhere they keep
+    the prescribed end forces the boundary initialisation stored in `side`,
+    which are taken off the nodal forces first.
     """
+    cls = members[0]
     m = len(cls.elements)
-    edges = cls.edges[:m]
-    g = forces[cls.elements, [k for _, k in edges]]
+    elems = np.array([c.elements for c in members])
+    edges = np.array([[k for _, k in c.edges[:m]] for c in members])
+    follow = (edges + 3) % 4
+    g = forces[elems, edges]
     if cls.is_cycle:
-        pole = _pole(g, _vertices(g)[:m], cls.void_flags)
+        pole = _pole(g, _vertices(g)[:, :m], cls.void_flags)
         sides, lam = split_internal_node(g, pole)
         write_first = write_last = True
     else:
         write_first, write_last = cls.extreme_dirichlet
         if not write_first:
-            g[0] -= side[edges[0]][0]
+            g[:, 0] -= side[elems[:, 0], edges[:, 0], 0]
         if not write_last:
-            g[-1] -= side[cls.edges[-1]][1]
+            g[:, -1] -= side[elems[:, -1], follow[:, -1], 1]
         if write_first and write_last:
             sides, _, lam = split_dirichlet_node(g, voids=cls.void_flags)
         else:
             sides, _, lam = split_neumann_node(g, write_first, write_last)
 
-    for c, (e, k) in enumerate(edges):
-        if c > 0 or write_first:
-            side[e, k, 0] = sides[c][0]
-        if c < m - 1 or write_last:
-            side[e, (k + 3) % 4, 1] = sides[c][1]
+    lo, hi = int(not write_first), m - int(not write_last)
+    side[elems[:, lo:], edges[:, lo:], 0] = sides[:, lo:, 0]
+    side[elems[:, :hi], follow[:, :hi], 1] = sides[:, :hi, 1]
     return lam
 
 
@@ -465,8 +489,8 @@ def build_report(grid, field_in, force_scale):
     )
 
     lambda_norms = np.zeros(grid.n_nodes)
-    for n, lam in field_in.lambdas.items():
-        lambda_norms[n] = np.linalg.norm(lam)
+    lambda_norms[list(field_in.lambdas)] = _norm(np.reshape(list(field_in.lambdas.values()),
+                                                            (-1, 2)))
     counts = {}
     for cls in field_in.classes.values():
         counts[cls.kind] = counts.get(cls.kind, 0) + 1
@@ -522,16 +546,12 @@ def stress_tractions(grid, rho, material, u):
 
 
 def dump_tractions_csv(grid, field_in, path):
-    """Write per-edge traction endpoints as CSV for external inspection."""
+    """Write per-edge traction endpoints as CSV for external inspection, with
+    repr floats and CRLF line ends as the csv module writes them. The rows
+    are streamed, so no copy of the whole file is held in memory."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["element", "edge", "t_start_x", "t_start_y", "t_end_x", "t_end_y"]
-        )
-        for e in grid.active_elems:
-            for ledge in range(4):
-                t_s, t_e = field_in.edge_tractions(e, ledge)
-                writer.writerow(
-                    [e, ledge]
-                    + [repr(float(v)) for v in (t_s[0], t_s[1], t_e[0], t_e[1])]
-                )
+        fh.write("element,edge,t_start_x,t_start_y,t_end_x,t_end_y\r\n")
+        fh.writelines(
+            f"{e},{k},{a!r},{b!r},{c!r},{d!r}\r\n"
+            for e in grid.active_elems.tolist()
+            for k, (a, b, c, d) in enumerate(field_in.tractions[e].reshape(4, 4).tolist()))

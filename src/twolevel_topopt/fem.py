@@ -9,6 +9,10 @@ thickness throughout.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +26,48 @@ _GAUSS = 1.0 / np.sqrt(3.0)
 
 class SolverError(RuntimeError):
     """Singular or under-constrained linear system."""
+
+
+@functools.lru_cache(maxsize=1)
+def _openblas():
+    """(set, get) thread counts of each loaded OpenBLAS: scipy's build exports
+    scipy_openblas_{set,get}_num_threads, numpy's the same names with 64_."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.rsplit("/")[-1]})
+    except OSError:
+        return ()
+    found = []
+    for lib, suffix in itertools.product(map(ctypes.CDLL, paths), ("", "64_")):
+        set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+        get_threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+        if set_threads and get_threads:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            found.append((set_threads, get_threads))
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with each loaded OpenBLAS on one thread, then restore its
+    count: the banded factorizations are too small to gain from BLAS threads,
+    which oversubscribe the cores under a process pool. Without OpenBLAS this
+    does nothing."""
+    libs = _openblas()
+    saved = [get_threads() for _, get_threads in libs]
+    for set_threads, _ in libs:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (set_threads, _), count in zip(libs, saved):
+            set_threads(count)
+
+
+def solve_blas_threads():
+    """1 where one_blas_thread() pins OpenBLAS, None where none is found."""
+    return 1 if _openblas() else None
 
 
 @dataclass

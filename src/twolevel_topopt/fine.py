@@ -314,6 +314,7 @@ class FineBatchResult:
         return sum(1 for r in self.cells.values() if r.kind == "optimized")
 
 
+@fem.one_blas_thread()
 def _solve_for_pool(problem):
     """Picklable worker: returns (cell, result, error message or None)."""
     try:
@@ -322,6 +323,7 @@ def _solve_for_pool(problem):
         return problem.cell, None, str(exc)
 
 
+@fem.one_blas_thread()
 def solve_all_cells(
     grid,
     coarse_result,

@@ -151,14 +151,18 @@ class Grid:
         """All (element id, local edge id, outward normal) on the active boundary.
 
         Every active-element edge not shared with another active element is
-        returned exactly once.
+        returned exactly once, by element and then by edge.
         """
-        out = []
-        for e in self.active_elems:
-            for edge in range(4):
-                if self.neighbor(e, edge) < 0:
-                    out.append((int(e), edge, EDGE_NORMALS[edge].copy()))
-        return out
+        padded = np.pad(self.active, 1)
+        ix, iy = np.divmod(self.active_elems, self.ny)
+        open_sides = np.stack(
+            [~padded[ix + 1 + dx, iy + 1 + dy] for dx, dy in EDGE_NEIGHBOR_OFFSETS], axis=1
+        )
+        rows, edges = np.nonzero(open_sides)
+        return [
+            (e, edge, EDGE_NORMALS[edge].copy())
+            for e, edge in zip(self.active_elems[rows].tolist(), edges.tolist())
+        ]
 
     def node_fan(self, n):
         """Incident active elements and edges of node n in counter-clockwise order.

@@ -623,20 +623,29 @@ def _load_cells(data):
     return fine.FineBatchResult(cells=cells, failures={}, n=int(data["n"]))
 
 
-def _write_cells_csv(path, batch):
+def _write_cells_csv(path, batch, targets):
+    """Write cells.csv; returns the counts of cells stopped by the iteration
+    cap and of cells whose mean density misses the target, their coarse
+    density, by more than 1e-4."""
+    flags = {"cells_not_converged": 0, "cells_off_target": 0}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["cell", "kind", "converged", "iterations", "m_nd", "beta_final",
-             "compliance", "max_reaction", "reaction_scale"]
+             "compliance", "max_reaction", "reaction_scale", "target", "mean_density",
+             "stop_reason"]
         )
-        for cell in sorted(batch.cells):
-            r = batch.cells[cell]
+        for cell, r in sorted(batch.cells.items()):
+            target, mean = float(targets[cell]), float(r.rho.mean())
+            flags["cells_not_converged"] += not r.converged
+            flags["cells_off_target"] += abs(mean - target) > 1e-4
             writer.writerow(
                 [cell, r.kind, int(r.converged), r.iterations, repr(r.m_nd),
                  repr(r.beta_final), repr(r.compliance), repr(r.max_reaction),
-                 repr(r.reaction_scale)]
+                 repr(r.reaction_scale), repr(target), repr(mean),
+                 "converged" if r.converged else "iteration-cap"]
             )
+    return flags
 
 
 def equilibrium_certificate(grid, field_out):
@@ -765,6 +774,7 @@ def run_pipeline(config, skip_fine=False):
             ((result.frozen == coarse.FREE) & grid.active.ravel(order="C")).sum()
         ),
         "certificate": certificate,
+        "blas_threads": fem.solve_blas_threads(),
     }
 
     if skip_fine:
@@ -789,13 +799,13 @@ def run_pipeline(config, skip_fine=False):
             workers=config.workers,
         )
         if batch.failures:
-            _write_cells_csv(out / "cells.csv", batch)
+            _write_cells_csv(out / "cells.csv", batch, result.rho)
             details = "; ".join(
                 f"cell {cell}: {msg}" for cell, msg in sorted(batch.failures.items())
             )
             raise PipelineError(f"fine farm failures: {details}")
         _save_cells(cells_ckpt, batch, fingerprint)
-    _write_cells_csv(out / "cells.csv", batch)
+    flags = _write_cells_csv(out / "cells.csv", batch, result.rho)
 
     image = stitch(grid, batch)
     render(image, "pgm", out / "highres.pgm")
@@ -819,6 +829,7 @@ def run_pipeline(config, skip_fine=False):
                 ),
                 default=0.0,
             ),
+            **flags,
         }
     )
     summary["wall_time_s"] = time.perf_counter() - t0

@@ -727,3 +727,276 @@ def test_equilibrate_random_masks_certify_or_reject(case):
     slack = 1e-12 * rep.force_scale + 4.0 * rep.max_lambda
     assert (np.linalg.norm(rep.net_force[act], axis=1) <= fe_force + slack).all()
     assert (np.abs(rep.net_moment[act]) <= fe_moment + slack * max(hx, hy)).all()
+
+
+# ------------------------------------------- per-node reference of the split
+#
+# The node-by-node split the batched one replaced, kept as the reference:
+# each node's polygon, pole and side forces in plain per-vector numpy. The
+# batched split must reproduce it bit for bit.
+
+
+def _ref_cross(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _ref_segment_crossing(p1, p2, p3, p4):
+    d1 = np.asarray(p2) - p1
+    d2 = np.asarray(p4) - p3
+    denom = _ref_cross(d1, d2)
+    if abs(denom) < 1e-14 * (np.abs(d1).sum() + np.abs(d2).sum() + 1e-300) ** 2:
+        return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = _ref_cross(np.asarray(p3) - p1, d2) / denom
+        t = _ref_cross(np.asarray(p3) - p1, d1) / denom
+    if 1e-12 < s < 1 - 1e-12 and 1e-12 < t < 1 - 1e-12:
+        return np.asarray(p1) + s * d1
+    return None
+
+
+def _ref_segment_midpoint(vertices):
+    best = (0.0, vertices[0], vertices[0])
+    for i in range(len(vertices)):
+        for j in range(i + 1, len(vertices)):
+            d = float(np.linalg.norm(vertices[i] - vertices[j]))
+            if d > best[0]:
+                best = (d, vertices[i], vertices[j])
+    return 0.5 * (best[1] + best[2])
+
+
+def _ref_polygon_centroid(F1, F2, F3, F4):
+    forces = [np.asarray(F, dtype=float) for F in (F1, F2, F3, F4)]
+    scale = max(np.linalg.norm(F) for F in forces)
+    if scale == 0.0:
+        return np.zeros(2)
+    V = np.zeros((4, 2))
+    V[1] = forces[0]
+    V[2] = forces[0] + forces[1]
+    V[3] = forces[0] + forces[1] + forces[2]
+    a1 = 0.5 * _ref_cross(V[1] - V[0], V[3] - V[0])
+    c1 = (V[0] + V[1] + V[3]) / 3.0
+    a2 = 0.5 * _ref_cross(V[2] - V[1], V[3] - V[1])
+    c2 = (V[1] + V[2] + V[3]) / 3.0
+    crossing = _ref_segment_crossing(V[0], V[1], V[2], V[3])
+    if crossing is None:
+        crossing = _ref_segment_crossing(V[1], V[2], V[3], V[0])
+    tiny = 1e-9 * scale * scale
+    if crossing is None:
+        area = a1 + a2
+        if abs(area) >= tiny:
+            return (a1 * c1 + a2 * c2) / area
+        return _ref_segment_midpoint(V)
+    a_ov = abs(0.5 * _ref_cross(V[1] - crossing, V[3] - crossing))
+    c_ov = (crossing + V[1] + V[3]) / 3.0
+    den = abs(a1) + abs(a2) - 2.0 * a_ov
+    if abs(den) >= tiny:
+        return (abs(a1) * c1 + abs(a2) * c2 - 2.0 * a_ov * c_ov) / den
+    return _ref_segment_midpoint(V)
+
+
+def _ref_void_aware_pole(vertices, voids, default):
+    nv = sum(voids)
+    m = len(voids)
+    if nv == 0 or nv == m:
+        return default
+    if nv == 1:
+        v = voids.index(True)
+        return 0.5 * (vertices[v] + vertices[(v + 1) % len(vertices)])
+    if nv == 2:
+        for i in range(m):
+            if voids[i] and voids[(i + 1) % m]:
+                return vertices[(i + 1) % len(vertices)]
+        return default
+    if nv == m - 1:
+        s = voids.index(False)
+        return 0.5 * (vertices[s] + vertices[(s + 1) % len(vertices)])
+    return default
+
+
+def _ref_pole(forces, W, voids):
+    m = len(forces)
+    if m == 1:
+        pole = 0.5 * W[1]
+    else:
+        k = min(m, 3)
+        pole = _ref_polygon_centroid(*forces[:k], -W[k], *[np.zeros(2)] * (3 - k))
+    return _ref_void_aware_pole(W, list(voids), pole)
+
+
+def _ref_split_node(forces, side, cls):
+    m = len(cls.elements)
+    edges = cls.edges[:m]
+    g = forces[cls.elements, [k for _, k in edges]]
+    W = np.cumsum(np.concatenate([np.zeros((1, 2)), g]), axis=0)
+    write_first, write_last = True, True
+    if cls.is_cycle:
+        Q = _ref_pole(g, W[:m], cls.void_flags) - W[np.arange(m + 1) % m]
+        lam = W[m].copy()
+    else:
+        write_first, write_last = cls.extreme_dirichlet
+        if not write_first:
+            g[0] -= side[edges[0]][0]
+        if not write_last:
+            g[-1] -= side[cls.edges[-1]][1]
+        W = np.cumsum(np.concatenate([np.zeros((1, 2)), g]), axis=0)
+        lam = np.zeros(2)
+        if write_first and write_last:
+            Q = _ref_pole(g, W, cls.void_flags) - W
+        elif write_first or write_last:
+            Q = (W[m] if write_first else W[0]) - W
+        else:
+            Q = -W
+            Q[(m - 1) // 2 + 1 :] += W[m]
+            lam = W[m].copy()
+    for c, (e, k) in enumerate(edges):
+        if c > 0 or write_first:
+            side[e, k, 0] = Q[c]
+        if c < m - 1 or write_last:
+            side[e, (k + 3) % 4, 1] = -Q[c + 1]
+    return lam
+
+
+def _per_node_equilibrate(g, rho, mat, bc, u, void_mask):
+    """(side forces, tractions, lambdas) from one node split at a time."""
+    forces = fem.element_nodal_forces(g, rho, mat, u)
+    classes = eq.classify_nodes(g, bc, void_mask)
+    side = np.full((g.n_elems, 4, 2, 2), np.nan)
+    for e in g.active_elems:
+        for k in range(4):
+            if g.neighbor(e, k) < 0:
+                data = bc.neumann.get((int(e), k))
+                side[e, k] = 0.0 if data is None else fem.consistent_edge_loads(
+                    data[0], data[1], g.edge_length(k))
+    lambdas = {}
+    for n, cls in classes.items():
+        lam = _ref_split_node(forces, side, cls)
+        if lam.any():
+            lambdas[n] = lam
+    side[~g.active.ravel()] = 0.0
+    lengths = np.array([g.hx, g.hy, g.hx, g.hy])[:, None]
+    tractions = np.stack(fem.tractions_from_forces(side[:, :, 0], side[:, :, 1], lengths), axis=2)
+    return side, tractions, lambdas
+
+
+def _assert_matches_per_node(g, rho, mat, bc, void_mask):
+    sol = fem.solve(g, rho, mat, bc)
+    field = eq.equilibrate_all(g, rho, mat, bc, sol.u, void_mask=void_mask)
+    side, tractions, lambdas = _per_node_equilibrate(g, rho, mat, bc, sol.u, void_mask)
+    assert field.side_forces.tobytes() == side.tobytes()
+    assert field.tractions.tobytes() == tractions.tobytes()
+    assert list(field.lambdas) == list(lambdas)
+    for n, lam in lambdas.items():
+        assert field.lambdas[n].tobytes() == lam.tobytes()
+
+
+def test_batched_split_matches_per_node_on_fixtures():
+    # a uniform stress state (flat force polygons), a cantilever with every
+    # void-adjacent cycle kind, and an L-shape with a reentrant chain
+    g = Grid(4, 3, 0.5, 0.4)
+    mat = fem.MaterialModel(E=200.0, nu=0.3, p=1.0)
+    bc = BoundaryConditions()
+    for jy in range(4):
+        bc.fix_node(g.node_id(0, jy), mask=(True, False))
+    bc.fix_node(g.node_id(0, 0))
+    for iy in range(3):
+        bc.add_edge_traction(g.elem_id(3, iy), 1, (1.0, 0.0), (1.0, 0.0))
+    _assert_matches_per_node(g, np.ones(g.n_elems), mat, bc, None)
+
+    g, bc = cantilever(5, 5)
+    voids = np.zeros(g.n_elems, dtype=bool)
+    for ix, iy in ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4)):
+        voids[g.elem_id(ix, iy)] = True
+    mat = fem.MaterialModel(E=1000.0, nu=0.3, p=3.0)
+    rho = np.where(voids, mat.rho_min, np.random.default_rng(8).uniform(0.3, 1.0, g.n_elems))
+    _assert_matches_per_node(g, rho, mat, bc, voids)
+
+    active = np.ones((4, 4), dtype=bool)
+    active[2:, 2:] = False
+    g = Grid(4, 4, 1.0, 0.5, active=active)
+    bc = BoundaryConditions()
+    for jy in range(5):
+        bc.fix_node(g.node_id(0, jy))
+    bc.add_edge_traction(g.elem_id(3, 0), 1, (0.0, -1.0), (0.3, -0.5))
+    _assert_matches_per_node(g, np.full(g.n_elems, 0.8), mat, bc, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(clamped_masks())
+def test_batched_split_matches_per_node_on_random_masks(case):
+    active, loads, voids, rho, hx, hy, p = case
+    nx, ny = active.shape
+    mat = fem.MaterialModel(E=1.0, nu=0.3, p=p)
+    rho = np.where(voids, mat.rho_min, rho)
+    try:
+        g = Grid(nx, ny, hx, hy, active=active)
+        bc = BoundaryConditions()
+        for jy in range(ny + 1):
+            bc.fix_node(g.node_id(0, jy))
+        for iy, (tsx, tsy, tex, tey) in enumerate(loads):
+            ix = np.flatnonzero(active[:, iy])[-1]
+            bc.add_edge_traction(g.elem_id(ix, iy), 1, (tsx, tsy), (tex, tey))
+        bc.validate(g)
+        fem.solve(g, rho, mat, bc)
+        eq.classify_nodes(g, bc, voids)
+    except (GridError, eq.EquilibrationError, fem.SolverError):
+        return
+    _assert_matches_per_node(g, rho, mat, bc, voids)
+
+
+def test_split_error_names_first_failing_node(monkeypatch):
+    # every batch that places a centroid pole fails at its second node: the
+    # interior cycles at nodes 5, 6, ... and the clamped chains at 1, 2
+    g, bc = cantilever(4, 3)
+    mat = fem.MaterialModel(E=1.0, nu=0.3, p=1.0)
+    rho = np.ones(g.n_elems)
+    sol = fem.solve(g, rho, mat, bc)
+
+    def fail(*sides):
+        raise eq.EquilibrationError("boom", 1)
+
+    monkeypatch.setattr(eq, "polygon_centroid", fail)
+    with pytest.raises(eq.EquilibrationError, match=r"^node 2 \(dirichlet-standard\): boom$"):
+        eq.equilibrate_all(g, rho, mat, bc, sol.u)
+
+
+def test_centroid_batch_matches_one_polygon_at_a_time():
+    # random, bow-tie, flat and all-zero polygons in one batch
+    rng = np.random.default_rng(12)
+    forces = rng.normal(size=(60, 4, 2))
+    forces[:, 3] = -forces[:, :3].sum(axis=1)
+    forces[40:45] = [(2.0, 0.0), (-0.5, 1.0), (-1.0, -2.0), (-0.5, 1.0)]
+    a = rng.normal(size=(10, 1, 2))
+    forces[45:55] = np.concatenate([a, a, -a, -a], axis=1)
+    forces[55:] = 0.0
+    batch = eq.polygon_centroid(*forces.transpose(1, 0, 2))
+    for row, f in enumerate(forces):
+        assert batch[row].tobytes() == _ref_polygon_centroid(*f).tobytes()
+        assert eq.polygon_centroid(*f).tobytes() == batch[row].tobytes()
+
+
+def test_dump_tractions_csv_matches_csv_writer(tmp_path):
+    import csv
+
+    active = np.ones((3, 2), dtype=bool)
+    active[2, 1] = False
+    g = Grid(3, 2, 1.0, 1.0, active=active)
+
+    class Holder:
+        pass
+
+    holder = Holder()
+    holder.tractions = np.random.default_rng(2).normal(size=(g.n_elems, 4, 2, 2))
+    holder.tractions[0, 0] = [[-0.0, 0.0], [1e-300, -2.5e17]]
+    holder.tractions[1, 2] = [[np.inf, -np.inf], [3.0, 1 / 3]]
+    path = tmp_path / "tractions.csv"
+    eq.dump_tractions_csv(g, holder, path)
+
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["element", "edge", "t_start_x", "t_start_y", "t_end_x", "t_end_y"])
+        for e in g.active_elems:
+            for k in range(4):
+                t_s, t_e = holder.tractions[e, k]
+                writer.writerow([e, k] + [repr(float(v)) for v in (*t_s, *t_e)])
+    assert path.read_bytes() == expected.read_bytes()

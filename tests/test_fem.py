@@ -268,3 +268,22 @@ def test_prescribed_displacements_enter_rhs(steelish):
     assert_allclose(sol.u[2 * g.node_id(1, 0)], 0.01)
     # free vertical dofs contract by nu * strain
     assert_allclose(sol.u[2 * g.node_id(1, 1) + 1], -0.003, rtol=1e-9)
+
+
+def test_one_blas_thread_pins_and_restores():
+    libs = fem._openblas()
+    if not libs:
+        pytest.skip("no OpenBLAS loaded")
+    saved = [get_threads() for _, get_threads in libs]
+    try:
+        for set_threads, _ in libs:
+            set_threads(2)
+        before = [get_threads() for _, get_threads in libs]
+        with fem.one_blas_thread():
+            assert [get_threads() for _, get_threads in libs] == [1] * len(libs)
+        assert [get_threads() for _, get_threads in libs] == before
+        assert fem.solve_blas_threads() == 1
+        assert [get_threads() for _, get_threads in libs] == before
+    finally:
+        for (set_threads, _), count in zip(libs, saved):
+            set_threads(count)

@@ -414,3 +414,22 @@ def test_solve_all_cells_collects_failures():
     assert "equilibrated" in batch.failures[0]
     assert batch.cells[1].kind == "frozen-solid"
     assert batch.n_optimized == 0
+
+
+def test_solve_all_cells_pool_matches_serial_bitwise():
+    from twolevel_topopt import equilibrate as eq
+
+    g, bc, mat, cres = small_coarse_run()
+    field = eq.equilibrate_all(
+        g, cres.rho, mat, bc, cres.solution.u, void_mask=cres.frozen == coarse.VOID
+    )
+    serial = fine.solve_all_cells(g, cres, field, n=8, eps=0.02, max_iter=120, workers=1)
+    pooled = fine.solve_all_cells(g, cres, field, n=8, eps=0.02, max_iter=120, workers=2)
+    assert serial.n_optimized >= 2
+    assert not serial.failures and not pooled.failures
+    assert list(pooled.cells) == list(serial.cells)
+    for e, r in serial.cells.items():
+        p = pooled.cells[e]
+        assert p.rho.tobytes() == r.rho.tobytes()
+        assert (p.kind, p.iterations, p.converged, p.compliance, p.history) == (
+            r.kind, r.iterations, r.converged, r.compliance, r.history)

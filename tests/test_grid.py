@@ -269,3 +269,20 @@ def test_count_neighbours_matches_neighbor_loop(g, random):
         )
         assert counts[e] == expected
     assert_allclose(g.count_neighbours(mask.reshape(g.nx, g.ny)), counts.reshape(g.nx, g.ny))
+
+
+@settings(max_examples=80, deadline=None)
+@given(connected_grids())
+def test_boundary_edges_match_element_loop(g):
+    # reference: every edge of every active element without an active
+    # neighbour, by element and then by edge
+    expected = [(int(e), k) for e in g.active_elems for k in range(4) if g.neighbor(e, k) < 0]
+    edges = g.boundary_edges()
+    assert [(e, k) for e, k, _ in edges] == expected
+    for e, k, normal in edges:
+        assert type(e) is int and type(k) is int
+        assert np.array_equal(normal, EDGE_NORMALS[k])
+    # each normal is its own array, not a view of the shared table
+    if edges:
+        edges[0][2][:] = 9.0
+        assert not (EDGE_NORMALS == 9.0).any()

@@ -514,3 +514,56 @@ def test_verify_rerun_after_mask_file_edit(tmp_path):
         summaries.append(summary)
     assert summaries[1]["certificate"]["elements"] == 7
     assert summaries[1] == summaries[2]
+
+
+def test_cells_csv_flags_capped_and_off_target_cells(tmp_path):
+    rho_off = np.full(16, 0.6)
+    rho_off[0] = 0.6 + 16 * 2e-4  # mean 0.6002 for a target of 0.6
+    cells = {
+        3: fine.FineCellResult(3, np.full(16, 0.4), "optimized", converged=True),
+        5: fine.FineCellResult(5, rho_off, "optimized", converged=True),
+        7: fine.FineCellResult(7, np.full(16, 0.5), "optimized", converged=False),
+        8: fine.FineCellResult(8, np.ones(16), "frozen-solid"),
+    }
+    batch = fine.FineBatchResult(cells=cells, failures={}, n=4)
+    targets = np.zeros(10)
+    targets[[3, 5, 7, 8]] = [0.4 + 5e-5, 0.6, 0.5, 1.0]
+    path = tmp_path / "cells.csv"
+    assert pipeline._write_cells_csv(path, batch, targets) == {
+        "cells_not_converged": 1, "cells_off_target": 1}
+    import csv
+
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["cell"]) for r in rows] == [3, 5, 7, 8]
+    assert [r["stop_reason"] for r in rows] == ["converged", "converged", "iteration-cap",
+                                                "converged"]
+    assert [float(r["target"]) for r in rows] == targets[[3, 5, 7, 8]].tolist()
+    assert [float(r["mean_density"]) for r in rows] == [
+        float(cells[c].rho.mean()) for c in (3, 5, 7, 8)]
+
+
+def test_run_pipeline_records_cell_flags_and_blas_threads(small_run):
+    config, out, summary = small_run
+    on_disk = json.loads((out / "summary.json").read_text())
+    assert on_disk["cells_not_converged"] == summary["cells_not_converged"]
+    assert on_disk["cells_off_target"] == summary["cells_off_target"]
+    assert on_disk["blas_threads"] == (1 if fem._openblas() else None)
+    import csv
+
+    with open(out / "cells.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sum(r["stop_reason"] == "iteration-cap" for r in rows) == summary[
+        "cells_not_converged"]
+    assert sum(abs(float(r["mean_density"]) - float(r["target"])) > 1e-4 for r in rows) == (
+        summary["cells_off_target"])
+    for r in rows:
+        assert r["stop_reason"] == ("converged" if r["converged"] == "1" else "iteration-cap")
+
+
+def test_verify_records_blas_threads(tmp_path):
+    config = pipeline.parse_config(SMALL_RUN)
+    config.out = str(tmp_path / "verify")
+    pipeline.run_pipeline(config, skip_fine=True)
+    summary = json.loads((tmp_path / "verify" / "summary.json").read_text())
+    assert summary["blas_threads"] == (1 if fem._openblas() else None)
