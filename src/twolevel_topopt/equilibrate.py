@@ -20,12 +20,13 @@ shared edge holds exact negations on its two sides.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fem
-from .grid import EDGE_LNODES, EDGE_NORMALS
+from .grid import EDGE_LNODES, EDGE_NORMALS, NODE_FANS, GridError
 
 # Local (xi, eta) coordinates of element corners 0..3.
 _CORNER_XI = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
@@ -139,12 +140,75 @@ class NodeClass:
     extreme_dirichlet: tuple = (False, False)
 
 
-def _edge_is_dirichlet(grid, bc, elem, ledge):
-    """A boundary edge transmits reactions when both end nodes are constrained."""
-    if (elem, ledge) in bc.neumann:
-        return False
-    n1, n2 = grid.edge_nodes(elem, ledge)
-    return n1 in bc.dirichlet and n2 in bc.dirichlet
+# Node kinds by index: nv for a cycle with nv void elements, 2 + 3m + d for a
+# chain of m elements with d reaction extremes.
+KINDS = (
+    "internal", *(f"internal-void-adjacent-{nv}" for nv in range(1, 5)),
+    "neumann-outer-corner", "dirichlet-outer-corner", "dirichlet-corner-clamped",
+    "neumann-standard", "dirichlet-chain-2-1", "dirichlet-standard",
+    "neumann-reentrant", "dirichlet-chain-3-1", "dirichlet-chain-3-2",
+)
+
+# grid.NODE_FANS as arrays by quadrant code: fan size (0 when non-manifold),
+# quadrant of each element slot and local id of each fan edge, zero-padded.
+_FANS = [fan or ((), (), False) for fan in NODE_FANS]
+_FAN_SIZE = np.array([len(quads) for quads, _, _ in _FANS])
+_FAN_QUADS = np.array([quads + (0,) * (4 - len(quads)) for quads, _, _ in _FANS])
+_FAN_LEDGES = np.array([tuple(k for _, k in edges) + (0,) * (5 - len(edges))
+                        for _, edges, _ in _FANS])
+
+
+class NodeClasses(Mapping):
+    """Classified nodes by id, held as arrays; classes[n] builds a NodeClass.
+
+    Row r describes node nodes[r]: its kind (index into KINDS), fan size m,
+    elements (slots from m on hold -1), the local ids of its fan edges (m + 1
+    on a chain, the last one owned by the last element), void flags and
+    reaction extremes.
+    """
+
+    def __init__(self, nodes, kind, m, elements, ledges, voids, extremes):
+        self.nodes, self.kind, self.m = nodes, kind, m
+        self.elements, self.ledges = elements, ledges
+        self.voids, self.extremes = voids, extremes
+
+    def __len__(self):
+        return len(self.nodes)
+
+    def __iter__(self):
+        return iter(self.nodes.tolist())
+
+    def _row(self, n):
+        row = int(np.searchsorted(self.nodes, n))
+        if row == len(self.nodes) or self.nodes[row] != n:
+            raise KeyError(n)
+        return row
+
+    def __getitem__(self, n):
+        row = self._row(n)
+        m = int(self.m[row])
+        elements = self.elements[row, :m].tolist()
+        ledges = self.ledges[row, : m if m == 4 else m + 1].tolist()
+        edges = [(elements[min(i, m - 1)], k) for i, k in enumerate(ledges)]
+        return NodeClass(int(n), KINDS[self.kind[row]], elements, edges, m == 4,
+                         self.voids[row, :m].tolist(), tuple(self.extremes[row].tolist()))
+
+    def kind_counts(self):
+        """Nodes per kind name, kinds in the order of their first node."""
+        kinds, first, counts = np.unique(self.kind, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        return {KINDS[k]: c for k, c in zip(kinds[order].tolist(), counts[order].tolist())}
+
+
+def _reaction_edges(grid, bc, elems, ledges):
+    """Per boundary edge (elems, ledges): does it transmit reactions? It
+    does when both end nodes are constrained and it carries no Neumann data."""
+    fixed = np.zeros(grid.n_nodes, dtype=bool)
+    fixed[np.array(list(bc.dirichlet), dtype=int)] = True
+    loaded = np.zeros((grid.n_elems, 4), dtype=bool)
+    loaded[tuple(np.array(list(bc.neumann), dtype=int).reshape(-1, 2).T)] = True
+    ends = grid.elem_nodes[elems[..., None], np.array(EDGE_LNODES)[ledges]]
+    return fixed[ends].all(axis=-1) & ~loaded[elems, ledges]
 
 
 def classify_nodes(grid, bc, void_mask=None):
@@ -154,7 +218,9 @@ def classify_nodes(grid, bc, void_mask=None):
     forces are negligible) but steer pole placement so the solid-void
     interfaces end up essentially traction-free. Raises EquilibrationError
     when a non-void element has three or more void edge-neighbours, which
-    the coarse freezing stage is required to have removed.
+    the coarse freezing stage is required to have removed, or when a node
+    sees two opposite void elements; raises GridError at a non-manifold
+    node. Returns a NodeClasses mapping.
     """
     if void_mask is None:
         void_mask = np.zeros(grid.n_elems, dtype=bool)
@@ -169,54 +235,37 @@ def classify_nodes(grid, bc, void_mask=None):
             f"have been voided by the coarse freezing stage"
         )
 
-    classes = {}
-    for n in np.flatnonzero(grid.node_active):
-        elements, edges, is_cycle = grid.node_fan(n)
-        if not elements:
-            continue
-        voids = [bool(void_mask[e]) for e in elements]
-        m = len(elements)
-        if is_cycle:
-            nv = sum(voids)
-            if nv == 0:
-                kind = "internal"
-            elif nv == 2 and not _voids_adjacent_cyclic(voids):
-                raise EquilibrationError(
-                    f"node {n}: two opposite void neighbours (checkerboard "
-                    f"pattern) cannot be split"
-                )
-            else:
-                kind = f"internal-void-adjacent-{nv}"
-            classes[n] = NodeClass(n, kind, elements, edges, True, voids)
-            continue
+    quads = grid.node_quadrants()
+    code = (quads >= 0) @ [1, 2, 4, 8]
+    nodes = np.flatnonzero(code)
+    code, quads = code[nodes], quads[nodes]
+    m = _FAN_SIZE[code]
+    rows = np.arange(len(nodes))
+    elements = np.where(np.arange(4) < m[:, None], quads[rows[:, None], _FAN_QUADS[code]], -1)
+    voids = void_mask[elements] & (elements >= 0)
+    ledges = _FAN_LEDGES[code]
+    # A chain's extreme edges: the first of its first element, the last
+    # (slot m) of its last element.
+    last = np.maximum(m - 1, 0)
+    extremes = _reaction_edges(grid, bc, np.stack([elements[:, 0], elements[rows, last]], axis=1),
+                               np.stack([ledges[:, 0], ledges[rows, m]], axis=1))
+    extremes &= (m < 4)[:, None]
+    nv = voids.sum(axis=1)
 
-        first_d = _edge_is_dirichlet(grid, bc, *edges[0])
-        last_d = _edge_is_dirichlet(grid, bc, *edges[-1])
-        d = int(first_d) + int(last_d)
-        if d == 0:
-            kind = {1: "neumann-outer-corner", 2: "neumann-standard"}.get(
-                m, "neumann-reentrant"
+    # Two void elements of a cycle that are not adjacent are opposite.
+    checkerboard = (m == 4) & (nv == 2) & (voids[:, 0] == voids[:, 2])
+    bad = np.flatnonzero((m == 0) | checkerboard)
+    if bad.size:
+        n = nodes[bad[0]]
+        if checkerboard[bad[0]]:
+            raise EquilibrationError(
+                f"node {n}: two opposite void neighbours (checkerboard "
+                f"pattern) cannot be split"
             )
-        elif m == 2 and d == 2:
-            kind = "dirichlet-standard"
-        elif m == 1 and d == 1:
-            kind = "dirichlet-outer-corner"
-        elif m == 1 and d == 2:
-            kind = "dirichlet-corner-clamped"
-        else:
-            kind = f"dirichlet-chain-{m}-{d}"
-        classes[n] = NodeClass(
-            n, kind, elements, edges, False, voids, (first_d, last_d)
-        )
-    return classes
+        raise GridError(f"non-manifold active region at node {n}")
 
-
-def _voids_adjacent_cyclic(voids):
-    m = len(voids)
-    for i in range(m):
-        if voids[i] and voids[(i + 1) % m]:
-            return True
-    return False
+    kind = np.where(m == 4, nv, 2 + 3 * m + extremes.sum(axis=1))
+    return NodeClasses(nodes, kind, m, elements, ledges, voids, extremes)
 
 
 def _void_aware_pole(vertices, voids, default):
@@ -371,7 +420,7 @@ class EdgeTractionField:
 
     tractions: np.ndarray
     side_forces: np.ndarray
-    classes: dict
+    classes: NodeClasses
     lambdas: dict
     report: EquilibrationReport = None
 
@@ -410,17 +459,16 @@ def equilibrate_all(grid, rho, material, bc, u, void_mask=None):
 
     # Nodes of one class share their fan size, reaction extremes and void
     # flags, so each class is split as one batch.
-    groups = {}
-    for n, c in classes.items():
-        groups.setdefault((c.is_cycle, len(c.elements), c.extreme_dirichlet, tuple(c.void_flags)),
-                          []).append(n)
+    key = classes.m + classes.extremes @ [8, 16] + classes.voids @ [32, 64, 128, 256]
+    order = np.argsort(key, kind="stable")
+    _, starts = np.unique(key[order], return_index=True)
     lam = np.zeros((grid.n_nodes, 2))
     failures = []
-    for nodes in groups.values():
+    for rows in np.split(order, starts[1:]):
         try:
-            lam[nodes] = _split_nodes(forces, side, [classes[n] for n in nodes])
+            lam[classes.nodes[rows]] = _split_nodes(forces, side, classes, rows)
         except EquilibrationError as exc:
-            failures.append((nodes[exc.row], exc))
+            failures.append((classes.nodes[rows[exc.row]], exc))
     if failures:
         n, exc = min(failures, key=lambda failure: failure[0])
         raise EquilibrationError(f"node {n} ({classes[n].kind}): {exc}") from exc
@@ -441,8 +489,8 @@ def equilibrate_all(grid, rho, material, bc, u, void_mask=None):
     return field_out
 
 
-def _split_nodes(forces, side, members):
-    """Split the corner forces of nodes of one class into side forces.
+def _split_nodes(forces, side, classes, rows):
+    """Split the corner forces of the given rows of one class into side forces.
 
     Returns the nodes' closure defects. The counter-clockwise fan fixes
     every slot: element c meets the node at the corner that starts its
@@ -452,24 +500,24 @@ def _split_nodes(forces, side, members):
     the prescribed end forces the boundary initialisation stored in `side`,
     which are taken off the nodal forces first.
     """
-    cls = members[0]
-    m = len(cls.elements)
-    elems = np.array([c.elements for c in members])
-    edges = np.array([[k for _, k in c.edges[:m]] for c in members])
+    m = classes.m[rows[0]]
+    voids = classes.voids[rows[0], :m].tolist()
+    elems = classes.elements[rows, :m]
+    edges = classes.ledges[rows, :m]
     follow = (edges + 3) % 4
     g = forces[elems, edges]
-    if cls.is_cycle:
-        pole = _pole(g, _vertices(g)[:, :m], cls.void_flags)
+    if m == 4:
+        pole = _pole(g, _vertices(g)[:, :m], voids)
         sides, lam = split_internal_node(g, pole)
         write_first = write_last = True
     else:
-        write_first, write_last = cls.extreme_dirichlet
+        write_first, write_last = classes.extremes[rows[0]].tolist()
         if not write_first:
             g[:, 0] -= side[elems[:, 0], edges[:, 0], 0]
         if not write_last:
             g[:, -1] -= side[elems[:, -1], follow[:, -1], 1]
         if write_first and write_last:
-            sides, _, lam = split_dirichlet_node(g, voids=cls.void_flags)
+            sides, _, lam = split_dirichlet_node(g, voids=voids)
         else:
             sides, _, lam = split_neumann_node(g, write_first, write_last)
 
@@ -491,13 +539,9 @@ def build_report(grid, field_in, force_scale):
     lambda_norms = np.zeros(grid.n_nodes)
     lambda_norms[list(field_in.lambdas)] = _norm(np.reshape(list(field_in.lambdas.values()),
                                                             (-1, 2)))
-    counts = {}
-    for cls in field_in.classes.values():
-        counts[cls.kind] = counts.get(cls.kind, 0) + 1
     moment_scale = force_scale * max(grid.hx, grid.hy)
-    return EquilibrationReport(
-        force_scale, moment_scale, net_force, net_moment, lambda_norms, counts
-    )
+    return EquilibrationReport(force_scale, moment_scale, net_force, net_moment, lambda_norms,
+                               field_in.classes.kind_counts())
 
 
 def action_reaction_residual(grid, field_in):
@@ -548,10 +592,31 @@ def stress_tractions(grid, rho, material, u):
 def dump_tractions_csv(grid, field_in, path):
     """Write per-edge traction endpoints as CSV for external inspection, with
     repr floats and CRLF line ends as the csv module writes them. The rows
-    are streamed, so no copy of the whole file is held in memory."""
+    are written in blocks of 1024 elements."""
+    act = grid.active_elems
     with open(path, "w", newline="") as fh:
         fh.write("element,edge,t_start_x,t_start_y,t_end_x,t_end_y\r\n")
-        fh.writelines(
-            f"{e},{k},{a!r},{b!r},{c!r},{d!r}\r\n"
-            for e in grid.active_elems.tolist()
-            for k, (a, b, c, d) in enumerate(field_in.tractions[e].reshape(4, 4).tolist()))
+        for start in range(0, act.size, 1024):
+            fh.write(_csv_rows(act[start : start + 1024], field_in.tractions))
+
+
+def _csv_rows(elems, tractions):
+    """The CSV rows of the given elements' edges as one string.
+
+    A shared edge carries its values on both sides with opposite signs, so
+    each distinct magnitude is formatted once and signed by table lookup;
+    repr writes a NaN without its sign.
+    """
+    t = tractions[elems].reshape(-1, 4, 4)
+    mag, inv = np.unique(np.abs(t), return_inverse=True)
+    text = [repr(v) for v in mag.tolist()]
+    text += ["-" + v for v in text]
+    signed = inv.reshape(t.shape) + mag.size * (np.signbit(t) & ~np.isnan(t))
+    # Per row: "element,", "edge,", then the four values with separators.
+    cells = np.empty(t.shape[:2] + (10,), dtype=object)
+    cells[:, :, 0] = np.array([f"{e}," for e in elems.tolist()], dtype=object)[:, None]
+    cells[:, :, 1] = ["0,", "1,", "2,", "3,"]
+    cells[:, :, 2::2] = np.array(text, dtype=object)[signed]
+    cells[:, :, 3:8:2] = ","
+    cells[:, :, 9] = "\r\n"
+    return "".join(cells.ravel().tolist())

@@ -26,6 +26,9 @@ EDGE_NORMALS = np.array([(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)])
 # Neighbouring element offset across each edge.
 EDGE_NEIGHBOR_OFFSETS = ((0, -1), (1, 0), (0, 1), (-1, 0))
 
+# Quadrant q (SE, NE, NW, SW) of node (jx, jy) holds element (jx + dx, jy + dy).
+QUAD_OFFSETS = ((0, -1), (0, 0), (-1, 0), (-1, -1))
+
 
 class GridError(ValueError):
     """Invalid grid configuration (bad dimensions, disconnected mask, ...)."""
@@ -164,6 +167,18 @@ class Grid:
             for e, edge in zip(self.active_elems[rows].tolist(), edges.tolist())
         ]
 
+    def node_quadrants(self):
+        """Per node, the active element in each quadrant (SE, NE, NW, SW), or -1.
+
+        Returns an (n_nodes, 4) array; ``node_fan`` orders a node's row.
+        """
+        ids = np.full((self.nx + 2, self.ny + 2), -1)
+        ids[1:-1, 1:-1] = np.where(self.active, np.arange(self.n_elems).reshape(self.nx, self.ny),
+                                   -1)
+        return np.stack(
+            [ids[1 + dx : 2 + dx + self.nx, 1 + dy : 2 + dy + self.ny].ravel()
+             for dx, dy in QUAD_OFFSETS], axis=-1)
+
     def node_fan(self, n):
         """Incident active elements and edges of node n in counter-clockwise order.
 
@@ -178,24 +193,17 @@ class Grid:
         Raises GridError for non-manifold nodes (two element arms meeting
         only at this node).
         """
-        jx, jy = self.node_index(n)
-        quads = [  # ccw starting south-east
-            (jx, jy - 1),  # SE
-            (jx, jy),  # NE
-            (jx - 1, jy),  # NW
-            (jx - 1, jy - 1),  # SW
-        ]
-        present = []
-        for ix, iy in quads:
-            if 0 <= ix < self.nx and 0 <= iy < self.ny and self.active[ix, iy]:
-                present.append(self.elem_id(ix, iy))
-            else:
-                present.append(-1)
-
-        return _fan_from_quads(self, n, present)
+        present = self.node_quadrants()[n].tolist()
+        fan = NODE_FANS[sum(1 << q for q in range(4) if present[q] >= 0)]
+        if fan is None:
+            raise GridError(f"non-manifold active region at node {n}")
+        quads, edges, is_cycle = fan
+        return [present[q] for q in quads], [(present[q], k) for q, k in edges], is_cycle
 
     def _check_connected(self):
         """The active region must be one edge-connected component."""
+        if self.active.all():
+            return
         seen = np.zeros((self.nx, self.ny), dtype=bool)
         start = tuple(np.argwhere(self.active)[0])
         stack = [start]
@@ -224,33 +232,28 @@ class Grid:
 _QUAD_EDGES = ((3, 2), (0, 3), (1, 0), (2, 1))
 
 
-def _fan_from_quads(grid, n, present):
-    """Order a node's incident elements into a ccw cycle or chain."""
-    m = sum(1 for e in present if e >= 0)
-    if m == 0:
-        return [], [], False
-    if m == 4:
-        elements = list(present)
-        edges = [(present[q], _QUAD_EDGES[q][0]) for q in range(4)]
-        return elements, edges, True
+def _fan_from_quads(present):
+    """Order the quadrants present at a node into a ccw cycle or chain.
 
-    # Chain: rotate so the run of present elements is contiguous and starts
-    # right after a gap. Non-contiguous runs mean a non-manifold node.
-    start = None
-    for q in range(4):
-        if present[q] >= 0 and present[q - 1] < 0:
-            if start is not None:
-                raise GridError(f"non-manifold active region at node {n}")
-            start = q
-    run = [(start + i) % 4 for i in range(m)]
-    if any(present[q] < 0 for q in run):
-        raise GridError(f"non-manifold active region at node {n}")
+    present holds one flag per quadrant (SE, NE, NW, SW). Returns the fan of
+    Grid.node_fan with quadrants in place of element ids, or None for a
+    non-manifold node.
+    """
+    m = sum(present)
+    # A chain is the one run of present quadrants, starting right after the
+    # gap; two runs meet only at the node.
+    starts = [q for q in range(4) if present[q] and not present[q - 1]]
+    if len(starts) > 1:
+        return None
+    run = tuple((starts[0] + i) % 4 for i in range(m)) if starts else tuple(range(m))
+    edges = tuple((q, _QUAD_EDGES[q][0]) for q in run)
+    if 0 < m < 4:
+        edges += ((run[-1], _QUAD_EDGES[run[-1]][1]),)
+    return run, edges, m == 4
 
-    elements = [present[q] for q in run]
-    edges = [(present[q], _QUAD_EDGES[q][0]) for q in run]
-    last = run[-1]
-    edges.append((present[last], _QUAD_EDGES[last][1]))
-    return elements, edges, False
+
+# Node fans by quadrant code, the sum of 1 << q over the quadrants present.
+NODE_FANS = tuple(_fan_from_quads([bool(code >> q & 1) for q in range(4)]) for code in range(16))
 
 
 @dataclass

@@ -17,6 +17,7 @@ all values from a named benchmark; any other keys then override it.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
 import hashlib
 import json
@@ -229,11 +230,15 @@ def load_mask_csv(path, nx, ny):
         raster = np.loadtxt(path, delimiter=",", dtype=float)
     except OSError as exc:
         raise ConfigError(f"grid.mask: cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"grid.mask: {path} is not a table of numbers: {exc}") from exc
     raster = np.atleast_2d(raster)
     if raster.shape != (ny, nx):
         raise ConfigError(
             f"grid.mask: {path} has shape {raster.shape}, expected {(ny, nx)}"
         )
+    if not np.isin(raster, (0.0, 1.0)).all():
+        raise ConfigError(f"grid.mask: {path} holds entries other than 0 and 1")
     return np.flipud(raster).T.astype(bool)
 
 
@@ -709,6 +714,16 @@ def _read_checkpoint(path, build, fingerprint):
     return result
 
 
+@contextlib.contextmanager
+def _timed(timings, key):
+    """Add the wall time of the block to timings[key]."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[key] += time.perf_counter() - t0
+
+
 def run_pipeline(config, skip_fine=False):
     """Execute a full run; returns the summary dict written to summary.json.
 
@@ -717,7 +732,10 @@ def run_pipeline(config, skip_fine=False):
     after a partial failure recompute only what is missing (identically, as
     the whole pipeline is deterministic); every other artifact is rewritten
     from the state in hand. With skip_fine=True the run stops after
-    writing the equilibration certificate (CLI `verify`).
+    writing the equilibration certificate (CLI `verify`). The summary's
+    `timings` split the wall time between the coarse stage loop, the
+    equilibration with its certificate, the fine farm (`run` only) and
+    artifact and checkpoint I/O.
     """
     config.validate()
     t0 = time.perf_counter()
@@ -731,36 +749,36 @@ def run_pipeline(config, skip_fine=False):
     bc = config.build_bc(grid)
 
     fingerprint = _fingerprint(config, grid)
+    timings = {"coarse_s": 0.0, "equilibrate_s": 0.0, "io_s": 0.0}
     coarse_ckpt = out / "coarse_state.npz"
-    result = _read_checkpoint(coarse_ckpt, _load_coarse_state, fingerprint)
+    with _timed(timings, "io_s"):
+        result = _read_checkpoint(coarse_ckpt, _load_coarse_state, fingerprint)
     if result is None:
-        result = coarse.stage_loop(
-            grid,
-            config.coarse_material(),
-            bc,
-            config.threshold_policy(),
-            r_min=config.coarse_r_min,
-            eps=config.coarse_eps,
-            max_inner=config.max_inner,
-            stage_cap=config.stage_cap,
-        )
-        _save_coarse_state(coarse_ckpt, result, fingerprint)
-    _write_coarse_artifacts(out, grid, result)
+        with _timed(timings, "coarse_s"):
+            result = coarse.stage_loop(
+                grid, config.coarse_material(), bc, config.threshold_policy(),
+                r_min=config.coarse_r_min, eps=config.coarse_eps,
+                max_inner=config.max_inner, stage_cap=config.stage_cap,
+            )
+        with _timed(timings, "io_s"):
+            _save_coarse_state(coarse_ckpt, result, fingerprint)
+    with _timed(timings, "io_s"):
+        _write_coarse_artifacts(out, grid, result)
     if not result.converged:
         raise PipelineError(
             f"coarse stage loop did not converge in {config.stage_cap} stages"
         )
 
-    void_mask = result.frozen == coarse.VOID
-    field_out = equilibrate.equilibrate_all(
-        grid, result.rho, config.coarse_material(), bc, result.solution.u,
-        void_mask=void_mask,
-    )
-    certificate = equilibrium_certificate(grid, field_out)
-    cert_path = out / "equilibrium_certificate.json"
-    with open(cert_path, "w") as fh:
-        json.dump(certificate, fh, indent=2, sort_keys=True)
-    equilibrate.dump_tractions_csv(grid, field_out, out / "tractions.csv")
+    with _timed(timings, "equilibrate_s"):
+        field_out = equilibrate.equilibrate_all(
+            grid, result.rho, config.coarse_material(), bc, result.solution.u,
+            void_mask=result.frozen == coarse.VOID,
+        )
+        certificate = equilibrium_certificate(grid, field_out)
+    with _timed(timings, "io_s"):
+        with open(out / "equilibrium_certificate.json", "w") as fh:
+            json.dump(certificate, fh, indent=2, sort_keys=True)
+        equilibrate.dump_tractions_csv(grid, field_out, out / "tractions.csv")
 
     summary = {
         "name": config.name,
@@ -775,6 +793,7 @@ def run_pipeline(config, skip_fine=False):
         ),
         "certificate": certificate,
         "blas_threads": fem.solve_blas_threads(),
+        "timings": timings,
     }
 
     if skip_fine:
@@ -783,33 +802,33 @@ def run_pipeline(config, skip_fine=False):
             json.dump(summary, fh, indent=2, sort_keys=True)
         return summary
 
+    timings["farm_s"] = 0.0
     cells_ckpt = out / "cells.npz"
-    batch = _read_checkpoint(cells_ckpt, _load_cells, fingerprint)
+    with _timed(timings, "io_s"):
+        batch = _read_checkpoint(cells_ckpt, _load_cells, fingerprint)
     if batch is None:
-        batch = fine.solve_all_cells(
-            grid,
-            result,
-            field_out,
-            n=config.fine_n,
-            material=config.fine_material(),
-            r_min=config.fine_r_min,
-            eps=config.fine_eps,
-            projection=config.projection_params(),
-            max_iter=config.fine_max_iter,
-            workers=config.workers,
-        )
+        with _timed(timings, "farm_s"):
+            batch = fine.solve_all_cells(
+                grid, result, field_out, n=config.fine_n,
+                material=config.fine_material(), r_min=config.fine_r_min,
+                eps=config.fine_eps, projection=config.projection_params(),
+                max_iter=config.fine_max_iter, workers=config.workers,
+            )
         if batch.failures:
             _write_cells_csv(out / "cells.csv", batch, result.rho)
             details = "; ".join(
                 f"cell {cell}: {msg}" for cell, msg in sorted(batch.failures.items())
             )
             raise PipelineError(f"fine farm failures: {details}")
-        _save_cells(cells_ckpt, batch, fingerprint)
-    flags = _write_cells_csv(out / "cells.csv", batch, result.rho)
+        with _timed(timings, "io_s"):
+            _save_cells(cells_ckpt, batch, fingerprint)
+    with _timed(timings, "io_s"):
+        flags = _write_cells_csv(out / "cells.csv", batch, result.rho)
 
     image = stitch(grid, batch)
-    render(image, "pgm", out / "highres.pgm")
-    render(image, "csv", out / "highres.csv")
+    with _timed(timings, "io_s"):
+        render(image, "pgm", out / "highres.pgm")
+        render(image, "csv", out / "highres.csv")
     metric = continuity_metric(image)
 
     summary.update(

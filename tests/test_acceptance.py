@@ -60,13 +60,15 @@ def ex1_field(ex1):
 
 
 def run_farm(ex1, traction_field, require_equilibrated=True):
+    # Two workers: a pooled farm is bitwise the serial one
+    # (test_fine.py::test_solve_all_cells_pool_matches_serial_bitwise).
     config = ex1["config"]
     return fine.solve_all_cells(
         ex1["grid"], ex1["result"], traction_field,
         n=config.fine_n, material=config.fine_material(),
         r_min=config.fine_r_min, eps=config.fine_eps,
         projection=config.projection_params(), max_iter=config.fine_max_iter,
-        require_equilibrated=require_equilibrated,
+        require_equilibrated=require_equilibrated, workers=2,
     )
 
 

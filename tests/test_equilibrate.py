@@ -456,6 +456,90 @@ def test_classify_rejects_three_void_neighbours_around_solid_corners():
         eq.classify_nodes(g, bc, voids)
 
 
+def _ref_classify_nodes(grid, bc, void_mask=None):
+    """classify_nodes one node at a time through Grid.node_fan, as a dict."""
+    if void_mask is None:
+        void_mask = np.zeros(grid.n_elems, dtype=bool)
+    void_mask = np.asarray(void_mask, dtype=bool).ravel()
+
+    def edge_is_dirichlet(elem, ledge):
+        if (elem, ledge) in bc.neumann:
+            return False
+        n1, n2 = grid.edge_nodes(elem, ledge)
+        return n1 in bc.dirichlet and n2 in bc.dirichlet
+
+    n_void = grid.count_neighbours(void_mask)
+    crowded = np.flatnonzero(grid.active.ravel(order="C") & ~void_mask & (n_void >= 3))
+    if crowded.size:
+        e = crowded[0]
+        raise eq.EquilibrationError(
+            f"element {e} has {n_void[e]} void edge-neighbours; it should "
+            f"have been voided by the coarse freezing stage"
+        )
+
+    classes = {}
+    for n in np.flatnonzero(grid.node_active):
+        elements, edges, is_cycle = grid.node_fan(n)
+        voids = [bool(void_mask[e]) for e in elements]
+        m = len(elements)
+        if is_cycle:
+            nv = sum(voids)
+            if nv == 0:
+                kind = "internal"
+            elif nv == 2 and not any(voids[i] and voids[(i + 1) % m] for i in range(m)):
+                raise eq.EquilibrationError(
+                    f"node {n}: two opposite void neighbours (checkerboard "
+                    f"pattern) cannot be split"
+                )
+            else:
+                kind = f"internal-void-adjacent-{nv}"
+            classes[n] = eq.NodeClass(n, kind, elements, edges, True, voids)
+            continue
+
+        first_d = edge_is_dirichlet(*edges[0])
+        last_d = edge_is_dirichlet(*edges[-1])
+        d = int(first_d) + int(last_d)
+        if d == 0:
+            kind = {1: "neumann-outer-corner", 2: "neumann-standard"}.get(m, "neumann-reentrant")
+        elif m == 2 and d == 2:
+            kind = "dirichlet-standard"
+        elif m == 1 and d == 1:
+            kind = "dirichlet-outer-corner"
+        elif m == 1 and d == 2:
+            kind = "dirichlet-corner-clamped"
+        else:
+            kind = f"dirichlet-chain-{m}-{d}"
+        classes[n] = eq.NodeClass(n, kind, elements, edges, False, voids, (first_d, last_d))
+    return classes
+
+
+def test_classify_nodes_matches_reference_at_reentrant_reactions():
+    # the reentrant node (2, 2) with both, one and none of its two notch
+    # edges clamped: dirichlet-chain-3-2, -3-1 and neumann-reentrant
+    active = np.ones((4, 4), dtype=bool)
+    active[2:, 2:] = False
+    g = Grid(4, 4, 1.0, 1.0, active=active)
+    kinds = []
+    for clamped in ([(2, 2), (3, 2), (2, 3)], [(2, 2), (3, 2)], [(2, 2)]):
+        bc = BoundaryConditions()
+        for jy in range(5):
+            bc.fix_node(g.node_id(0, jy))
+        for jx, jy in clamped:
+            bc.fix_node(g.node_id(jx, jy))
+        classes = eq.classify_nodes(g, bc)
+        assert dict(classes.items()) == _ref_classify_nodes(g, bc)
+        kinds.append(classes[g.node_id(2, 2)].kind)
+    assert kinds == ["dirichlet-chain-3-2", "dirichlet-chain-3-1", "neumann-reentrant"]
+
+
+def _classification(classify, g, bc, voids):
+    """classify's classes as a dict, or the type and message of its error."""
+    try:
+        return dict(classify(g, bc, voids).items())
+    except (GridError, eq.EquilibrationError) as exc:
+        return type(exc), str(exc)
+
+
 # --------------------------------------------------------------- full field
 
 
@@ -688,6 +772,34 @@ def clamped_masks(draw):
     hx, hy = draw(st.floats(0.2, 2.0)), draw(st.floats(0.2, 2.0))
     p = draw(st.sampled_from([1.0, 3.0]))
     return active, loads, voids & active.ravel(), rho, hx, hy, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(clamped_masks(), st.lists(st.integers(0, 10**4), max_size=8))
+def test_classify_nodes_matches_per_node_reference(case, fixed):
+    # Extra clamped nodes anywhere on the active region give chains with
+    # one or two reaction extremes next to the loaded ones.
+    active, loads, voids, _, hx, hy, _ = case
+    nx, ny = active.shape
+    g = Grid(nx, ny, hx, hy, active=active)
+    bc = BoundaryConditions()
+    for jy in range(ny + 1):
+        bc.fix_node(g.node_id(0, jy))
+    for k in fixed:
+        if g.node_active[k % g.n_nodes]:
+            bc.fix_node(k % g.n_nodes)
+    for iy, (tsx, tsy, tex, tey) in enumerate(loads):
+        ix = np.flatnonzero(active[:, iy])[-1]
+        bc.add_edge_traction(g.elem_id(ix, iy), 1, (tsx, tsy), (tex, tey))
+    classes = _classification(eq.classify_nodes, g, bc, voids)
+    reference = _classification(_ref_classify_nodes, g, bc, voids)
+    assert classes == reference
+    if isinstance(classes, dict):
+        assert list(classes) == list(reference)
+        counts = {}
+        for cls in reference.values():
+            counts[cls.kind] = counts.get(cls.kind, 0) + 1
+        assert eq.classify_nodes(g, bc, voids).kind_counts() == counts
 
 
 @settings(max_examples=200, deadline=None)
@@ -988,6 +1100,12 @@ def test_dump_tractions_csv_matches_csv_writer(tmp_path):
     holder.tractions = np.random.default_rng(2).normal(size=(g.n_elems, 4, 2, 2))
     holder.tractions[0, 0] = [[-0.0, 0.0], [1e-300, -2.5e17]]
     holder.tractions[1, 2] = [[np.inf, -np.inf], [3.0, 1 / 3]]
+    # a shared edge carries its values on both sides with opposite signs
+    holder.tractions[2, 3] = -holder.tractions[0, 1, ::-1]
+    holder.tractions[3, 1] = [[0.1, -0.1], [-0.1, 0.1]]
+    # repr prints a NaN with its sign bit set as nan
+    holder.tractions[4, 0] = [[np.copysign(np.nan, -1.0), np.nan], [-np.nan, 2.0]]
+    assert np.signbit(holder.tractions[4, 0, 0, 0])
     path = tmp_path / "tractions.csv"
     eq.dump_tractions_csv(g, holder, path)
 

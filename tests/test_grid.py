@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import ndimage
 
 from twolevel_topopt.grid import (
     EDGE_LNODES,
     EDGE_NORMALS,
+    NODE_FANS,
     BoundaryConditions,
     Grid,
     GridError,
@@ -208,6 +210,72 @@ def test_node_fans_are_consistent_chains_or_cycles(g):
             boundary = {(e, k) for e, k, _ in g.boundary_edges()}
             assert tuple(edges[0]) in boundary
             assert tuple(edges[-1]) in boundary
+
+
+def _ref_node_fan(g, n):
+    """node_fan by walking the four quadrants of one node: a cycle when all
+    four hold active elements, else the one contiguous run of them, which
+    starts right after a gap."""
+    jx, jy = g.node_index(n)
+    present = []
+    for ix, iy in ((jx, jy - 1), (jx, jy), (jx - 1, jy), (jx - 1, jy - 1)):  # SE NE NW SW
+        inside = 0 <= ix < g.nx and 0 <= iy < g.ny
+        present.append(g.elem_id(ix, iy) if inside and g.active[ix, iy] else -1)
+    quad_edges = ((3, 2), (0, 3), (1, 0), (2, 1))  # (preceding, following) per quadrant
+    m = sum(e >= 0 for e in present)
+    if m == 0:
+        return present, ([], [], False)
+    if m == 4:
+        return present, (present, [(present[q], quad_edges[q][0]) for q in range(4)], True)
+    starts = [q for q in range(4) if present[q] >= 0 and present[q - 1] < 0]
+    run = [(starts[0] + i) % 4 for i in range(m)]
+    if len(starts) > 1 or any(present[q] < 0 for q in run):
+        return present, None
+    edges = [(present[q], quad_edges[q][0]) for q in run]
+    edges.append((present[run[-1]], quad_edges[run[-1]][1]))
+    return present, ([present[q] for q in run], edges, False)
+
+
+@st.composite
+def masked_grids(draw):
+    """The component of element (0, 0) in a random mask, non-manifold
+    corner contacts included."""
+    nx = draw(st.integers(min_value=1, max_value=6))
+    ny = draw(st.integers(min_value=1, max_value=6))
+    bits = np.array(draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny)))
+    bits = bits.reshape(nx, ny)
+    bits[0, 0] = True
+    labels, _ = ndimage.label(bits)
+    return Grid(nx, ny, 0.5, 0.5, active=labels == labels[0, 0])
+
+
+def _assert_fans_match_reference(g):
+    quadrants = g.node_quadrants()
+    for n in range(g.n_nodes):
+        present, fan = _ref_node_fan(g, n)
+        assert quadrants[n].tolist() == present
+        code = sum(1 << q for q in range(4) if present[q] >= 0)
+        assert (NODE_FANS[code] is None) == (fan is None)
+        if fan is None:
+            with pytest.raises(GridError, match=f"^non-manifold active region at node {n}$"):
+                g.node_fan(n)
+        else:
+            assert g.node_fan(n) == fan
+
+
+def test_node_fan_matches_reference_at_a_non_manifold_node():
+    active = np.ones((3, 3), dtype=bool)
+    active[1, 1] = active[2, 2] = False  # elements (2, 1) and (1, 2) meet only at node (2, 2)
+    g = Grid(3, 3, 1.0, 1.0, active=active)
+    with pytest.raises(GridError, match="non-manifold"):
+        g.node_fan(g.node_id(2, 2))
+    _assert_fans_match_reference(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(masked_grids())
+def test_node_fan_matches_reference_on_random_masks(g):
+    _assert_fans_match_reference(g)
 
 
 def test_bc_validate_rejects_interior_neumann_edge():

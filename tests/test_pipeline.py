@@ -428,7 +428,9 @@ def test_cli_recomputes_truncated_checkpoint(tmp_path, capsys, command, checkpoi
     assert cli.main(args) == 0
     again = json.loads(capsys.readouterr().out)
     fresh.pop("wall_time_s")
+    fresh.pop("timings")
     again.pop("wall_time_s")
+    again.pop("timings")
     assert again == fresh
 
 
@@ -473,6 +475,39 @@ def test_cli_rejects_parameters_out_of_model_range(tmp_path, capsys, text):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("1,x,1,1\n1,1,1,1\n", "not a table of numbers"),  # a non-numeric entry
+        ("1,1,1,1\n1,1,1\n", "not a table of numbers"),  # a ragged row
+        ("1,2,1,1\n1,1,1,1\n", "other than 0 and 1"),
+    ],
+)
+def test_cli_rejects_bad_mask_file(tmp_path, capsys, rows, message):
+    mask = tmp_path / "mask.csv"
+    mask.write_text(rows)
+    path = tmp_path / "run.ini"
+    path.write_text(SMALL_RUN.replace("[grid]\n", f"[grid]\nmask = file:{mask}\n"))
+    args = ["verify", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+def test_summary_timings_split_the_wall_time(tmp_path, capsys, command):
+    path = tmp_path / "run.ini"
+    path.write_text(SMALL_RUN)
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    keys = {"coarse_s", "equilibrate_s", "io_s"} | ({"farm_s"} if command == "run" else set())
+    assert set(summary["timings"]) == keys
+    assert all(t > 0.0 for t in summary["timings"].values())
+    assert sum(summary["timings"].values()) <= summary["wall_time_s"]
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["timings"] == (
+        summary["timings"])
+
+
 @pytest.mark.parametrize("command", ["verify", "run"])
 def test_cli_rerun_with_another_config_recomputes(tmp_path, capsys, command):
     first, second = tmp_path / "first.ini", tmp_path / "second.ini"
@@ -488,6 +523,7 @@ def test_cli_rerun_with_another_config_recomputes(tmp_path, capsys, command):
         assert cli.main([command, "--config", str(second), "--out", str(out)]) == 0
         summary = json.loads(capsys.readouterr().out)
         summary.pop("wall_time_s")
+        summary.pop("timings")
         summaries.append(summary)
     assert abs(summaries[0]["coarse_volume_fraction"] - 0.3) < 1e-3
     assert summaries[0] == summaries[1]
@@ -511,6 +547,7 @@ def test_verify_rerun_after_mask_file_edit(tmp_path):
         config.out = str(tmp_path / out)
         summary = pipeline.run_pipeline(config, skip_fine=True)
         summary.pop("wall_time_s")
+        summary.pop("timings")
         summaries.append(summary)
     assert summaries[1]["certificate"]["elements"] == 7
     assert summaries[1] == summaries[2]
