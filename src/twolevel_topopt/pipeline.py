@@ -8,10 +8,10 @@ fingerprint of the config, so rerunning the same config after a partial
 failure only recomputes what is missing; everything is deterministic for a
 fixed config.
 
-Config files are INI-style (configparser) with sections [run], [grid],
-[material], [thresholds], [coarse], [fine], [projection], [loads] and
-[supports]; unknown sections or keys are rejected. `preset` in [run] seeds
-all values from a named benchmark; any other keys then override it.
+Config files are INI-style (configparser); each RunConfig field declares
+the section and key that set it, and unknown sections or keys are rejected.
+`preset` in [run] seeds all values from a named benchmark; any other keys
+then override it.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ import hashlib
 import json
 import logging
 import time
+import typing
 import zipfile
 import zlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,50 +45,86 @@ class PipelineError(RuntimeError):
     """A pipeline stage failed; partial artifacts are left for inspection."""
 
 
+def _split_rows(raw):
+    for lineno, line in enumerate(raw.strip().splitlines(), 1):
+        parts = line.split()
+        if parts:
+            yield lineno, parts
+
+
+def _parse_neumann(raw):
+    rows = []
+    casts = (int, int, int, float, float, float, float)
+    for lineno, parts in _split_rows(raw):
+        if len(parts) != len(casts):
+            raise ConfigError(f"loads.neumann row {lineno}: expected {len(casts)} fields")
+        try:
+            rows.append(tuple(cast(p) for cast, p in zip(casts, parts)))
+        except ValueError as exc:
+            raise ConfigError(f"loads.neumann row {lineno}: {exc}") from exc
+    return rows
+
+
+def _parse_dirichlet(raw):
+    rows = []
+    for lineno, parts in _split_rows(raw):
+        if len(parts) != 3 or parts[2] not in ("x", "y", "xy"):
+            raise ConfigError(f"supports.dirichlet row {lineno}: expected 'jx jy x|y|xy'")
+        rows.append((int(parts[0]), int(parts[1]), parts[2]))
+    return rows
+
+
+def _ini(section, default, key=None, parse=None):
+    """A RunConfig field set by `key` (the field name if None) of INI [section].
+
+    The raw value is cast by the field's annotated type, or by `parse`.
+    """
+    default = {"default_factory": list} if default == [] else {"default": default}
+    return field(metadata={"section": section, "key": key, "parse": parse}, **default)
+
+
 @dataclass
 class RunConfig:
-    """Fully validated inputs of one pipeline run."""
+    """Fully validated inputs of one pipeline run.
 
-    name: str = "custom"
-    # grid
-    nx: int = 32
-    ny: int = 16
-    hx: float = 0.0625
-    hy: float = 0.0625
-    mask: str = "none"  # none | upper-right-quadrant | file:<csv path>
-    # material
-    E: float = 1000.0
-    nu: float = 0.3
-    # thresholds / volume
-    rho0: float = 0.5
-    rho_bar_min: float = 0.12
-    rho_bar_max: float = 0.88
-    # coarse optimization
-    coarse_p: float = 1.0
-    coarse_r_min: float = 1.5
-    coarse_eps: float = 0.03
-    max_inner: int = 200
-    stage_cap: int = 50
-    # fine optimization
-    fine_n: int = 32
-    fine_p: float = 3.0
-    fine_r_min: float = 1.3
-    fine_eps: float = 0.01
-    fine_max_iter: int = 300
-    # projection schedule
-    beta0: float = 1.0
-    beta_max: float = 2.0
-    mu: float = 0.5
-    m_nd_min: float = 50.0
-    cadence: int = 2
-    # boundary conditions
-    load_preset: str = "shear-right"  # shear-right | none
-    neumann: list = field(default_factory=list)  # rows (ix, iy, ledge, tsx, tsy, tex, tey)
-    support_preset: str = "clamp-left"  # clamp-left | clamp-top | none
-    dirichlet: list = field(default_factory=list)  # rows (jx, jy, "x"|"y"|"xy")
-    # execution
-    out: str = "out"
-    workers: int = 1
+    The field metadata is the INI schema: parse_config and the checkpoint
+    fingerprint read it from here.
+    """
+
+    name: str = _ini("run", "custom")
+    nx: int = _ini("grid", 32)
+    ny: int = _ini("grid", 16)
+    hx: float = _ini("grid", 0.0625)
+    hy: float = _ini("grid", 0.0625)
+    mask: str = _ini("grid", "none")  # none | upper-right-quadrant | file:<csv path>
+    E: float = _ini("material", 1000.0, key="e")
+    nu: float = _ini("material", 0.3)
+    rho0: float = _ini("thresholds", 0.5)
+    rho_bar_min: float = _ini("thresholds", 0.12)
+    rho_bar_max: float = _ini("thresholds", 0.88)
+    coarse_p: float = _ini("coarse", 1.0, key="p")
+    coarse_r_min: float = _ini("coarse", 1.5, key="r_min")
+    coarse_eps: float = _ini("coarse", 0.03, key="eps")
+    max_inner: int = _ini("coarse", 200)
+    stage_cap: int = _ini("coarse", 50)
+    fine_n: int = _ini("fine", 32, key="n")
+    fine_p: float = _ini("fine", 3.0, key="p")
+    fine_r_min: float = _ini("fine", 1.3, key="r_min")
+    fine_eps: float = _ini("fine", 0.01, key="eps")
+    fine_max_iter: int = _ini("fine", 300, key="max_iter")
+    beta0: float = _ini("projection", 1.0)
+    beta_max: float = _ini("projection", 2.0)
+    mu: float = _ini("projection", 0.5)
+    m_nd_min: float = _ini("projection", 50.0)
+    cadence: int = _ini("projection", 2)
+    # shear-right | none, plus rows (ix, iy, ledge, tsx, tsy, tex, tey)
+    load_preset: str = _ini("loads", "shear-right", key="preset")
+    neumann: list = _ini("loads", [], parse=_parse_neumann)
+    # clamp-left | clamp-top | none, plus rows (jx, jy, "x"|"y"|"xy")
+    support_preset: str = _ini("supports", "clamp-left", key="preset")
+    dirichlet: list = _ini("supports", [], parse=_parse_dirichlet)
+    out: str = _ini("run", "out")
+    workers: int = _ini("run", 1)
 
     def validate(self):
         if self.nx < 1 or self.ny < 1:
@@ -288,67 +325,26 @@ def preset_config(name, **overrides):
 
 # -- config parsing --------------------------------------------------------
 
-_SECTION_FIELDS = {
-    "run": {"preset": None, "name": str, "out": str, "workers": int},
-    "grid": {"nx": int, "ny": int, "hx": float, "hy": float, "mask": str},
-    "material": {"e": float, "nu": float},
-    "thresholds": {"rho0": float, "rho_bar_min": float, "rho_bar_max": float},
-    "coarse": {"p": float, "r_min": float, "eps": float, "max_inner": int,
-               "stage_cap": int},
-    "fine": {"n": int, "p": float, "r_min": float, "eps": float, "max_iter": int},
-    "projection": {"beta0": float, "beta_max": float, "mu": float,
-                   "m_nd_min": float, "cadence": int},
-    "loads": {"preset": str, "neumann": None},
-    "supports": {"preset": str, "dirichlet": None},
-}
-
-_KEY_TO_FIELD = {
-    ("run", "name"): "name",
-    ("run", "out"): "out",
-    ("run", "workers"): "workers",
-    ("grid", "nx"): "nx",
-    ("grid", "ny"): "ny",
-    ("grid", "hx"): "hx",
-    ("grid", "hy"): "hy",
-    ("grid", "mask"): "mask",
-    ("material", "e"): "E",
-    ("material", "nu"): "nu",
-    ("thresholds", "rho0"): "rho0",
-    ("thresholds", "rho_bar_min"): "rho_bar_min",
-    ("thresholds", "rho_bar_max"): "rho_bar_max",
-    ("coarse", "p"): "coarse_p",
-    ("coarse", "r_min"): "coarse_r_min",
-    ("coarse", "eps"): "coarse_eps",
-    ("coarse", "max_inner"): "max_inner",
-    ("coarse", "stage_cap"): "stage_cap",
-    ("fine", "n"): "fine_n",
-    ("fine", "p"): "fine_p",
-    ("fine", "r_min"): "fine_r_min",
-    ("fine", "eps"): "fine_eps",
-    ("fine", "max_iter"): "fine_max_iter",
-    ("projection", "beta0"): "beta0",
-    ("projection", "beta_max"): "beta_max",
-    ("projection", "mu"): "mu",
-    ("projection", "m_nd_min"): "m_nd_min",
-    ("projection", "cadence"): "cadence",
-    ("loads", "preset"): "load_preset",
-    ("supports", "preset"): "support_preset",
-}
+# (section, key) -> RunConfig field: every INI key but [run] preset, which
+# names the preset that the other keys override.
+_INI_FIELDS = {(f.metadata["section"], f.metadata["key"] or f.name): f
+               for f in fields(RunConfig)}
 
 
 def parse_config(text):
     """Parse and validate an INI run configuration into a RunConfig."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
 
+    sections = {section for section, _ in _INI_FIELDS}
     for section in parser.sections():
-        if section not in _SECTION_FIELDS:
+        if section not in sections:
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser[section]:
-            if key not in _SECTION_FIELDS[section]:
+            if (section, key) not in _INI_FIELDS and (section, key) != ("run", "preset"):
                 raise ConfigError(f"unknown key {section}.{key}")
 
     if parser.has_option("run", "preset"):
@@ -356,52 +352,19 @@ def parse_config(text):
     else:
         config = RunConfig()
 
+    types = typing.get_type_hints(RunConfig)
     updates = {}
-    for (section, key), fname in _KEY_TO_FIELD.items():
+    for (section, key), f in _INI_FIELDS.items():
         if not parser.has_option(section, key):
             continue
         raw = parser.get(section, key)
-        caster = _SECTION_FIELDS[section][key]
         try:
-            updates[fname] = caster(raw)
+            updates[f.name] = (f.metadata["parse"] or types[f.name])(raw)
+        except ConfigError:
+            raise
         except ValueError as exc:
             raise ConfigError(f"{section}.{key}: bad value {raw!r}") from exc
-
-    if parser.has_option("loads", "neumann"):
-        updates["neumann"] = _parse_rows(
-            parser.get("loads", "neumann"), 7, "loads.neumann",
-            (int, int, int, float, float, float, float),
-        )
-    if parser.has_option("supports", "dirichlet"):
-        rows = []
-        for lineno, parts in _split_rows(parser.get("supports", "dirichlet")):
-            if len(parts) != 3 or parts[2] not in ("x", "y", "xy"):
-                raise ConfigError(
-                    f"supports.dirichlet row {lineno}: expected 'jx jy x|y|xy'"
-                )
-            rows.append((int(parts[0]), int(parts[1]), parts[2]))
-        updates["dirichlet"] = rows
-
     return replace(config, **updates).validate()
-
-
-def _split_rows(raw):
-    for lineno, line in enumerate(raw.strip().splitlines(), 1):
-        parts = line.split()
-        if parts:
-            yield lineno, parts
-
-
-def _parse_rows(raw, width, where, casters):
-    rows = []
-    for lineno, parts in _split_rows(raw):
-        if len(parts) != width:
-            raise ConfigError(f"{where} row {lineno}: expected {width} fields")
-        try:
-            rows.append(tuple(cast(p) for cast, p in zip(casters, parts)))
-        except ValueError as exc:
-            raise ConfigError(f"{where} row {lineno}: {exc}") from exc
-    return rows
 
 
 # -- stitched image and rendering -------------------------------------------
@@ -513,6 +476,17 @@ def field_raster(grid, values):
 
 # -- pipeline ---------------------------------------------------------------
 
+# A coarse history row: its keys and their types, in coarse_history.csv and
+# in the history array of coarse_state.npz.
+_HISTORY_COLUMNS = (("stage", int), ("iteration", int), ("compliance", float),
+                    ("volume_fraction", float), ("max_delta", float))
+
+# The arrays of cells.npz, one per FineCellResult field; all but rho are also
+# the leading columns of cells.csv.
+_CELL_ARRAYS = [f.name for f in fields(fine.FineCellResult) if f.name != "history"]
+_CELL_COLUMNS = [name for name in _CELL_ARRAYS if name != "rho"]
+
+
 def _write_coarse_artifacts(out, grid, result):
     # A previous run may have left more stages than this one has.
     for stale in out.glob("coarse_stage_*"):
@@ -524,108 +498,65 @@ def _write_coarse_artifacts(out, grid, result):
         write_csv_raster(base.with_suffix(".csv"), raster)
     with open(out / "coarse_history.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["stage", "iteration", "compliance", "volume_fraction", "max_delta"]
-        )
-        for row in result.history:
-            writer.writerow(
-                [row["stage"], row["iteration"], repr(row["compliance"]),
-                 repr(row["volume_fraction"]), repr(row["max_delta"])]
-            )
+        writer.writerow(name for name, _ in _HISTORY_COLUMNS)
+        writer.writerows([row[name] for name, _ in _HISTORY_COLUMNS] for row in result.history)
+
+
+def _write_checkpoint(path, **arrays):
+    """Save arrays as a compressed .npz, atomically: the archive is written
+    to a temporary file beside path, then renamed over it."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        # A file object, since numpy appends .npz to a name without it.
+        with open(tmp, "wb") as fh:
+            np.savez_compressed(fh, **arrays)
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _cast(value, annotation):
+    """A checkpoint value as its field's annotated type; arrays stay arrays."""
+    return value if annotation is np.ndarray else annotation(value)
+
+
+def _fields_from(cls, data, skip=()):
+    """The fields of cls, less skip, from the checkpoint arrays named after them."""
+    types = typing.get_type_hints(cls)
+    return {f.name: _cast(data[f.name], types[f.name]) for f in fields(cls)
+            if f.name not in skip}
 
 
 def _save_coarse_state(path, result, fingerprint):
-    history = np.array(
-        [
-            (r["stage"], r["iteration"], r["compliance"], r["volume_fraction"],
-             r["max_delta"])
-            for r in result.history
-        ],
-        dtype=float,
-    )
-    np.savez_compressed(
-        path,
-        fingerprint=fingerprint,
-        rho=result.rho,
-        frozen=result.frozen,
-        stages=result.stages,
-        converged=int(result.converged),
-        history=history,
-        stage_fields=np.array(result.stage_fields),
-        u=result.solution.u,
-        f=result.solution.f,
-        compliance=result.solution.compliance,
-        element_energy=result.solution.element_energy,
-    )
+    state = {f.name: getattr(result, f.name) for f in fields(result) if f.name != "solution"}
+    state["history"] = np.array(
+        [[row[name] for name, _ in _HISTORY_COLUMNS] for row in result.history], dtype=float)
+    solution = {f.name: getattr(result.solution, f.name) for f in fields(result.solution)}
+    _write_checkpoint(path, fingerprint=fingerprint, **state, **solution)
 
 
 def _load_coarse_state(data):
-    history = [
-        {
-            "stage": int(s),
-            "iteration": int(i),
-            "compliance": c,
-            "volume_fraction": v,
-            "max_delta": d,
-        }
-        for s, i, c, v, d in data["history"]
-    ]
-    solution = fem.FESolution(
-        u=data["u"],
-        f=data["f"],
-        compliance=float(data["compliance"]),
-        element_energy=data["element_energy"],
-    )
+    history = [{name: cast(v) for (name, cast), v in zip(_HISTORY_COLUMNS, row, strict=True)}
+               for row in data["history"]]
     return coarse.CoarseResult(
-        rho=data["rho"],
-        frozen=data["frozen"],
-        stages=int(data["stages"]),
-        converged=bool(data["converged"]),
-        history=history,
-        solution=solution,
-        stage_fields=list(data["stage_fields"]),
+        history=history, solution=fem.FESolution(**_fields_from(fem.FESolution, data)),
+        **_fields_from(coarse.CoarseResult, data, skip=("history", "solution")),
     )
-
-
-_KIND_CODES = {"frozen-solid": 0, "frozen-void": 1, "optimized": 2}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 
 def _save_cells(path, batch, fingerprint):
-    ids = sorted(batch.cells)
-    np.savez_compressed(
-        path,
-        fingerprint=fingerprint,
-        n=batch.n,
-        ids=np.array(ids, dtype=int),
-        rasters=np.array([batch.cells[i].rho for i in ids]),
-        kinds=np.array([_KIND_CODES[batch.cells[i].kind] for i in ids], dtype=int),
-        converged=np.array([batch.cells[i].converged for i in ids], dtype=bool),
-        iterations=np.array([batch.cells[i].iterations for i in ids], dtype=int),
-        m_nd=np.array([batch.cells[i].m_nd for i in ids]),
-        beta_final=np.array([batch.cells[i].beta_final for i in ids]),
-        compliance=np.array([batch.cells[i].compliance for i in ids]),
-        max_reaction=np.array([batch.cells[i].max_reaction for i in ids]),
-        reaction_scale=np.array([batch.cells[i].reaction_scale for i in ids]),
-    )
+    cells = [batch.cells[i] for i in sorted(batch.cells)]
+    columns = {name: [getattr(r, name) for r in cells] for name in _CELL_ARRAYS}
+    _write_checkpoint(path, fingerprint=fingerprint, n=batch.n, **columns)
 
 
 def _load_cells(data):
-    cells = {}
-    for row, cell in enumerate(data["ids"]):
-        cells[int(cell)] = fine.FineCellResult(
-            cell=int(cell),
-            rho=data["rasters"][row],
-            kind=_KIND_NAMES[int(data["kinds"][row])],
-            converged=bool(data["converged"][row]),
-            iterations=int(data["iterations"][row]),
-            m_nd=float(data["m_nd"][row]),
-            beta_final=float(data["beta_final"][row]),
-            compliance=float(data["compliance"][row]),
-            max_reaction=float(data["max_reaction"][row]),
-            reaction_scale=float(data["reaction_scale"][row]),
-        )
-    return fine.FineBatchResult(cells=cells, failures={}, n=int(data["n"]))
+    types = typing.get_type_hints(fine.FineCellResult)
+    columns = [[_cast(v, types[name]) for v in data[name]] for name in _CELL_ARRAYS]
+    cells = [fine.FineCellResult(**dict(zip(_CELL_ARRAYS, row)))
+             for row in zip(*columns, strict=True)]
+    return fine.FineBatchResult(cells={r.cell: r for r in cells}, failures={},
+                                n=int(data["n"]))
 
 
 def _write_cells_csv(path, batch, targets):
@@ -635,20 +566,15 @@ def _write_cells_csv(path, batch, targets):
     flags = {"cells_not_converged": 0, "cells_off_target": 0}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["cell", "kind", "converged", "iterations", "m_nd", "beta_final",
-             "compliance", "max_reaction", "reaction_scale", "target", "mean_density",
-             "stop_reason"]
-        )
+        writer.writerow([*_CELL_COLUMNS, "target", "mean_density", "stop_reason"])
         for cell, r in sorted(batch.cells.items()):
             target, mean = float(targets[cell]), float(r.rho.mean())
             flags["cells_not_converged"] += not r.converged
             flags["cells_off_target"] += abs(mean - target) > 1e-4
+            values = (getattr(r, name) for name in _CELL_COLUMNS)
             writer.writerow(
-                [cell, r.kind, int(r.converged), r.iterations, repr(r.m_nd),
-                 repr(r.beta_final), repr(r.compliance), repr(r.max_reaction),
-                 repr(r.reaction_scale), repr(target), repr(mean),
-                 "converged" if r.converged else "iteration-cap"]
+                [*(int(v) if isinstance(v, (bool, np.bool_)) else v for v in values),
+                 target, mean, "converged" if r.converged else "iteration-cap"]
             )
     return flags
 
@@ -676,13 +602,14 @@ def equilibrium_certificate(grid, field_out):
 def _fingerprint(config, grid):
     """Hash of every input that can change a result.
 
-    That is the config less its output directory, worker count and run
-    name, plus the activity mask the grid was built from, since a `file:`
-    mask can change under the same path.
+    That is the config less its [run] fields (output directory, worker
+    count and run name), plus the activity mask the grid was built from,
+    since a `file:` mask can change under the same path.
     """
     values = asdict(config)
-    for key in ("out", "workers", "name"):
-        del values[key]
+    for (section, _), f in _INI_FIELDS.items():
+        if section == "run":
+            del values[f.name]
     digest = hashlib.sha256(json.dumps(values, sort_keys=True).encode())
     digest.update(grid.active.tobytes())
     return digest.hexdigest()
@@ -743,7 +670,7 @@ def run_pipeline(config, skip_fine=False):
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise PipelineError(f"cannot create output directory {out}: {exc}") from exc
+        raise OSError(f"cannot create output directory {out}: {exc}") from exc
 
     grid = config.build_grid()
     bc = config.build_bc(grid)

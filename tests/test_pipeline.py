@@ -1,6 +1,10 @@
 """Config parsing, artifact formats, stitching and the end-to-end pipeline."""
 
+import configparser
 import json
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +110,7 @@ dirichlet =
         ("[run]\npreset = example9\n", "unknown preset"),
         ("[loads]\nneumann = 0 0 1 0\n", "expected 7 fields"),
         ("[supports]\ndirichlet = 0 0 z\n", "jx jy x|y|xy"),
+        ("[supports]\ndirichlet = a 0 xy\n", "supports.dirichlet: bad value"),
         ("[supports]\npreset = none\n", "no supports"),
         ("[grid]\nnx = 0\n", "positive"),
         ("[material]\nnu = 0.7\n", "nu out of range"),
@@ -118,6 +123,43 @@ def test_parse_config_rejects(text, fragment):
     with pytest.raises(pipeline.ConfigError) as err:
         pipeline.parse_config(text)
     assert fragment in str(err.value)
+
+
+def test_readme_ini_example_parses_and_sets_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    config = pipeline.parse_config(block)
+    assert (config.name, config.workers, config.mask) == ("my-run", 4, "none")
+    assert config.neumann == [(31, 0, 1, 0.0, -1.0, 0.0, -1.0)]
+    assert config.dirichlet == [(0, 0, "xy")]
+    # the example documents the whole schema derived from RunConfig
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.read_string(block)
+    keys = {(section, key) for section in parser.sections() for key in parser[section]}
+    assert keys == set(pipeline._INI_FIELDS) | {("run", "preset")}
+
+
+# A valid non-default INI value for every RunConfig field.
+NON_DEFAULT = {
+    "name": "other", "nx": "33", "ny": "17", "hx": "0.125", "hy": "0.25",
+    "mask": "upper-right-quadrant", "E": "2000.0", "nu": "0.25", "rho0": "0.4",
+    "rho_bar_min": "0.1", "rho_bar_max": "0.9", "coarse_p": "1.5", "coarse_r_min": "2.0",
+    "coarse_eps": "0.05", "max_inner": "20", "stage_cap": "5", "fine_n": "8",
+    "fine_p": "2.5", "fine_r_min": "1.5", "fine_eps": "0.02", "fine_max_iter": "40",
+    "beta0": "1.5", "beta_max": "3.0", "mu": "0.4", "m_nd_min": "40.0", "cadence": "3",
+    "load_preset": "none", "neumann": "0 0 1 0 -1 0 -1", "support_preset": "clamp-top",
+    "dirichlet": "0 0 xy", "out": "elsewhere", "workers": "2",
+}
+
+
+def test_parse_config_each_key_sets_only_its_field():
+    default = pipeline.RunConfig()
+    assert set(NON_DEFAULT) == {f.name for f in fields(pipeline.RunConfig)}
+    for (section, key), f in pipeline._INI_FIELDS.items():
+        config = pipeline.parse_config(f"[{section}]\n{key} = {NON_DEFAULT[f.name]}\n")
+        value, before = getattr(config, f.name), getattr(default, f.name)
+        assert value != before and type(value) is type(before), f.name
+        assert replace(config, **{f.name: before}) == default, f.name
 
 
 def test_preset_config_fields():
@@ -604,3 +646,109 @@ def test_verify_records_blas_threads(tmp_path):
     pipeline.run_pipeline(config, skip_fine=True)
     summary = json.loads((tmp_path / "verify" / "summary.json").read_text())
     assert summary["blas_threads"] == (1 if fem._openblas() else None)
+
+
+def test_cli_uncreatable_output_directory_is_an_io_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = ["verify", "--preset", "example1", "--out", str(blocker / "sub")]
+    assert cli.main(args) == cli.EXIT_IO
+    assert "I/O error: cannot create output directory" in capsys.readouterr().err
+
+
+# -------------------------------------------------------------- checkpoints
+
+
+def test_checkpoint_write_cut_short_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "state.npz"
+    pipeline._write_checkpoint(path, fingerprint="a", rho=np.arange(3.0))
+    before = path.read_bytes()
+
+    class Interrupt:
+        def __array__(self, dtype=None, copy=None):
+            raise KeyboardInterrupt
+
+    # rho is in the archive when the second array fails
+    with pytest.raises(KeyboardInterrupt):
+        pipeline._write_checkpoint(path, fingerprint="b", rho=np.arange(5.0), bad=Interrupt())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["state.npz"]
+
+
+def assert_same_fields(loaded, original, skip=()):
+    """Arrays bitwise equal with the same dtype; other values equal, same type."""
+    for f in fields(original):
+        if f.name in skip:
+            continue
+        back, value = getattr(loaded, f.name), getattr(original, f.name)
+        if isinstance(value, np.ndarray):
+            assert back.dtype == value.dtype and back.tobytes() == value.tobytes(), f.name
+        else:
+            assert back == value and type(back) is type(value), f.name
+
+
+def test_cells_checkpoint_round_trip(tmp_path):
+    rho = np.random.default_rng(5).uniform(1e-3, 1.0, size=16)
+    cells = {
+        2: fine.FineCellResult(2, rho, "optimized", converged=False, iterations=17,
+                               m_nd=12.5, beta_final=2.0, compliance=3.25e-3,
+                               max_reaction=1e-15, reaction_scale=1.5),
+        4: fine.FineCellResult(4, np.ones(16), "frozen-solid"),
+        9: fine.FineCellResult(9, np.full(16, 1e-3), "frozen-void"),
+    }
+    path = tmp_path / "cells.npz"
+    pipeline._save_cells(path, fine.FineBatchResult(cells=cells, failures={}, n=4), "fp")
+    loaded = pipeline._read_checkpoint(path, pipeline._load_cells, "fp")
+    assert (loaded.n, loaded.failures, list(loaded.cells)) == (4, {}, [2, 4, 9])
+    for cell, result in cells.items():
+        assert_same_fields(loaded.cells[cell], result)
+
+
+def test_coarse_checkpoint_round_trip(tmp_path):
+    rng = np.random.default_rng(6)
+    history = [{"stage": s, "iteration": i, "compliance": float(rng.uniform()),
+                "volume_fraction": 0.5, "max_delta": float(rng.uniform())}
+               for s, i in ((1, 1), (1, 2), (2, 1))]
+    solution = fem.FESolution(u=rng.normal(size=30), f=rng.normal(size=30),
+                              compliance=0.0123, element_energy=rng.uniform(size=8))
+    result = coarse.CoarseResult(
+        rho=rng.uniform(size=8), frozen=np.array([0, 1, 2, 0, 0, 1, 0, 0], dtype=np.int8),
+        stages=2, converged=True, history=history, solution=solution,
+        stage_fields=[rng.uniform(size=8), rng.uniform(size=8)],
+    )
+    path = tmp_path / "coarse_state.npz"
+    pipeline._save_coarse_state(path, result, "fp")
+    loaded = pipeline._read_checkpoint(path, pipeline._load_coarse_state, "fp")
+    assert_same_fields(loaded, result, skip=("history", "solution", "stage_fields"))
+    assert_same_fields(loaded.solution, solution)
+    assert loaded.history == history
+    assert [type(v) for row in loaded.history for v in row.values()] == [
+        type(v) for row in history for v in row.values()]
+    assert len(loaded.stage_fields) == 2
+    for back, stage in zip(loaded.stage_fields, result.stage_fields):
+        assert back.tobytes() == stage.tobytes()
+
+
+def test_cells_checkpoint_in_the_old_layout_is_recomputed(tmp_path, capsys, caplog):
+    # the layout before the arrays were named after the FineCellResult fields:
+    # ids, rasters and integer kind codes
+    path = tmp_path / "run.ini"
+    path.write_text(SMALL_RUN)
+    args = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(args) == 0
+    fresh = json.loads(capsys.readouterr().out)
+    ckpt = tmp_path / "out" / "cells.npz"
+    with np.load(ckpt) as data:
+        arrays = dict(data)
+    codes = {"frozen-solid": 0, "frozen-void": 1, "optimized": 2}
+    arrays.update(ids=arrays.pop("cell"), rasters=arrays.pop("rho"),
+                  kinds=np.array([codes[k] for k in arrays.pop("kind")]))
+    np.savez_compressed(ckpt, **arrays)
+    caplog.set_level("WARNING", logger="twolevel_topopt.pipeline")
+    assert cli.main(args) == 0
+    assert f"unreadable checkpoint {ckpt}" in caplog.text
+    again = json.loads(capsys.readouterr().out)
+    for summary in (fresh, again):
+        summary.pop("wall_time_s")
+        summary.pop("timings")
+    assert again == fresh
