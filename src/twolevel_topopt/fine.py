@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -324,35 +324,25 @@ def _solve_for_pool(problem):
 
 
 @fem.one_blas_thread()
-def solve_all_cells(
-    grid,
-    coarse_result,
-    traction_field,
-    n=32,
-    material=None,
-    r_min=1.3,
-    eps=0.01,
-    projection=None,
-    max_iter=300,
-    workers=None,
-    require_equilibrated=True,
-):
+def solve_all_cells(grid, coarse_result, traction_field, workers=None, **settings):
     """Fine-solve every active coarse cell; frozen cells are filled directly.
 
-    Frozen-solid cells become all-ones rasters and frozen-void cells
-    all-rho_min rasters without any FE work. Unfrozen cells are independent
-    and are farmed out to a process pool when workers > 1. Per-cell failures
-    are collected into the result instead of aborting the batch.
+    settings are FineCellProblem fields shared by every cell (n, material,
+    r_min, eps, projection, max_iter, require_equilibrated); the rest keep
+    the FineCellProblem defaults. Frozen-solid cells become all-ones rasters
+    and frozen-void cells all-rho_min rasters without any FE work. Unfrozen
+    cells are independent and are farmed out to a process pool when
+    workers > 1. Per-cell failures are collected into the result instead of
+    aborting the batch.
     """
-    if material is None:
-        material = fem.MaterialModel(E=1000.0, nu=0.3, p=3.0)
-    projection = projection or ProjectionParams()
+    template = FineCellProblem(cell=-1, target=0.0, tractions=None, hx=grid.hx, hy=grid.hy,
+                               **settings)
+    n, rho_min = template.n, template.material.rho_min
     # Accept either an EdgeTractionField or a bare (n_elems, 4, 2, 2) array.
     tractions = getattr(traction_field, "tractions", traction_field)
 
     problems = []
     results = {}
-    rho_min = material.rho_min
     for e in grid.active_elems:
         state = coarse_result.frozen[e]
         if state == coarse.SOLID:
@@ -360,22 +350,8 @@ def solve_all_cells(
         elif state == coarse.VOID:
             results[e] = FineCellResult(e, np.full(n * n, rho_min), "frozen-void")
         else:
-            problems.append(
-                FineCellProblem(
-                    cell=int(e),
-                    target=float(coarse_result.rho[e]),
-                    tractions=np.array(tractions[e]),
-                    hx=grid.hx,
-                    hy=grid.hy,
-                    n=n,
-                    material=material,
-                    r_min=r_min,
-                    eps=eps,
-                    projection=projection,
-                    max_iter=max_iter,
-                    require_equilibrated=require_equilibrated,
-                )
-            )
+            problems.append(replace(template, cell=int(e), target=float(coarse_result.rho[e]),
+                                    tractions=np.array(tractions[e])))
 
     failures = {}
     if workers and workers > 1 and len(problems) > 1:

@@ -300,11 +300,7 @@ class BoundaryConditions:
         for node, (mask, _) in self.dirichlet.items():
             if node in loaded_nodes and mask.all():
                 # A fully fixed node may not also carry Neumann data.
-                for (e, k) in self.neumann:
-                    if node in grid.edge_nodes(e, k):
-                        raise GridError(
-                            f"node {node} has both Dirichlet and Neumann data"
-                        )
+                raise GridError(f"node {node} has both Dirichlet and Neumann data")
 
     def constrained_dofs(self, grid):
         """Sorted array of constrained global dof indices."""

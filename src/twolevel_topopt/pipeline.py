@@ -19,6 +19,7 @@ from __future__ import annotations
 import configparser
 import contextlib
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -72,140 +73,6 @@ def _parse_dirichlet(raw):
             raise ConfigError(f"supports.dirichlet row {lineno}: expected 'jx jy x|y|xy'")
         rows.append((int(parts[0]), int(parts[1]), parts[2]))
     return rows
-
-
-def _ini(section, default, key=None, parse=None):
-    """A RunConfig field set by `key` (the field name if None) of INI [section].
-
-    The raw value is cast by the field's annotated type, or by `parse`.
-    """
-    default = {"default_factory": list} if default == [] else {"default": default}
-    return field(metadata={"section": section, "key": key, "parse": parse}, **default)
-
-
-@dataclass
-class RunConfig:
-    """Fully validated inputs of one pipeline run.
-
-    The field metadata is the INI schema: parse_config and the checkpoint
-    fingerprint read it from here.
-    """
-
-    name: str = _ini("run", "custom")
-    nx: int = _ini("grid", 32)
-    ny: int = _ini("grid", 16)
-    hx: float = _ini("grid", 0.0625)
-    hy: float = _ini("grid", 0.0625)
-    mask: str = _ini("grid", "none")  # none | upper-right-quadrant | file:<csv path>
-    E: float = _ini("material", 1000.0, key="e")
-    nu: float = _ini("material", 0.3)
-    rho0: float = _ini("thresholds", 0.5)
-    rho_bar_min: float = _ini("thresholds", 0.12)
-    rho_bar_max: float = _ini("thresholds", 0.88)
-    coarse_p: float = _ini("coarse", 1.0, key="p")
-    coarse_r_min: float = _ini("coarse", 1.5, key="r_min")
-    coarse_eps: float = _ini("coarse", 0.03, key="eps")
-    max_inner: int = _ini("coarse", 200)
-    stage_cap: int = _ini("coarse", 50)
-    fine_n: int = _ini("fine", 32, key="n")
-    fine_p: float = _ini("fine", 3.0, key="p")
-    fine_r_min: float = _ini("fine", 1.3, key="r_min")
-    fine_eps: float = _ini("fine", 0.01, key="eps")
-    fine_max_iter: int = _ini("fine", 300, key="max_iter")
-    beta0: float = _ini("projection", 1.0)
-    beta_max: float = _ini("projection", 2.0)
-    mu: float = _ini("projection", 0.5)
-    m_nd_min: float = _ini("projection", 50.0)
-    cadence: int = _ini("projection", 2)
-    # shear-right | none, plus rows (ix, iy, ledge, tsx, tsy, tex, tey)
-    load_preset: str = _ini("loads", "shear-right", key="preset")
-    neumann: list = _ini("loads", [], parse=_parse_neumann)
-    # clamp-left | clamp-top | none, plus rows (jx, jy, "x"|"y"|"xy")
-    support_preset: str = _ini("supports", "clamp-left", key="preset")
-    dirichlet: list = _ini("supports", [], parse=_parse_dirichlet)
-    out: str = _ini("run", "out")
-    workers: int = _ini("run", 1)
-
-    def validate(self):
-        if self.nx < 1 or self.ny < 1:
-            raise ConfigError(f"grid.nx/ny must be positive, got {self.nx}x{self.ny}")
-        if self.hx <= 0 or self.hy <= 0:
-            raise ConfigError("grid.hx/hy must be positive")
-        if self.mask not in ("none", "upper-right-quadrant") and not self.mask.startswith(
-            "file:"
-        ):
-            raise ConfigError(f"grid.mask: unknown mask spec {self.mask!r}")
-        # Material, thresholds and projection are range-checked where they
-        # are defined.
-        try:
-            material = self.coarse_material()
-            self.fine_material()
-            self.threshold_policy().validate(material.rho_min)
-            self.projection_params()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        for key in ("coarse_r_min", "coarse_eps", "fine_r_min", "fine_eps", "beta_max",
-                    "m_nd_min"):
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"{key} must be positive")
-        if self.fine_n < 2:
-            raise ConfigError("fine.n >= 2 required")
-        if self.max_inner < 1 or self.stage_cap < 1 or self.fine_max_iter < 1:
-            raise ConfigError("iteration caps must be positive")
-        if self.load_preset not in ("shear-right", "none"):
-            raise ConfigError(f"loads.preset: unknown preset {self.load_preset!r}")
-        if self.support_preset not in ("clamp-left", "clamp-top", "none"):
-            raise ConfigError(
-                f"supports.preset: unknown preset {self.support_preset!r}"
-            )
-        if self.workers < 0:
-            raise ConfigError("run.workers must be >= 0")
-        if self.support_preset == "none" and not self.dirichlet:
-            raise ConfigError("no supports: set supports.preset or supports.dirichlet")
-        return self
-
-    # -- factories ---------------------------------------------------------
-
-    def build_grid(self):
-        if self.mask == "none":
-            active = None
-        elif self.mask == "upper-right-quadrant":
-            active = np.ones((self.nx, self.ny), dtype=bool)
-            active[self.nx // 2 :, self.ny // 2 :] = False
-        else:
-            active = load_mask_csv(self.mask[len("file:") :], self.nx, self.ny)
-        return Grid(self.nx, self.ny, self.hx, self.hy, active=active)
-
-    def build_bc(self, grid):
-        bc = BoundaryConditions()
-        if self.support_preset == "clamp-left":
-            _clamp_line(grid, bc, axis="x", value=0)
-        elif self.support_preset == "clamp-top":
-            _clamp_line(grid, bc, axis="y", value=grid.ny)
-        for jx, jy, comps in self.dirichlet:
-            node = grid.node_id(int(jx), int(jy))
-            bc.fix_node(node, mask=("x" in comps, "y" in comps))
-        if self.load_preset == "shear-right":
-            apply_parabolic_edge_shear(grid, bc)
-        for ix, iy, ledge, tsx, tsy, tex, tey in self.neumann:
-            elem = grid.elem_id(int(ix), int(iy))
-            bc.add_edge_traction(elem, int(ledge), (tsx, tsy), (tex, tey))
-        bc.validate(grid)
-        return bc
-
-    def coarse_material(self):
-        return fem.MaterialModel(E=self.E, nu=self.nu, p=self.coarse_p)
-
-    def fine_material(self):
-        return fem.MaterialModel(E=self.E, nu=self.nu, p=self.fine_p)
-
-    def threshold_policy(self):
-        return coarse.ThresholdPolicy(self.rho_bar_min, self.rho_bar_max, self.rho0)
-
-    def projection_params(self):
-        return fine.ProjectionParams(
-            self.beta0, self.beta_max, self.mu, self.m_nd_min, self.cadence
-        )
 
 
 def _clamp_line(grid, bc, axis, value):
@@ -279,11 +146,156 @@ def load_mask_csv(path, nx, ny):
     return np.flipud(raster).T.astype(bool)
 
 
+# Name -> builder of each preset: the activity mask of an nx x ny grid (None
+# when every cell is active), or the supports or loads a preset adds to bc.
+MASKS = {
+    "none": lambda nx, ny: None,
+    "upper-right-quadrant": lambda nx, ny: np.logical_or.outer(np.arange(nx) < nx // 2,
+                                                               np.arange(ny) < ny // 2),
+}
+SUPPORT_PRESETS = {
+    "clamp-left": lambda grid, bc: _clamp_line(grid, bc, axis="x", value=0),
+    "clamp-top": lambda grid, bc: _clamp_line(grid, bc, axis="y", value=grid.ny),
+    "none": lambda grid, bc: None,
+}
+LOAD_PRESETS = {"shear-right": apply_parabolic_edge_shear, "none": lambda grid, bc: None}
+
+
+def _mask_builder(spec):
+    """The builder of mask spec `spec` (a MASKS name or file:<csv path>), or None."""
+    if spec.startswith("file:"):
+        return functools.partial(load_mask_csv, spec[len("file:") :])
+    return MASKS.get(spec)
+
+
+# Field rules: each returns what is wrong with a value, or None.
+
+def _positive(value):
+    return None if value > 0 else f"must be positive, got {value!r}"
+
+
+def _at_least(low):
+    return lambda value: None if value >= low else f"must be at least {low}, got {value!r}"
+
+
+def _known(lookup, what):
+    """Rule: a name that `lookup` maps to its builder."""
+    return lambda name: None if lookup(name) else f"unknown {what} {name!r}"
+
+
+def _ini(section, default, key=None, parse=None, rule=None):
+    """A RunConfig field set by `key` (the field name if None) of INI [section].
+
+    The raw value is cast by the field's annotated type, or by `parse`, and
+    validate() checks the value by `rule`.
+    """
+    default = {"default_factory": list} if default == [] else {"default": default}
+    return field(metadata={"section": section, "key": key, "parse": parse, "rule": rule},
+                 **default)
+
+
+@dataclass
+class RunConfig:
+    """Fully validated inputs of one pipeline run.
+
+    The field metadata is the INI schema: parse_config, validate and the
+    checkpoint fingerprint read it from here.
+    """
+
+    name: str = _ini("run", "custom")
+    nx: int = _ini("grid", 32, rule=_positive)
+    ny: int = _ini("grid", 16, rule=_positive)
+    hx: float = _ini("grid", 0.0625, rule=_positive)
+    hy: float = _ini("grid", 0.0625, rule=_positive)
+    mask: str = _ini("grid", "none", rule=_known(_mask_builder, "mask spec"))
+    E: float = _ini("material", 1000.0, key="e")
+    nu: float = _ini("material", 0.3)
+    rho0: float = _ini("thresholds", coarse.ThresholdPolicy.rho0)
+    rho_bar_min: float = _ini("thresholds", coarse.ThresholdPolicy.rho_bar_min)
+    rho_bar_max: float = _ini("thresholds", coarse.ThresholdPolicy.rho_bar_max)
+    coarse_p: float = _ini("coarse", 1.0, key="p")
+    coarse_r_min: float = _ini("coarse", 1.5, key="r_min", rule=_positive)
+    coarse_eps: float = _ini("coarse", 0.03, key="eps", rule=_positive)
+    max_inner: int = _ini("coarse", 200, rule=_at_least(1))
+    stage_cap: int = _ini("coarse", 50, rule=_at_least(1))
+    fine_n: int = _ini("fine", fine.FineCellProblem.n, key="n", rule=_at_least(2))
+    fine_p: float = _ini("fine", 3.0, key="p")
+    fine_r_min: float = _ini("fine", fine.FineCellProblem.r_min, key="r_min", rule=_positive)
+    fine_eps: float = _ini("fine", fine.FineCellProblem.eps, key="eps", rule=_positive)
+    fine_max_iter: int = _ini("fine", fine.FineCellProblem.max_iter, key="max_iter",
+                              rule=_at_least(1))
+    beta0: float = _ini("projection", fine.ProjectionParams.beta0)
+    beta_max: float = _ini("projection", fine.ProjectionParams.beta_max, rule=_positive)
+    mu: float = _ini("projection", fine.ProjectionParams.mu)
+    m_nd_min: float = _ini("projection", fine.ProjectionParams.m_nd_min, rule=_positive)
+    cadence: int = _ini("projection", fine.ProjectionParams.cadence)
+    # plus rows (ix, iy, ledge, tsx, tsy, tex, tey)
+    load_preset: str = _ini("loads", "shear-right", key="preset",
+                            rule=_known(LOAD_PRESETS.get, "preset"))
+    neumann: list = _ini("loads", [], parse=_parse_neumann)
+    # plus rows (jx, jy, "x"|"y"|"xy")
+    support_preset: str = _ini("supports", "clamp-left", key="preset",
+                               rule=_known(SUPPORT_PRESETS.get, "preset"))
+    dirichlet: list = _ini("supports", [], parse=_parse_dirichlet)
+    out: str = _ini("run", "out")
+    workers: int = _ini("run", 1, rule=_at_least(0))
+
+    def validate(self):
+        for (section, key), f in _INI_FIELDS.items():
+            rule = f.metadata["rule"]
+            if rule and (error := rule(getattr(self, f.name))):
+                raise ConfigError(f"{section}.{key}: {error}")
+        # Material, thresholds and projection are range-checked where they
+        # are defined.
+        try:
+            material = self.coarse_material()
+            self.fine_material()
+            self.threshold_policy().validate(material.rho_min)
+            self.projection_params()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.support_preset == "none" and not self.dirichlet:
+            raise ConfigError("supports.preset: no supports; set a preset or dirichlet rows")
+        return self
+
+    # -- factories ---------------------------------------------------------
+
+    def build_grid(self):
+        active = _mask_builder(self.mask)(self.nx, self.ny)
+        return Grid(self.nx, self.ny, self.hx, self.hy, active=active)
+
+    def build_bc(self, grid):
+        bc = BoundaryConditions()
+        SUPPORT_PRESETS[self.support_preset](grid, bc)
+        for jx, jy, comps in self.dirichlet:
+            node = grid.node_id(int(jx), int(jy))
+            bc.fix_node(node, mask=("x" in comps, "y" in comps))
+        LOAD_PRESETS[self.load_preset](grid, bc)
+        for ix, iy, ledge, tsx, tsy, tex, tey in self.neumann:
+            elem = grid.elem_id(int(ix), int(iy))
+            bc.add_edge_traction(elem, int(ledge), (tsx, tsy), (tex, tey))
+        bc.validate(grid)
+        return bc
+
+    def coarse_material(self):
+        return fem.MaterialModel(E=self.E, nu=self.nu, p=self.coarse_p)
+
+    def fine_material(self):
+        return fem.MaterialModel(E=self.E, nu=self.nu, p=self.fine_p)
+
+    def threshold_policy(self):
+        return coarse.ThresholdPolicy(self.rho_bar_min, self.rho_bar_max, self.rho0)
+
+    def projection_params(self):
+        return fine.ProjectionParams(
+            self.beta0, self.beta_max, self.mu, self.m_nd_min, self.cadence
+        )
+
+
 # -- presets ---------------------------------------------------------------
 
 PRESETS = {
     "example1": dict(
-        name="example1",
         nx=32,
         ny=16,
         hx=2.0 / 32.0,
@@ -295,7 +307,6 @@ PRESETS = {
         m_nd_min=50.0,
     ),
     "example2": dict(
-        name="example2",
         nx=32,
         ny=32,
         hx=10.0 / 32.0,
@@ -318,7 +329,7 @@ def preset_config(name, **overrides):
     """RunConfig for a named benchmark, with optional field overrides."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
-    params = dict(PRESETS[name])
+    params = dict(PRESETS[name], name=name)
     params.update(overrides)
     return RunConfig(**params).validate()
 
@@ -562,7 +573,8 @@ def _load_cells(data):
 def _write_cells_csv(path, batch, targets):
     """Write cells.csv; returns the counts of cells stopped by the iteration
     cap and of cells whose mean density misses the target, their coarse
-    density, by more than 1e-4."""
+    density, by more than 1e-4. A cell's stop reason is `frozen`,
+    `converged` or `iteration-cap`."""
     flags = {"cells_not_converged": 0, "cells_off_target": 0}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -574,7 +586,8 @@ def _write_cells_csv(path, batch, targets):
             values = (getattr(r, name) for name in _CELL_COLUMNS)
             writer.writerow(
                 [*(int(v) if isinstance(v, (bool, np.bool_)) else v for v in values),
-                 target, mean, "converged" if r.converged else "iteration-cap"]
+                 target, mean, "frozen" if r.kind != "optimized"
+                 else "converged" if r.converged else "iteration-cap"]
             )
     return flags
 
@@ -661,8 +674,8 @@ def run_pipeline(config, skip_fine=False):
     from the state in hand. With skip_fine=True the run stops after
     writing the equilibration certificate (CLI `verify`). The summary's
     `timings` split the wall time between the coarse stage loop, the
-    equilibration with its certificate, the fine farm (`run` only) and
-    artifact and checkpoint I/O.
+    equilibration with its certificate, the fine farm and the stitch with
+    its continuity metric (`run` only), and artifact and checkpoint I/O.
     """
     config.validate()
     t0 = time.perf_counter()
@@ -729,7 +742,7 @@ def run_pipeline(config, skip_fine=False):
             json.dump(summary, fh, indent=2, sort_keys=True)
         return summary
 
-    timings["farm_s"] = 0.0
+    timings.update(farm_s=0.0, stitch_s=0.0)
     cells_ckpt = out / "cells.npz"
     with _timed(timings, "io_s"):
         batch = _read_checkpoint(cells_ckpt, _load_cells, fingerprint)
@@ -752,29 +765,28 @@ def run_pipeline(config, skip_fine=False):
     with _timed(timings, "io_s"):
         flags = _write_cells_csv(out / "cells.csv", batch, result.rho)
 
-    image = stitch(grid, batch)
+    with _timed(timings, "stitch_s"):
+        image = stitch(grid, batch)
+        metric = continuity_metric(image)
     with _timed(timings, "io_s"):
         render(image, "pgm", out / "highres.pgm")
         render(image, "csv", out / "highres.csv")
-    metric = continuity_metric(image)
 
+    optimized = [r for r in batch.cells.values() if r.kind == "optimized"]
+    iterations = [r.iterations for r in optimized] or [0]
     summary.update(
         {
             "cells_optimized": batch.n_optimized,
             "cells_total": len(batch.cells),
+            "cell_iterations_median": float(np.median(iterations)),
+            "cell_iterations_max": max(iterations),
             "fine_resolution": config.fine_n,
             "image_size": [image.width, image.height],
             "continuity_mean": metric["mean"],
             "continuity_max": metric["max"],
             "continuity_boundaries": metric["count"],
-            "max_cell_reaction_rel": max(
-                (
-                    r.max_reaction / r.reaction_scale
-                    for r in batch.cells.values()
-                    if r.kind == "optimized" and r.reaction_scale > 0
-                ),
-                default=0.0,
-            ),
+            "max_cell_reaction_rel": max((r.max_reaction / r.reaction_scale for r in optimized
+                                          if r.reaction_scale > 0), default=0.0),
             **flags,
         }
     )

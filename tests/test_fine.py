@@ -416,6 +416,25 @@ def test_solve_all_cells_collects_failures():
     assert batch.n_optimized == 0
 
 
+def test_solve_all_cells_takes_fine_cell_settings():
+    g = Grid(2, 1, 1.0, 1.0)
+    cres = coarse.CoarseResult(
+        rho=np.array([0.01, 1.0]), frozen=np.array([coarse.VOID, coarse.SOLID], dtype=np.int8),
+        stages=1, converged=True, history=[], solution=None,
+    )
+    tractions = np.zeros((g.n_elems, 4, 2, 2))
+    # frozen rasters take their size and void density from the settings
+    material = fem.MaterialModel(E=1000.0, nu=0.3, p=3.0, rho_min=0.01)
+    batch = fine.solve_all_cells(g, cres, tractions, n=5, material=material)
+    assert batch.n == 5
+    assert np.array_equal(batch.cells[0].rho, np.full(25, 0.01))
+    assert np.array_equal(batch.cells[1].rho, np.ones(25))
+    default = fine.solve_all_cells(g, cres, tractions)
+    assert default.n == fine.FineCellProblem.n
+    with pytest.raises(TypeError):
+        fine.solve_all_cells(g, cres, tractions, beta=2.0)
+
+
 def test_solve_all_cells_pool_matches_serial_bitwise():
     from twolevel_topopt import equilibrate as eq
 

@@ -310,7 +310,7 @@ def test_bc_validate_rejects_fully_fixed_loaded_node():
     for jy in range(3):
         bc.fix_node(g.node_id(0, jy))
     bc.add_edge_traction(g.elem_id(0, 0), 3, (1, 0), (1, 0))
-    with pytest.raises(GridError):
+    with pytest.raises(GridError, match="node 0 has both Dirichlet and Neumann data"):
         bc.validate(g)
 
 

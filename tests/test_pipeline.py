@@ -125,6 +125,45 @@ def test_parse_config_rejects(text, fragment):
     assert fragment in str(err.value)
 
 
+# An out-of-range INI value for every RunConfig field that has a rule.
+OUT_OF_RANGE = {
+    "nx": "0", "ny": "0", "hx": "0", "hy": "-0.5", "mask": "blob",
+    "coarse_r_min": "0", "coarse_eps": "0", "max_inner": "0", "stage_cap": "0",
+    "fine_n": "1", "fine_r_min": "0", "fine_eps": "-0.01", "fine_max_iter": "0",
+    "beta_max": "0", "m_nd_min": "0", "load_preset": "push-left",
+    "support_preset": "clamp-right", "workers": "-1",
+}
+
+
+def test_every_field_rule_has_an_out_of_range_case():
+    ruled = {f.name for f in fields(pipeline.RunConfig) if f.metadata["rule"]}
+    assert ruled == set(OUT_OF_RANGE)
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_out_of_range_value_error_names_its_ini_key(name):
+    [(section, key)] = [k for k, f in pipeline._INI_FIELDS.items() if f.name == name]
+    with pytest.raises(pipeline.ConfigError) as err:
+        pipeline.parse_config(f"[{section}]\n{key} = {OUT_OF_RANGE[name]}\n")
+    assert str(err.value).startswith(f"{section}.{key}: ")
+
+
+@pytest.mark.parametrize("name, value", [
+    *(("mask", spec) for spec in pipeline.MASKS),
+    *(("support_preset", preset) for preset in pipeline.SUPPORT_PRESETS),
+    *(("load_preset", preset) for preset in pipeline.LOAD_PRESETS),
+])
+def test_every_preset_name_validates_and_builds(name, value):
+    base = dict(nx=4, ny=4, support_preset="none", load_preset="none",
+                dirichlet=[(0, 0, "xy"), (0, 1, "x")])
+    config = pipeline.RunConfig(**{**base, name: value}).validate()
+    grid = config.build_grid()
+    bc = config.build_bc(grid)
+    assert (grid.active.sum() < 16) == (config.mask != "none")
+    assert (len(bc.dirichlet) > 2) == (config.support_preset != "none")
+    assert bool(bc.neumann) == (config.load_preset != "none")
+
+
 def test_readme_ini_example_parses_and_sets_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
@@ -542,7 +581,8 @@ def test_summary_timings_split_the_wall_time(tmp_path, capsys, command):
     path.write_text(SMALL_RUN)
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     summary = json.loads(capsys.readouterr().out)
-    keys = {"coarse_s", "equilibrate_s", "io_s"} | ({"farm_s"} if command == "run" else set())
+    keys = {"coarse_s", "equilibrate_s", "io_s"} | (
+        {"farm_s", "stitch_s"} if command == "run" else set())
     assert set(summary["timings"]) == keys
     assert all(t > 0.0 for t in summary["timings"].values())
     assert sum(summary["timings"].values()) <= summary["wall_time_s"]
@@ -616,7 +656,7 @@ def test_cells_csv_flags_capped_and_off_target_cells(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [int(r["cell"]) for r in rows] == [3, 5, 7, 8]
     assert [r["stop_reason"] for r in rows] == ["converged", "converged", "iteration-cap",
-                                                "converged"]
+                                                "frozen"]
     assert [float(r["target"]) for r in rows] == targets[[3, 5, 7, 8]].tolist()
     assert [float(r["mean_density"]) for r in rows] == [
         float(cells[c].rho.mean()) for c in (3, 5, 7, 8)]
@@ -636,8 +676,13 @@ def test_run_pipeline_records_cell_flags_and_blas_threads(small_run):
         "cells_not_converged"]
     assert sum(abs(float(r["mean_density"]) - float(r["target"])) > 1e-4 for r in rows) == (
         summary["cells_off_target"])
+    iterations = sorted(int(r["iterations"]) for r in rows if r["kind"] == "optimized")
+    assert on_disk["cell_iterations_max"] == iterations[-1]
+    assert on_disk["cell_iterations_median"] == float(np.median(iterations))
     for r in rows:
-        assert r["stop_reason"] == ("converged" if r["converged"] == "1" else "iteration-cap")
+        assert r["stop_reason"] == ("frozen" if r["kind"].startswith("frozen")
+                                    else "converged" if r["converged"] == "1"
+                                    else "iteration-cap")
 
 
 def test_verify_records_blas_threads(tmp_path):
