@@ -1,7 +1,8 @@
 """Coarse-scale SIMP with optimality-criteria updates and threshold freezing.
 
-The inner loop iterates FE solve -> sensitivity -> cone filter -> OC update
-until the largest density change drops below eps. The outer stage loop then
+The inner loop, simp_loop, iterates FE solve -> sensitivity -> cone filter ->
+OC update until the largest density change drops below eps; the fine cells
+run it too, with a projection step added. The outer stage loop then
 freezes densities beyond the prescribed thresholds to solid (1) or void
 (rho_min) and repeats until every free density lies inside the range.
 """
@@ -234,60 +235,61 @@ def oc_update(grid, rho, filtered_sens, volume_target, material, frozen, params)
     return new, {"volume": achieved, "clamped": False}
 
 
-def simp_inner_solve(
-    grid,
-    rho,
-    operator,
-    loads,
-    volume_target,
-    frozen,
-    r_min,
-    eps,
-    max_iter=200,
-    stage=1,
-    history=None,
-):
-    """Iterate FE solve / filter / OC update until max |drho| < eps.
+def simp_loop(operator, loads, rho, volume_target, frozen, r_min, eps, max_iter,
+              projection=None, check_each_solve=False):
+    """The SIMP loop of both scales: FE solve / sensitivity / filter / OC
+    update until max |drho| < eps on an unclamped step.
 
     operator is the fem.Operator of the grid and its supports, loads the
-    full-length load vector. Every solve passes the operator's residual
-    gates; the OC updates use the default OCParams. Returns (rho, solution,
-    converged). The last FE solution corresponds to the densities before
-    the final update; callers needing forces consistent with the returned
-    field should re-solve.
+    full-length load vector; the OC updates use the default OCParams.
+    check_each_solve passes every solve through the operator's residual
+    gates. projection (the fine scale's fine.ProjectionParams) may sharpen
+    each OC field: its step(it, rho, beta, rho_min) returns the field, the
+    next beta, the grey measure and whether it projected, starting from its
+    beta0. Delta spans all elements; OC moves free ones only. Returns (rho,
+    converged, history), one row per iteration whose volume_fraction is the
+    mean active density after the OC step.
     """
-    if history is None:
-        history = []
-    material = operator.material
+    grid, material = operator.grid, operator.material
+    act = grid.active_elems
     oc_params = OCParams()
-    rho = np.asarray(rho, dtype=float).copy()
-    free = (frozen == FREE) & grid.active.ravel(order="C")
-    solution = None
-    converged = False
+    rho = np.array(rho, dtype=float)
+    beta = projection.beta0 if projection is not None else None
+    history = []
     for it in range(1, max_iter + 1):
         solution = operator.solve(rho, loads)
-        operator.check(rho, solution)
+        if check_each_solve:
+            operator.check(rho, solution)
         sens = sensitivity(grid, rho, material, solution.element_energy)
         filtered = filter_sensitivities(grid, rho, sens, r_min)
         new_rho, info = oc_update(
             grid, rho, filtered, volume_target, material, frozen, oc_params
         )
-        delta = float(np.abs(new_rho[free] - rho[free]).max()) if free.any() else 0.0
+        row = {"iteration": it, "compliance": solution.compliance,
+               "volume_fraction": new_rho[act].sum() / act.size}
+        if projection is not None:
+            new_rho, beta, m_nd, projected = projection.step(
+                it, new_rho, beta, material.rho_min)
+            row.update(m_nd=m_nd, beta=beta, projected=projected)
+        row["max_delta"] = delta = float(np.abs(new_rho - rho).max())
+        history.append(row)
         rho = new_rho
-        act = grid.active_elems
-        history.append(
-            {
-                "stage": stage,
-                "iteration": it,
-                "compliance": solution.compliance,
-                "volume_fraction": rho[act].sum() / act.size,
-                "max_delta": delta,
-            }
-        )
         if delta < eps and not info["clamped"]:
-            converged = True
-            break
-    return rho, solution, converged
+            return rho, True, history
+    return rho, False, history
+
+
+def simp_inner_solve(operator, loads, rho, volume_target, frozen, r_min, eps,
+                     max_iter, stage, history):
+    """One coarse stage of simp_loop, every solve checked.
+
+    Appends the stage's history rows, tagged with `stage`, to history.
+    Returns (rho, converged).
+    """
+    rho, converged, rows = simp_loop(operator, loads, rho, volume_target, frozen,
+                                     r_min, eps, max_iter, check_each_solve=True)
+    history.extend({"stage": stage, **row} for row in rows)
+    return rho, converged
 
 
 def freeze_out_of_range(grid, rho, frozen, policy, rho_min):
@@ -348,19 +350,8 @@ def stage_loop(
     stages = 0
     for stage in range(1, stage_cap + 1):
         stages = stage
-        rho, _, inner_ok = simp_inner_solve(
-            grid,
-            rho,
-            operator,
-            loads,
-            volume_target,
-            frozen,
-            r_min,
-            eps,
-            max_iter=max_inner,
-            stage=stage,
-            history=history,
-        )
+        rho, inner_ok = simp_inner_solve(operator, loads, rho, volume_target, frozen,
+                                         r_min, eps, max_inner, stage, history)
         if not inner_ok:
             log.warning("stage %d hit the inner iteration cap", stage)
         n_frozen = freeze_out_of_range(grid, rho, frozen, policy, material.rho_min)

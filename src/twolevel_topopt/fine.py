@@ -4,9 +4,9 @@ Each unfrozen coarse element becomes a small n x n SIMP problem loaded by
 the equilibrated edge tractions of its coarse edges. Because those loads
 are self-equilibrated, three scalar supports (bottom-left pin plus a
 bottom-right vertical roller) suffice and their reactions vanish. The loop
-alternates FE solve / filter / OC update with an exponential density
-projection applied every couple of iterations while the field is still far
-from 0-1, doubling the projection steepness up to beta_max.
+is the coarse one, coarse.simp_loop, plus an exponential density projection
+applied every couple of iterations while the field is still far from 0-1,
+doubling the projection steepness up to beta_max.
 """
 
 from __future__ import annotations
@@ -47,6 +47,21 @@ class ProjectionParams:
             raise ValueError(f"mu must be in (0, 1), got {self.mu}")
         if self.cadence < 1:
             raise ValueError("cadence must be a positive iteration count")
+
+    def step(self, it, rho, beta, rho_min):
+        """The projection step after iteration it's OC update.
+
+        Every `cadence` iterations, while the grey measure of rho exceeds
+        m_nd_min, rho is projected at steepness beta and beta doubles (capped
+        at beta_max). Returns (rho, beta, m_nd, projected).
+        """
+        m_nd = measure_nondiscreteness(rho)
+        if it % self.cadence == 0 and m_nd > self.m_nd_min:
+            # The projection maps [0,1] onto itself, so densities near the
+            # floor come out below it; pull them back into the FE-valid range.
+            rho = np.clip(project_density(rho, beta, self.mu), rho_min, 1.0)
+            return rho, min(2.0 * beta, self.beta_max), m_nd, True
+        return rho, beta, m_nd, False
 
 
 @dataclass
@@ -208,13 +223,11 @@ def traction_equilibrium(tractions, hx, hy):
 def fine_cell_solve(problem):
     """Optimize one cell per the fine-scale flowchart.
 
-    Rejects traction sets that are not self-equilibrated. Runs FE / filter /
-    OC iterations with uniform initial density equal to the cell target;
-    every `cadence` iterations, while the grey measure still exceeds
-    m_nd_min, the field is sharpened by the exponential projection and beta
-    doubles (capped at beta_max). Convergence is max |drho| < eps on the
-    end-of-iteration field. Hitting the iteration cap returns a flagged,
-    still-usable result.
+    Rejects traction sets that are not self-equilibrated. Runs
+    coarse.simp_loop from a uniform density equal to the cell target, with
+    the problem's ProjectionParams sharpening the field; convergence is
+    max |drho| < eps on the end-of-iteration field. Hitting the iteration cap
+    returns a flagged, still-usable result.
     """
     if not 0 < problem.target <= 1:
         raise FineSolveError(f"cell {problem.cell}: target {problem.target} invalid")
@@ -240,47 +253,10 @@ def fine_cell_solve(problem):
     frozen = np.zeros(grid.n_elems, dtype=np.int8)
     volume_target = problem.target * grid.n_elems * grid.hx * grid.hy
 
-    oc_params = coarse.OCParams()
-    rho = np.full(grid.n_elems, problem.target)
-    beta = problem.projection.beta0
-    mu = problem.projection.mu
-    history = []
-    converged = False
-    solution = None
-    it = 0
-    for it in range(1, problem.max_iter + 1):
-        solution = solver.solve(rho, loads)
-        sens = coarse.sensitivity(grid, rho, problem.material, solution.element_energy)
-        filtered = coarse.filter_sensitivities(grid, rho, sens, problem.r_min)
-        new_rho, info = coarse.oc_update(
-            grid, rho, filtered, volume_target, problem.material, frozen, oc_params
-        )
-        m_nd = measure_nondiscreteness(new_rho)
-        projected = False
-        if it % problem.projection.cadence == 0 and m_nd > problem.projection.m_nd_min:
-            # The projection maps [0,1] onto itself, so densities near the
-            # floor come out below it; pull them back into the FE-valid range.
-            new_rho = np.clip(
-                project_density(new_rho, beta, mu), problem.material.rho_min, 1.0
-            )
-            beta = min(2.0 * beta, problem.projection.beta_max)
-            projected = True
-        delta = float(np.abs(new_rho - rho).max())
-        history.append(
-            {
-                "iteration": it,
-                "compliance": solution.compliance,
-                "volume_fraction": float(info["volume"] / (grid.n_elems * grid.hx * grid.hy)),
-                "m_nd": m_nd,
-                "beta": beta,
-                "projected": projected,
-                "max_delta": delta,
-            }
-        )
-        rho = new_rho
-        if delta < problem.eps and not info["clamped"]:
-            converged = True
-            break
+    rho, converged, history = coarse.simp_loop(
+        solver, loads, np.full(grid.n_elems, problem.target), volume_target, frozen,
+        problem.r_min, problem.eps, problem.max_iter, projection=problem.projection,
+    )
 
     # Final solve on the returned field for compliance and support reactions.
     solution = solver.solve(rho, loads)
@@ -291,9 +267,9 @@ def fine_cell_solve(problem):
         rho=rho,
         kind="optimized",
         converged=converged,
-        iterations=it,
+        iterations=len(history),
         m_nd=measure_nondiscreteness(rho),
-        beta_final=beta,
+        beta_final=history[-1]["beta"] if history else problem.projection.beta0,
         compliance=solution.compliance,
         max_reaction=max_reaction,
         reaction_scale=scale,

@@ -34,6 +34,10 @@ class GridError(ValueError):
     """Invalid grid configuration (bad dimensions, disconnected mask, ...)."""
 
 
+class RigidModeError(GridError):
+    """The supports leave a rigid-body mode, so the stiffness is singular."""
+
+
 class Grid:
     """Cartesian mesh with an element activity mask.
 
@@ -292,7 +296,7 @@ class BoundaryConditions:
                 raise GridError(f"Dirichlet node {node} is inactive")
         constrained = self.constrained_dofs(grid)
         if len(constrained) < 3:
-            raise GridError("insufficient Dirichlet constraints for rigid modes")
+            raise RigidModeError("insufficient Dirichlet constraints for rigid modes")
         loaded_nodes = set()
         for (e, k) in self.neumann:
             a, b = grid.edge_nodes(e, k)

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coarse, equilibrate, fem, fine
-from .grid import BoundaryConditions, Grid
+from .grid import BoundaryConditions, Grid, GridError, RigidModeError
 
 log = logging.getLogger(__name__)
 
@@ -256,6 +256,14 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if self.support_preset == "none" and not self.dirichlet:
             raise ConfigError("supports.preset: no supports; set a preset or dirichlet rows")
+        size = f"the {self.nx} x {self.ny} grid"
+        for row, (ix, iy, ledge, *_) in enumerate(self.neumann, 1):
+            if not (0 <= ix < self.nx and 0 <= iy < self.ny and 0 <= ledge <= 3):
+                raise ConfigError(
+                    f"loads.neumann row {row}: element ({ix}, {iy}) edge {ledge} is not on {size}")
+        for row, (jx, jy, _) in enumerate(self.dirichlet, 1):
+            if not (0 <= jx <= self.nx and 0 <= jy <= self.ny):
+                raise ConfigError(f"supports.dirichlet row {row}: node ({jx}, {jy}) is not on {size}")
         return self
 
     # -- factories ---------------------------------------------------------
@@ -265,6 +273,9 @@ class RunConfig:
         return Grid(self.nx, self.ny, self.hx, self.hy, active=active)
 
     def build_bc(self, grid):
+        """The supports and loads on grid. A conflict among them or with the
+        mask is a ConfigError; too few supports leave the stiffness singular,
+        a RigidModeError."""
         bc = BoundaryConditions()
         SUPPORT_PRESETS[self.support_preset](grid, bc)
         for jx, jy, comps in self.dirichlet:
@@ -274,7 +285,12 @@ class RunConfig:
         for ix, iy, ledge, tsx, tsy, tex, tey in self.neumann:
             elem = grid.elem_id(int(ix), int(iy))
             bc.add_edge_traction(elem, int(ledge), (tsx, tsy), (tex, tey))
-        bc.validate(grid)
+        try:
+            bc.validate(grid)
+        except RigidModeError:
+            raise
+        except GridError as exc:
+            raise ConfigError(f"supports and loads: {exc}") from exc
         return bc
 
     def coarse_material(self):

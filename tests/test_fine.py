@@ -356,6 +356,28 @@ def test_fine_cell_solve_bending_cell():
     assert outer.mean() > 2.0 * inner.mean()
 
 
+def test_fine_cell_solve_without_projection_is_the_coarse_loop():
+    # beta pinned at 0 makes the projection the identity, so the fine solve
+    # must be bitwise simp_loop without one: both scales run one loop
+    problem = fine.FineCellProblem(
+        cell=0, target=0.5, tractions=bending_plus_tension_tractions(), hx=1.0, hy=1.0,
+        n=12, max_iter=60, projection=fine.ProjectionParams(beta0=0.0, beta_max=0.0),
+    )
+    result = fine.fine_cell_solve(problem)
+    assert any(h["projected"] for h in result.history)
+    m = problem.material
+    solver = fine._cell_solver(problem.n, problem.hx, problem.hy, m.E, m.nu, m.p, m.rho_min)
+    g = solver.grid
+    rho, converged, history = coarse.simp_loop(
+        solver, fine.apply_cell_tractions(problem, g), np.full(g.n_elems, problem.target),
+        problem.target * g.n_elems * g.hx * g.hy, np.zeros(g.n_elems, dtype=np.int8),
+        problem.r_min, problem.eps, problem.max_iter,
+    )
+    assert result.rho.tobytes() == rho.tobytes()
+    assert (result.iterations, result.converged) == (len(history), converged)
+    assert [{key: row[key] for key in history[0]} for row in result.history] == history
+
+
 # --------------------------------------------------------------- batch farm
 
 

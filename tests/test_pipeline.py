@@ -117,6 +117,10 @@ dirichlet =
         ("[thresholds]\nrho_bar_min = 0.9\n", "rho_bar_min < rho_bar_max"),
         ("[projection]\nbeta0 = 5.0\n", "beta0 <= beta_max"),
         ("[grid]\nmask = blob\n", "unknown mask spec"),
+        ("[grid]\nnx = 8\nny = 4\n[loads]\nneumann = 0 0 0 0 -1 0 -1\n  0 4 0 0 -1 0 -1\n",
+         "loads.neumann row 2: element (0, 4) edge 0 is not on the 8 x 4 grid"),
+        ("[grid]\nnx = 8\nny = 4\n[supports]\ndirichlet = 0 0 xy\n  9 0 xy\n",
+         "supports.dirichlet row 2: node (9, 0) is not on the 8 x 4 grid"),
     ],
 )
 def test_parse_config_rejects(text, fragment):
@@ -544,11 +548,20 @@ def test_cli_workers_override(tmp_path):
         "[material]\nnu = -0.2\n",
         "[thresholds]\nrho_bar_min = 0.0005\n",
         "[coarse]\np = 0.5\n",
+        # boundary rows off an 8 x 4 grid, and a clamp on the loaded corner
+        "[grid]\nnx = 8\nny = 4\n[loads]\npreset = none\nneumann = 0 4 0 0 -1 0 -1\n",
+        "[grid]\nnx = 8\nny = 4\n[loads]\npreset = none\nneumann = 8 0 0 0 -1 0 -1\n",
+        "[grid]\nnx = 8\nny = 4\n[loads]\npreset = none\nneumann = 0 0 4 0 -1 0 -1\n",
+        "[grid]\nnx = 8\nny = 4\n[supports]\ndirichlet = 0 5 xy\n",
+        "[grid]\nnx = 8\nny = 4\n[supports]\ndirichlet = 99 0 xy\n",
+        "[grid]\nnx = 8\nny = 4\n[supports]\ndirichlet = -1 0 xy\n",
+        "[grid]\nnx = 8\nny = 4\n[supports]\npreset = clamp-top\n",
     ],
 )
 def test_cli_rejects_parameters_out_of_model_range(tmp_path, capsys, text):
     # each value passes a loose check but not the material, threshold or
-    # projection object it builds, which must still end as a config error
+    # projection object it builds, or the grid its supports and loads go on,
+    # which must still end as a config error
     path = tmp_path / "bad.ini"
     path.write_text(text)
     args = ["verify", "--config", str(path), "--out", str(tmp_path / "out")]
