@@ -261,22 +261,28 @@ class Operator:
         self.keep = np.setdiff1d(active_dofs, self.fixed, assume_unique=True)
         if self.keep.size == 0:
             raise SolverError("no free degrees of freedom")
-        remap = np.full(ndof, -1)
-        remap[self.keep] = np.arange(self.keep.size)
+        remap = np.full(ndof, -1, dtype=np.int32)
+        remap[self.keep] = np.arange(self.keep.size, dtype=np.int32)
 
+        # Every element orders its dofs alike globally, and the remap keeps
+        # that order, so the first element gives the 36 local (i, j) pairs on
+        # or below the diagonal of every element, here by column, then row.
+        by_dof = np.argsort(grid.elem_dofs[0])
+        col, row = np.triu_indices(8)
+        i, j = by_dof[row], by_dof[col]
         act = grid.active_elems
         dofs = remap[grid.elem_dofs[act]]  # (n_active, 8), -1 where eliminated
-        rows = np.repeat(dofs, 8, axis=1).reshape(-1, 8, 8)
-        cols = np.tile(dofs, (1, 8)).reshape(-1, 8, 8)
-        lower = (rows >= 0) & (cols >= 0) & (rows >= cols)
-        self.bandwidth = int((rows[lower] - cols[lower]).max())
+        rows, cols = dofs[:, i], dofs[:, j]
+        kept = (rows >= 0) & (cols >= 0)
+        rows, cols = rows[kept], cols[kept]
+        self.bandwidth = int((rows - cols).max())
         # Column-major flat positions make the band Fortran-ordered, which
-        # LAPACK factorizes without a copy.
-        flat = cols * (self.bandwidth + 1) + (rows - cols)
-        elems = np.broadcast_to(np.arange(act.size)[:, None, None], lower.shape)
-        kvals = np.broadcast_to(ke[None, :, :], lower.shape)
+        # LAPACK factorizes without a copy. They ascend down each element's
+        # column of the map.
+        flat = cols.astype(np.int64) * (self.bandwidth + 1) + (rows - cols)
+        indptr = np.concatenate([[0], np.cumsum(kept.sum(axis=1))])
         self.band_map = sp.csc_matrix(
-            (kvals[lower], (flat[lower], elems[lower])),
+            (np.broadcast_to(ke[i, j], kept.shape)[kept], flat, indptr),
             shape=((self.bandwidth + 1) * self.keep.size, act.size),
         )
 

@@ -305,11 +305,11 @@ def solve_all_cells(grid, coarse_result, traction_field, workers=None, **setting
 
     settings are FineCellProblem fields shared by every cell (n, material,
     r_min, eps, projection, max_iter, require_equilibrated); the rest keep
-    the FineCellProblem defaults. Frozen-solid cells become all-ones rasters
-    and frozen-void cells all-rho_min rasters without any FE work. Unfrozen
-    cells are independent and are farmed out to a process pool when
-    workers > 1. Per-cell failures are collected into the result instead of
-    aborting the batch.
+    the FineCellProblem defaults. Frozen-solid cells share one read-only
+    all-ones raster and frozen-void cells one all-rho_min raster, without
+    any FE work. Unfrozen cells are independent and are farmed out to a
+    process pool when workers > 1. Per-cell failures are collected into the
+    result instead of aborting the batch.
     """
     template = FineCellProblem(cell=-1, target=0.0, tractions=None, hx=grid.hx, hy=grid.hy,
                                **settings)
@@ -317,14 +317,18 @@ def solve_all_cells(grid, coarse_result, traction_field, workers=None, **setting
     # Accept either an EdgeTractionField or a bare (n_elems, 4, 2, 2) array.
     tractions = getattr(traction_field, "tractions", traction_field)
 
+    # Shared, not copied per cell: a forked pool worker would hold every copy.
+    filled = {coarse.SOLID: (np.ones(n * n), "frozen-solid"),
+              coarse.VOID: (np.full(n * n, rho_min), "frozen-void")}
+    for raster, _ in filled.values():
+        raster.flags.writeable = False
+
     problems = []
     results = {}
     for e in grid.active_elems:
         state = coarse_result.frozen[e]
-        if state == coarse.SOLID:
-            results[e] = FineCellResult(e, np.ones(n * n), "frozen-solid")
-        elif state == coarse.VOID:
-            results[e] = FineCellResult(e, np.full(n * n, rho_min), "frozen-void")
+        if state in filled:
+            results[e] = FineCellResult(e, *filled[state])
         else:
             problems.append(replace(template, cell=int(e), target=float(coarse_result.rho[e]),
                                     tractions=np.array(tractions[e])))

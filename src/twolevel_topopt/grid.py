@@ -274,16 +274,29 @@ class BoundaryConditions:
     neumann: dict = field(default_factory=dict)
 
     def fix_node(self, node, ux=0.0, uy=0.0, mask=(True, True)):
-        self.dirichlet[int(node)] = (
-            np.asarray(mask, dtype=bool),
-            np.array([ux, uy], dtype=float),
-        )
+        """Prescribe (ux, uy) on the masked components of node.
+
+        Fixing a node again constrains the union of the components; giving a
+        component a second, different value is a GridError.
+        """
+        mask = np.asarray(mask, dtype=bool)
+        values = np.array([ux, uy], dtype=float)
+        if int(node) in self.dirichlet:
+            old_mask, old_values = self.dirichlet[int(node)]
+            if (old_values != values)[old_mask & mask].any():
+                raise GridError(f"node {node} has two prescribed values for one component")
+            values = np.where(old_mask, old_values, values)
+            mask = old_mask | mask
+        self.dirichlet[int(node)] = (mask, values)
 
     def add_edge_traction(self, elem, edge, t_start, t_end):
-        self.neumann[(int(elem), int(edge))] = (
-            np.asarray(t_start, dtype=float).copy(),
-            np.asarray(t_end, dtype=float).copy(),
-        )
+        """Add a linear traction to a boundary edge; tractions on one edge sum."""
+        t_start = np.array(t_start, dtype=float)
+        t_end = np.array(t_end, dtype=float)
+        if (key := (int(elem), int(edge))) in self.neumann:
+            old_start, old_end = self.neumann[key]
+            t_start, t_end = old_start + t_start, old_end + t_end
+        self.neumann[key] = (t_start, t_end)
 
     def validate(self, grid):
         """Check BC targets against the grid; raises GridError on conflicts."""

@@ -23,6 +23,8 @@ import functools
 import hashlib
 import json
 import logging
+import resource
+import sys
 import time
 import typing
 import zipfile
@@ -273,19 +275,21 @@ class RunConfig:
         return Grid(self.nx, self.ny, self.hx, self.hy, active=active)
 
     def build_bc(self, grid):
-        """The supports and loads on grid. A conflict among them or with the
-        mask is a ConfigError; too few supports leave the stiffness singular,
-        a RigidModeError."""
+        """The supports and loads on grid: the presets', plus the explicit
+        rows, which add supports and tractions to what a preset put on the
+        same node or edge. A conflict among them or with the mask is a
+        ConfigError; too few supports leave the stiffness singular, a
+        RigidModeError."""
         bc = BoundaryConditions()
-        SUPPORT_PRESETS[self.support_preset](grid, bc)
-        for jx, jy, comps in self.dirichlet:
-            node = grid.node_id(int(jx), int(jy))
-            bc.fix_node(node, mask=("x" in comps, "y" in comps))
-        LOAD_PRESETS[self.load_preset](grid, bc)
-        for ix, iy, ledge, tsx, tsy, tex, tey in self.neumann:
-            elem = grid.elem_id(int(ix), int(iy))
-            bc.add_edge_traction(elem, int(ledge), (tsx, tsy), (tex, tey))
         try:
+            SUPPORT_PRESETS[self.support_preset](grid, bc)
+            for jx, jy, comps in self.dirichlet:
+                node = grid.node_id(int(jx), int(jy))
+                bc.fix_node(node, mask=("x" in comps, "y" in comps))
+            LOAD_PRESETS[self.load_preset](grid, bc)
+            for ix, iy, ledge, tsx, tsy, tex, tey in self.neumann:
+                elem = grid.elem_id(int(ix), int(iy))
+                bc.add_edge_traction(elem, int(ledge), (tsx, tsy), (tex, tey))
             bc.validate(grid)
         except RigidModeError:
             raise
@@ -468,13 +472,20 @@ def continuity_metric(image):
 
 
 def write_pgm(path, raster):
-    """Binary 8-bit graymap; density 1.0 renders black, 0.0 white."""
-    raster = np.clip(np.asarray(raster, dtype=float), 0.0, 1.0)
-    pixels = np.round((1.0 - raster) * 255.0).astype(np.uint8)
-    h, w = pixels.shape
+    """Binary 8-bit graymap; density 1.0 renders black, 0.0 white.
+
+    The pixels are converted and written 64 rows at a time, so no temporary
+    grows with the image.
+    """
+    raster = np.asarray(raster, dtype=float)
+    h, w = raster.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes(order="C"))
+        for start in range(0, h, 64):
+            block = np.clip(raster[start : start + 64], 0.0, 1.0)
+            np.subtract(1.0, block, out=block)
+            block *= 255.0
+            fh.write(np.round(block, out=block).astype(np.uint8).tobytes(order="C"))
 
 
 def write_csv_raster(path, raster):
@@ -680,6 +691,17 @@ def _timed(timings, key):
         timings[key] += time.perf_counter() - t0
 
 
+def _peak_rss_mb(workers):
+    """Peak resident memory in MB of this process and, for a pool of workers,
+    of its largest child process."""
+    # ru_maxrss counts kilobytes on Linux and bytes on macOS.
+    mb = 1024.0 ** (2 if sys.platform == "darwin" else 1)
+    peak = {"process": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / mb}
+    if workers > 1:
+        peak["worker"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / mb
+    return peak
+
+
 def run_pipeline(config, skip_fine=False):
     """Execute a full run; returns the summary dict written to summary.json.
 
@@ -691,7 +713,9 @@ def run_pipeline(config, skip_fine=False):
     writing the equilibration certificate (CLI `verify`). The summary's
     `timings` split the wall time between the coarse stage loop, the
     equilibration with its certificate, the fine farm and the stitch with
-    its continuity metric (`run` only), and artifact and checkpoint I/O.
+    its continuity metric (`run` only), and artifact and checkpoint I/O;
+    its `peak_rss_mb` gives the peak memory of the process and of the
+    largest pool worker.
     """
     config.validate()
     t0 = time.perf_counter()
@@ -753,6 +777,7 @@ def run_pipeline(config, skip_fine=False):
     }
 
     if skip_fine:
+        summary["peak_rss_mb"] = _peak_rss_mb(workers=0)
         summary["wall_time_s"] = time.perf_counter() - t0
         with open(out / "summary.json", "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
@@ -806,6 +831,7 @@ def run_pipeline(config, skip_fine=False):
             **flags,
         }
     )
+    summary["peak_rss_mb"] = _peak_rss_mb(config.workers)
     summary["wall_time_s"] = time.perf_counter() - t0
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -141,8 +141,7 @@ def masked_l_bracket():
     g = Grid(6, 6, 0.3, 0.2, active=active)
     bc = BoundaryConditions()
     for jx in range(4):
-        bc.fix_node(g.node_id(jx, 6))
-    bc.fix_node(g.node_id(1, 6), ux=2e-3)
+        bc.fix_node(g.node_id(jx, 6), ux=2e-3 if jx == 1 else 0.0)
     bc.add_edge_traction(g.elem_id(5, 1), 1, (0.0, -1.0), (0.5, -2.0))
     return g, bc
 
@@ -287,3 +286,42 @@ def test_one_blas_thread_pins_and_restores():
     finally:
         for (set_threads, _), count in zip(libs, saved):
             set_threads(count)
+
+
+def _band_map_8x8(operator):
+    """The bandwidth and the band map's (col, row, value) triples, from all
+    8 x 8 local pairs of every active element kept on or below the diagonal."""
+    grid = operator.grid
+    remap = np.full(2 * grid.n_nodes, -1)
+    remap[operator.keep] = np.arange(operator.keep.size)
+    act = grid.active_elems
+    dofs = remap[grid.elem_dofs[act]]
+    rows = np.repeat(dofs, 8, axis=1).reshape(-1, 8, 8)
+    cols = np.tile(dofs, (1, 8)).reshape(-1, 8, 8)
+    lower = (rows >= 0) & (cols >= 0) & (rows >= cols)
+    bandwidth = int((rows[lower] - cols[lower]).max())
+    flat = (cols * (bandwidth + 1) + (rows - cols))[lower]
+    elems = np.broadcast_to(np.arange(act.size)[:, None, None], lower.shape)[lower]
+    kvals = np.broadcast_to(operator.ke[None, :, :], lower.shape)[lower]
+    order = np.lexsort((flat, elems))
+    return bandwidth, (elems[order], flat[order], kvals[order])
+
+
+@pytest.mark.parametrize("case", ["example2", "fine-cell", "interior-supports"])
+def test_band_map_matches_full_element_pairs(case):
+    from twolevel_topopt import fine, pipeline
+
+    if case == "fine-cell":
+        operator = fine._CellSolver(32, 10 / 32, 10 / 32, fem.MaterialModel(E=1000.0, p=3.0))
+    else:
+        rows = [] if case == "example2" else [(10, 20, "xy"), (25, 10, "x"), (8, 5, "y")]
+        config = pipeline.preset_config("example2", dirichlet=rows)
+        grid = config.build_grid()
+        operator = fem.Operator(grid, config.coarse_material(), config.build_bc(grid))
+    bandwidth, expected = _band_map_8x8(operator)
+    assert operator.bandwidth == bandwidth
+    coo = operator.band_map.tocoo()
+    order = np.lexsort((coo.row, coo.col))
+    for got, want in zip((coo.col[order], coo.row[order], coo.data[order]), expected,
+                         strict=True):
+        assert np.array_equal(got, want)

@@ -474,3 +474,19 @@ def test_solve_all_cells_pool_matches_serial_bitwise():
         assert p.rho.tobytes() == r.rho.tobytes()
         assert (p.kind, p.iterations, p.converged, p.compliance, p.history) == (
             r.kind, r.iterations, r.converged, r.compliance, r.history)
+
+
+def test_solve_all_cells_shares_one_read_only_raster_per_frozen_kind():
+    g = Grid(3, 2, 1.0, 1.0)
+    frozen = np.array([coarse.SOLID, coarse.VOID, coarse.SOLID, coarse.VOID, coarse.SOLID,
+                       coarse.VOID], dtype=np.int8)
+    cres = coarse.CoarseResult(rho=np.where(frozen == coarse.SOLID, 1.0, 1e-3), frozen=frozen,
+                               stages=1, converged=True, history=[], solution=None)
+    batch = fine.solve_all_cells(g, cres, np.zeros((g.n_elems, 4, 2, 2)), n=4)
+    for kind, value in (("frozen-solid", 1.0), ("frozen-void", 1e-3)):
+        rasters = [r.rho for r in batch.cells.values() if r.kind == kind]
+        assert len(rasters) == 3
+        assert all(np.shares_memory(rasters[0], raster) for raster in rasters[1:])
+        assert np.array_equal(rasters[0], np.full(16, value))
+        with pytest.raises(ValueError):
+            rasters[0][0] = 0.5

@@ -325,6 +325,27 @@ def test_constrained_dofs_and_values_align():
     assert_allclose(vals, [2.0, 0.5, -1.0])
 
 
+def test_fixing_a_node_again_adds_its_components():
+    bc = BoundaryConditions()
+    bc.fix_node(4, ux=0.5, mask=(True, False))
+    bc.fix_node(4, uy=-1.0, mask=(False, True))
+    bc.fix_node(4, ux=0.5, uy=7.0, mask=(True, False))  # same x value, y not fixed here
+    mask, values = bc.dirichlet[4]
+    assert mask.tolist() == [True, True]
+    assert values.tolist() == [0.5, -1.0]
+    with pytest.raises(GridError, match="two prescribed values"):
+        bc.fix_node(4, uy=1.0, mask=(False, True))
+
+
+def test_tractions_on_one_edge_sum():
+    bc = BoundaryConditions()
+    start, end = np.array([1.0, 0.0]), np.array([0.0, 2.0])
+    bc.add_edge_traction(3, 1, start, end)
+    bc.add_edge_traction(3, 1, (0.5, -1.0), (0.25, 0.0))
+    start[0] = 9.0  # the stored tractions are copies
+    assert [t.tolist() for t in bc.neumann[(3, 1)]] == [[1.5, -1.0], [0.25, 2.0]]
+
+
 @settings(max_examples=60, deadline=None)
 @given(connected_grids(), st.randoms(use_true_random=False))
 def test_count_neighbours_matches_neighbor_loop(g, random):

@@ -168,6 +168,34 @@ def test_every_preset_name_validates_and_builds(name, value):
     assert bool(bc.neumann) == (config.load_preset != "none")
 
 
+def test_explicit_rows_add_to_preset_loads_and_supports():
+    # the README's example neumann row lands on an edge the preset loads
+    text = ("[run]\npreset = example1\n[loads]\nneumann = 31 0 1 0 -1 0 -1\n"
+            "[supports]\ndirichlet = 0 0 x\n")
+    config = pipeline.parse_config(text)
+    grid = config.build_grid()
+    bc = config.build_bc(grid)
+    preset = pipeline.preset_config("example1").build_bc(grid)
+    edge = (grid.elem_id(31, 0), 1)
+    for got, base in zip(bc.neumann[edge], preset.neumann[edge]):
+        assert np.array_equal(got, base + np.array([0.0, -1.0]))
+    assert bc.neumann.keys() == preset.neumann.keys()
+    mask, values = bc.dirichlet[grid.node_id(0, 0)]
+    assert mask.tolist() == [True, True] and values.tolist() == [0.0, 0.0]
+    assert bc.constrained_dofs(grid).tolist() == preset.constrained_dofs(grid).tolist()
+
+
+def test_conflicting_prescribed_values_are_a_config_error(monkeypatch):
+    def shifted(grid, bc):
+        bc.fix_node(grid.node_id(0, 0), ux=1e-3)
+        pipeline.SUPPORT_PRESETS["clamp-left"](grid, bc)
+
+    monkeypatch.setitem(pipeline.SUPPORT_PRESETS, "shifted", shifted)
+    config = pipeline.RunConfig(nx=4, ny=2, support_preset="shifted").validate()
+    with pytest.raises(pipeline.ConfigError, match="two prescribed values"):
+        config.build_bc(config.build_grid())
+
+
 def test_readme_ini_example_parses_and_sets_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
@@ -348,6 +376,31 @@ def test_write_pgm_format(tmp_path):
     assert list(pixels) == [0, 255, 128, 191]
 
 
+@pytest.mark.parametrize("height", [1, 7, 64, 65, 130])
+def test_write_pgm_row_blocks_match_whole_image_formula(tmp_path, height):
+    # out-of-range values, and a transposed, flipped view as render passes
+    data = np.random.default_rng(height).uniform(-0.5, 1.5, size=(9, height))
+    raster = np.flipud(data.T)
+    path = tmp_path / "img.pgm"
+    pipeline.write_pgm(path, raster)
+    header = f"P5\n9 {height}\n255\n".encode("ascii")
+    pixels = np.round((1.0 - np.clip(raster, 0.0, 1.0)) * 255.0).astype(np.uint8)
+    assert path.read_bytes() == header + pixels.tobytes()
+
+
+def test_write_pgm_memory_stays_below_the_image(tmp_path):
+    import tracemalloc
+
+    raster = np.random.default_rng(0).uniform(size=(1024, 1024))
+    tracemalloc.start()
+    try:
+        pipeline.write_pgm(tmp_path / "big.pgm", raster)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < raster.nbytes / 4
+
+
 def test_csv_raster_roundtrip(tmp_path):
     path = tmp_path / "field.csv"
     raster = np.random.default_rng(3).uniform(size=(3, 5))
@@ -368,6 +421,12 @@ def test_render_rejects_unknown_format(tmp_path):
 
 
 # ----------------------------------------------------------------- pipeline
+
+
+def _results(summary):
+    """The summary less what measures the run rather than its results."""
+    return {k: v for k, v in summary.items()
+            if k not in ("wall_time_s", "timings", "peak_rss_mb")}
 
 
 @pytest.fixture(scope="module")
@@ -512,11 +571,7 @@ def test_cli_recomputes_truncated_checkpoint(tmp_path, capsys, command, checkpoi
     ckpt.write_bytes(ckpt.read_bytes()[:300])
     assert cli.main(args) == 0
     again = json.loads(capsys.readouterr().out)
-    fresh.pop("wall_time_s")
-    fresh.pop("timings")
-    again.pop("wall_time_s")
-    again.pop("timings")
-    assert again == fresh
+    assert _results(again) == _results(fresh)
 
 
 def test_cli_io_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -616,10 +671,7 @@ def test_cli_rerun_with_another_config_recomputes(tmp_path, capsys, command):
     summaries = []
     for out in (reused, fresh):
         assert cli.main([command, "--config", str(second), "--out", str(out)]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        summary.pop("wall_time_s")
-        summary.pop("timings")
-        summaries.append(summary)
+        summaries.append(_results(json.loads(capsys.readouterr().out)))
     assert abs(summaries[0]["coarse_volume_fraction"] - 0.3) < 1e-3
     assert summaries[0] == summaries[1]
     # every artifact but the checkpoints and the timed summary, byte for byte
@@ -640,10 +692,7 @@ def test_verify_rerun_after_mask_file_edit(tmp_path):
         mask.write_text(rows)
         config = pipeline.parse_config(text)
         config.out = str(tmp_path / out)
-        summary = pipeline.run_pipeline(config, skip_fine=True)
-        summary.pop("wall_time_s")
-        summary.pop("timings")
-        summaries.append(summary)
+        summaries.append(_results(pipeline.run_pipeline(config, skip_fine=True)))
     assert summaries[1]["certificate"]["elements"] == 7
     assert summaries[1] == summaries[2]
 
@@ -696,6 +745,17 @@ def test_run_pipeline_records_cell_flags_and_blas_threads(small_run):
         assert r["stop_reason"] == ("frozen" if r["kind"].startswith("frozen")
                                     else "converged" if r["converged"] == "1"
                                     else "iteration-cap")
+
+
+@pytest.mark.parametrize("command, workers, keys", [
+    ("verify", 2, {"process"}), ("run", 1, {"process"}), ("run", 2, {"process", "worker"})])
+def test_summary_records_peak_memory(tmp_path, command, workers, keys):
+    config = replace(pipeline.parse_config(SMALL_RUN), out=str(tmp_path), workers=workers)
+    summary = pipeline.run_pipeline(config, skip_fine=command == "verify")
+    assert set(summary["peak_rss_mb"]) == keys
+    assert all(mb > 0 for mb in summary["peak_rss_mb"].values())
+    on_disk = json.loads((tmp_path / "summary.json").read_text())
+    assert on_disk["peak_rss_mb"] == summary["peak_rss_mb"]
 
 
 def test_verify_records_blas_threads(tmp_path):
@@ -806,7 +866,4 @@ def test_cells_checkpoint_in_the_old_layout_is_recomputed(tmp_path, capsys, capl
     assert cli.main(args) == 0
     assert f"unreadable checkpoint {ckpt}" in caplog.text
     again = json.loads(capsys.readouterr().out)
-    for summary in (fresh, again):
-        summary.pop("wall_time_s")
-        summary.pop("timings")
-    assert again == fresh
+    assert _results(again) == _results(fresh)
