@@ -11,7 +11,7 @@ conditions: interior nodes use the polygon centroid, clamped nodes close the
 polygon with a reaction side, traction boundaries pin the pole so prescribed
 edges keep exactly their prescribed values.
 
-Element fans follow grid.node_fan ordering (counter-clockwise, cycle for
+Element fans follow grid.NODE_FANS ordering (counter-clockwise, cycle for
 interior nodes, chain for boundary nodes). Side forces are stored per
 (element, local edge, edge end) in the owning element's orientation, so a
 shared edge holds exact negations on its two sides.
@@ -397,14 +397,6 @@ class EquilibrationReport:
     class_counts: dict
 
     @property
-    def max_force_residual(self):
-        return float(np.linalg.norm(self.net_force, axis=1).max())
-
-    @property
-    def max_moment_residual(self):
-        return float(np.abs(self.net_moment).max())
-
-    @property
     def max_lambda(self):
         return float(self.lambda_norms.max())
 
@@ -415,17 +407,15 @@ class EdgeTractionField:
 
     tractions[e, k, 0] and [e, k, 1] are the 2-vector traction values at the
     start and end node of local edge k of element e, acting on element e.
-    side_forces holds the matching consistent end forces.
+    side_forces holds the matching consistent end forces and lambdas the
+    (n_nodes, 2) closure defects of the node splits.
     """
 
     tractions: np.ndarray
     side_forces: np.ndarray
     classes: NodeClasses
-    lambdas: dict
+    lambdas: np.ndarray
     report: EquilibrationReport = None
-
-    def edge_tractions(self, elem, ledge):
-        return self.tractions[elem, ledge, 0], self.tractions[elem, ledge, 1]
 
 
 def equilibrate_all(grid, rho, material, bc, u, void_mask=None):
@@ -472,7 +462,6 @@ def equilibrate_all(grid, rho, material, bc, u, void_mask=None):
     if failures:
         n, exc = min(failures, key=lambda failure: failure[0])
         raise EquilibrationError(f"node {n} ({classes[n].kind}): {exc}") from exc
-    lambdas = {n: lam[n] for n in np.flatnonzero(lam.any(axis=1))}
 
     if np.isnan(side[act]).any():
         missing = int(np.isnan(side[act]).any(axis=(1, 2, 3)).sum())
@@ -484,7 +473,7 @@ def equilibrate_all(grid, rho, material, bc, u, void_mask=None):
         fem.tractions_from_forces(side[:, :, 0], side[:, :, 1], lengths), axis=2
     )
 
-    field_out = EdgeTractionField(tractions, side, classes, lambdas)
+    field_out = EdgeTractionField(tractions, side, classes, lam)
     field_out.report = build_report(grid, field_out, force_scale)
     return field_out
 
@@ -536,11 +525,9 @@ def build_report(grid, field_in, force_scale):
         field_in.tractions[act], grid.hx, grid.hy
     )
 
-    lambda_norms = np.zeros(grid.n_nodes)
-    lambda_norms[list(field_in.lambdas)] = _norm(np.reshape(list(field_in.lambdas.values()),
-                                                            (-1, 2)))
     moment_scale = force_scale * max(grid.hx, grid.hy)
-    return EquilibrationReport(force_scale, moment_scale, net_force, net_moment, lambda_norms,
+    return EquilibrationReport(force_scale, moment_scale, net_force, net_moment,
+                               _norm(field_in.lambdas),
                                field_in.classes.kind_counts())
 
 

@@ -145,14 +145,13 @@ def element_stiffness(material, hx, hy):
     return 0.5 * (K + K.T)
 
 
-def assemble(grid, rho, material, ke=None):
+def assemble(grid, rho, material):
     """Global sparse stiffness K = sum_e rho_e^p K_e over active elements."""
     rho = np.asarray(rho, dtype=float)
     act = grid.active_elems
     if (rho[act] < material.rho_min - 1e-12).any() or (rho[act] > 1 + 1e-12).any():
         raise ValueError("density out of [rho_min, 1]")
-    if ke is None:
-        ke = element_stiffness(material, grid.hx, grid.hy)
+    ke = element_stiffness(material, grid.hx, grid.hy)
     scale = rho[act] ** material.p
     dofs = grid.elem_dofs[act]
     rows = np.repeat(dofs, 8, axis=1).ravel()
@@ -246,12 +245,10 @@ class Operator:
     dofs wide.
     """
 
-    def __init__(self, grid, material, bc, ke=None):
-        if ke is None:
-            ke = element_stiffness(material, grid.hx, grid.hy)
+    def __init__(self, grid, material, bc):
         self.grid = grid
         self.material = material
-        self.ke = ke
+        self.ke = ke = element_stiffness(material, grid.hx, grid.hy)
         ndof = 2 * grid.n_nodes
         self.fixed = bc.constrained_dofs(grid)
         self.u0 = np.zeros(ndof)
@@ -372,16 +369,10 @@ class Operator:
         return float(np.abs(residual[self.fixed]).max()) if self.fixed.size else 0.0
 
 
-def solve(grid, rho, material, bc, extra_loads=None, ke=None):
-    """Solve K(rho) u = f once, with Dirichlet elimination and both residual gates.
-
-    extra_loads: optional full-length nodal load vector added to the
-    consistent loads of bc.neumann.
-    """
-    operator = Operator(grid, material, bc, ke)
+def solve(grid, rho, material, bc):
+    """Solve K(rho) u = f once, with Dirichlet elimination and both residual gates."""
+    operator = Operator(grid, material, bc)
     f = load_vector(grid, bc)
-    if extra_loads is not None:
-        f = f + extra_loads
     solution = operator.solve(rho, f)
     operator.check(rho, solution)
     return solution

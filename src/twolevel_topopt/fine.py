@@ -159,9 +159,7 @@ class _CellSolver(fem.Operator):
     """
 
     def __init__(self, n, hx, hy, material):
-        grid = Grid(n, n, hx / n, hy / n)
-        ke = fem.element_stiffness(material, grid.hx, grid.hy)
-        super().__init__(grid, material, rigid_body_supports(n), ke)
+        super().__init__(Grid(n, n, hx / n, hy / n), material, rigid_body_supports(n))
 
     # The benchmark traces the farm's banded solves under this name.
     solve = fem.Operator.solve
@@ -285,10 +283,6 @@ class FineBatchResult:
     failures: dict
     n: int
 
-    @property
-    def n_optimized(self):
-        return sum(1 for r in self.cells.values() if r.kind == "optimized")
-
 
 @fem.one_blas_thread()
 def _solve_for_pool(problem):
@@ -300,22 +294,22 @@ def _solve_for_pool(problem):
 
 
 @fem.one_blas_thread()
-def solve_all_cells(grid, coarse_result, traction_field, workers=None, **settings):
+def solve_all_cells(grid, coarse_result, tractions, workers=None, **settings):
     """Fine-solve every active coarse cell; frozen cells are filled directly.
 
-    settings are FineCellProblem fields shared by every cell (n, material,
-    r_min, eps, projection, max_iter, require_equilibrated); the rest keep
-    the FineCellProblem defaults. Frozen-solid cells share one read-only
-    all-ones raster and frozen-void cells one all-rho_min raster, without
-    any FE work. Unfrozen cells are independent and are farmed out to a
-    process pool when workers > 1. Per-cell failures are collected into the
-    result instead of aborting the batch.
+    tractions is an (n_elems, 4, 2, 2) array such as
+    EdgeTractionField.tractions. settings are FineCellProblem fields shared
+    by every cell (n, material, r_min, eps, projection, max_iter,
+    require_equilibrated); the rest keep the FineCellProblem defaults.
+    Frozen-solid cells share one read-only all-ones raster and frozen-void
+    cells one all-rho_min raster, without any FE work. Unfrozen cells are
+    independent and are farmed out to a process pool when workers > 1.
+    Per-cell failures are collected into the result instead of aborting the
+    batch.
     """
     template = FineCellProblem(cell=-1, target=0.0, tractions=None, hx=grid.hx, hy=grid.hy,
                                **settings)
     n, rho_min = template.n, template.material.rho_min
-    # Accept either an EdgeTractionField or a bare (n_elems, 4, 2, 2) array.
-    tractions = getattr(traction_field, "tractions", traction_field)
 
     # Shared, not copied per cell: a forked pool worker would hold every copy.
     filled = {coarse.SOLID: (np.ones(n * n), "frozen-solid"),

@@ -113,13 +113,6 @@ class Grid:
     def elem_index(self, e):
         return divmod(e, self.ny)
 
-    def elem_centers(self, elems=None):
-        if elems is None:
-            elems = np.arange(self.n_elems)
-        elems = np.asarray(elems)
-        ix, iy = np.divmod(elems, self.ny)
-        return np.stack([(ix + 0.5) * self.hx, (iy + 0.5) * self.hy], axis=-1)
-
     def edge_length(self, edge):
         return self.hx if edge in (0, 2) else self.hy
 
@@ -174,7 +167,7 @@ class Grid:
     def node_quadrants(self):
         """Per node, the active element in each quadrant (SE, NE, NW, SW), or -1.
 
-        Returns an (n_nodes, 4) array; ``node_fan`` orders a node's row.
+        Returns an (n_nodes, 4) array; ``NODE_FANS`` orders a node's row.
         """
         ids = np.full((self.nx + 2, self.ny + 2), -1)
         ids[1:-1, 1:-1] = np.where(self.active, np.arange(self.n_elems).reshape(self.nx, self.ny),
@@ -182,27 +175,6 @@ class Grid:
         return np.stack(
             [ids[1 + dx : 2 + dx + self.nx, 1 + dy : 2 + dy + self.ny].ravel()
              for dx, dy in QUAD_OFFSETS], axis=-1)
-
-    def node_fan(self, n):
-        """Incident active elements and edges of node n in counter-clockwise order.
-
-        Returns (elements, edges, is_cycle). For an interior node the four
-        elements form a cycle and ``edges[i]`` lies between ``elements[i-1]``
-        and ``elements[i]``. For a boundary node the elements form a chain
-        c_0..c_{m-1} with m+1 incident edges, ``edges[i]`` preceding element
-        ``c_i`` so that ``edges[0]`` and ``edges[m]`` are the two boundary
-        edges of the chain. Edges are (element id, local edge id) pairs of
-        the element that owns them in the returned orientation.
-
-        Raises GridError for non-manifold nodes (two element arms meeting
-        only at this node).
-        """
-        present = self.node_quadrants()[n].tolist()
-        fan = NODE_FANS[sum(1 << q for q in range(4) if present[q] >= 0)]
-        if fan is None:
-            raise GridError(f"non-manifold active region at node {n}")
-        quads, edges, is_cycle = fan
-        return [present[q] for q in quads], [(present[q], k) for q, k in edges], is_cycle
 
     def _check_connected(self):
         """The active region must be one edge-connected component."""
@@ -239,9 +211,14 @@ _QUAD_EDGES = ((3, 2), (0, 3), (1, 0), (2, 1))
 def _fan_from_quads(present):
     """Order the quadrants present at a node into a ccw cycle or chain.
 
-    present holds one flag per quadrant (SE, NE, NW, SW). Returns the fan of
-    Grid.node_fan with quadrants in place of element ids, or None for a
-    non-manifold node.
+    present holds one flag per quadrant (SE, NE, NW, SW). Returns (quads,
+    edges, is_cycle), or None for a non-manifold node (two element arms
+    meeting only at the node). Around an interior node the four quadrants
+    form a cycle and ``edges[i]`` lies between ``quads[i-1]`` and
+    ``quads[i]``. At a boundary node the m quadrants form a chain with m + 1
+    edges, ``edges[i]`` preceding ``quads[i]``, so ``edges[0]`` and
+    ``edges[m]`` are the chain's two boundary edges. Edges are (quadrant,
+    local edge id) pairs of the element that owns them in this orientation.
     """
     m = sum(present)
     # A chain is the one run of present quadrants, starting right after the

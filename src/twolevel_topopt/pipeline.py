@@ -133,12 +133,11 @@ def apply_parabolic_edge_shear(grid, bc):
 def load_mask_csv(path, nx, ny):
     """Read an activity mask CSV: ny rows (top first) of nx 0/1 entries."""
     try:
-        raster = np.loadtxt(path, delimiter=",", dtype=float)
+        raster = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except OSError as exc:
         raise ConfigError(f"grid.mask: cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"grid.mask: {path} is not a table of numbers: {exc}") from exc
-    raster = np.atleast_2d(raster)
     if raster.shape != (ny, nx):
         raise ConfigError(
             f"grid.mask: {path} has shape {raster.shape}, expected {(ny, nx)}"
@@ -408,14 +407,6 @@ class HighResImage:
     n: int  # pixels per coarse cell side
     active: np.ndarray  # coarse activity mask (nx, ny)
 
-    @property
-    def width(self):
-        return self.data.shape[0]
-
-    @property
-    def height(self):
-        return self.data.shape[1]
-
     def raster_rows(self):
         """Rows top-to-bottom for file output (row 0 = top of the domain)."""
         return np.flipud(self.data.T)
@@ -445,22 +436,17 @@ def continuity_metric(image):
     "count": int}; boundaries between an active and an inactive cell are
     skipped (there is no facing material row to compare).
     """
-    n = image.n
-    active = image.active
+    n, data, active = image.n, image.data, image.active
     nx, ny = active.shape
-    per_boundary = []
-    for ix in range(nx - 1):
-        for iy in range(ny):
-            if active[ix, iy] and active[ix + 1, iy]:
-                a = image.data[(ix + 1) * n - 1, iy * n : (iy + 1) * n]
-                b = image.data[(ix + 1) * n, iy * n : (iy + 1) * n]
-                per_boundary.append(float(np.abs(a - b).mean()))
-    for ix in range(nx):
-        for iy in range(ny - 1):
-            if active[ix, iy] and active[ix, iy + 1]:
-                a = image.data[ix * n : (ix + 1) * n, (iy + 1) * n - 1]
-                b = image.data[ix * n : (ix + 1) * n, (iy + 1) * n]
-                per_boundary.append(float(np.abs(a - b).mean()))
+    # The jumps between the facing pixel columns (rows) at every cell
+    # boundary, as one n-pixel row per boundary: the x boundaries by
+    # (ix, iy), then the y boundaries by (ix, iy).
+    x_jumps = np.abs(data[n - 1 : -1 : n] - data[n::n]).reshape(nx - 1, ny, n)
+    y_jumps = np.abs(data[:, n - 1 : -1 : n] - data[:, n::n]).reshape(nx, n, ny - 1)
+    per_boundary = np.concatenate([
+        x_jumps[active[:-1] & active[1:]],
+        y_jumps.transpose(0, 2, 1)[active[:, :-1] & active[:, 1:]],
+    ]).mean(axis=1).tolist()
     if not per_boundary:
         return {"per_boundary": [], "mean": 0.0, "max": 0.0, "count": 0}
     return {
@@ -492,13 +478,9 @@ def write_csv_raster(path, raster):
     np.savetxt(path, np.asarray(raster, dtype=float), delimiter=",", fmt="%.17g")
 
 
-def read_csv_raster(path):
-    return np.atleast_2d(np.loadtxt(path, delimiter=","))
-
-
 def render(image, fmt, path):
-    """Write a HighResImage (or bare top-down raster) as 'pgm' or 'csv'."""
-    raster = image.raster_rows() if isinstance(image, HighResImage) else image
+    """Write a HighResImage as 'pgm' or 'csv'."""
+    raster = image.raster_rows()
     if fmt == "pgm":
         write_pgm(path, raster)
     elif fmt == "csv":
@@ -790,7 +772,7 @@ def run_pipeline(config, skip_fine=False):
     if batch is None:
         with _timed(timings, "farm_s"):
             batch = fine.solve_all_cells(
-                grid, result, field_out, n=config.fine_n,
+                grid, result, field_out.tractions, n=config.fine_n,
                 material=config.fine_material(), r_min=config.fine_r_min,
                 eps=config.fine_eps, projection=config.projection_params(),
                 max_iter=config.fine_max_iter, workers=config.workers,
@@ -817,12 +799,12 @@ def run_pipeline(config, skip_fine=False):
     iterations = [r.iterations for r in optimized] or [0]
     summary.update(
         {
-            "cells_optimized": batch.n_optimized,
+            "cells_optimized": len(optimized),
             "cells_total": len(batch.cells),
             "cell_iterations_median": float(np.median(iterations)),
             "cell_iterations_max": max(iterations),
             "fine_resolution": config.fine_n,
-            "image_size": [image.width, image.height],
+            "image_size": list(image.data.shape),
             "continuity_mean": metric["mean"],
             "continuity_max": metric["max"],
             "continuity_boundaries": metric["count"],

@@ -59,12 +59,12 @@ def ex1_field(ex1):
     return {"field": field, "elapsed": elapsed}
 
 
-def run_farm(ex1, traction_field, require_equilibrated=True):
+def run_farm(ex1, tractions, require_equilibrated=True):
     # Two workers: a pooled farm is bitwise the serial one
     # (test_fine.py::test_solve_all_cells_pool_matches_serial_bitwise).
     config = ex1["config"]
     return fine.solve_all_cells(
-        ex1["grid"], ex1["result"], traction_field,
+        ex1["grid"], ex1["result"], tractions,
         n=config.fine_n, material=config.fine_material(),
         r_min=config.fine_r_min, eps=config.fine_eps,
         projection=config.projection_params(), max_iter=config.fine_max_iter,
@@ -74,7 +74,7 @@ def run_farm(ex1, traction_field, require_equilibrated=True):
 
 @pytest.fixture(scope="session")
 def ex1_batch(ex1, ex1_field):
-    batch = run_farm(ex1, ex1_field["field"])
+    batch = run_farm(ex1, ex1_field["field"].tractions)
     assert not batch.failures
     return batch
 
@@ -150,7 +150,7 @@ def test_uniaxial_patch_tractions_recovered_exactly():
     for e in g.active_elems:
         for ledge in range(4):
             exact = sigma @ EDGE_NORMALS[ledge]
-            t_s, t_e = field.edge_tractions(e, ledge)
+            t_s, t_e = field.tractions[e, ledge]
             worst = max(worst, np.abs(t_s - exact).max(), np.abs(t_e - exact).max())
     assert worst <= 1e-8
 

@@ -229,18 +229,6 @@ def test_element_nodal_forces_balance_assembled_product(steelish):
     assert_allclose(scattered, K @ sol.u, atol=1e-10 * np.abs(sol.f).max())
 
 
-def test_extra_loads_superpose(steelish):
-    g = Grid(3, 3, 1.0, 1.0)
-    bc = BoundaryConditions()
-    clamp_left(g, bc)
-    extra = np.zeros(2 * g.n_nodes)
-    extra[2 * g.node_id(3, 3)] = 1.0
-    rho = np.ones(g.n_elems)
-    sol = fem.solve(g, rho, steelish, bc, extra_loads=extra)
-    assert_allclose(sol.f, extra)
-    assert sol.compliance > 0
-
-
 def test_solver_error_on_unremoved_rigid_mode(steelish):
     g = Grid(3, 1, 1.0, 1.0)
     bc = BoundaryConditions()

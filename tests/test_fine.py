@@ -91,8 +91,7 @@ def test_cell_solver_matches_general_solver():
         )
         g = fine.cell_grid(problem)
         bc = fine.rigid_body_supports(problem.n)
-        ke = fem.element_stiffness(problem.material, g.hx, g.hy)
-        solver = fem.Operator(g, problem.material, bc, ke)
+        solver = fem.Operator(g, problem.material, bc)
         rng = np.random.default_rng(21)
         loads = fine.apply_cell_tractions(problem, g)
         for _ in range(5):
@@ -100,7 +99,7 @@ def test_cell_solver_matches_general_solver():
             fast = solver.solve(rho, loads)
             u_ref = dense_cell_solve(g, rho, problem.material, bc, loads)
             energy_ref = fem.element_compliance_contributions(
-                g, rho, problem.material, u_ref, ke=ke
+                g, rho, problem.material, u_ref
             )
             scale = np.abs(u_ref).max()
             assert_allclose(fast.u, u_ref, atol=1e-9 * scale)
@@ -109,7 +108,7 @@ def test_cell_solver_matches_general_solver():
                 fast.element_energy, energy_ref, rtol=1e-6, atol=energy_atol
             )
             free = solver.keep
-            K = fem.assemble(g, rho, problem.material, ke=ke)[free][:, free]
+            K = fem.assemble(g, rho, problem.material)[free][:, free]
             knorm = abs(K).sum(axis=1).max()
             assert_allclose(solver.norm_inf(rho), knorm, rtol=1e-12)
 
@@ -146,8 +145,7 @@ def test_cell_solver_reaction_check_rejects_inexact_solution():
     )
     g = fine.cell_grid(problem)
     bc = fine.rigid_body_supports(problem.n)
-    ke = fem.element_stiffness(problem.material, g.hx, g.hy)
-    solver = fem.Operator(g, problem.material, bc, ke)
+    solver = fem.Operator(g, problem.material, bc)
     rng = np.random.default_rng(3)
     rho = rng.uniform(0.2, 1.0, g.n_elems)
     solution = solver.solve(rho, fine.apply_cell_tractions(problem, g))
@@ -167,8 +165,7 @@ def test_cell_solver_rejects_bad_density():
     )
     g = fine.cell_grid(problem)
     bc = fine.rigid_body_supports(problem.n)
-    ke = fem.element_stiffness(problem.material, g.hx, g.hy)
-    solver = fem.Operator(g, problem.material, bc, ke)
+    solver = fem.Operator(g, problem.material, bc)
     loads = fine.apply_cell_tractions(problem, g)
     with pytest.raises(ValueError):
         solver.solve(np.full(g.n_elems, 2.0), loads)
@@ -400,7 +397,7 @@ def test_solve_all_cells_fills_and_optimizes():
     field = eq.equilibrate_all(
         g, cres.rho, mat, bc, cres.solution.u, void_mask=cres.frozen == coarse.VOID
     )
-    batch = fine.solve_all_cells(g, cres, field, n=8, eps=0.02, max_iter=120)
+    batch = fine.solve_all_cells(g, cres, field.tractions, n=8, eps=0.02, max_iter=120)
     assert not batch.failures
     assert set(batch.cells) == set(int(e) for e in g.active_elems)
     for e in g.active_elems:
@@ -417,7 +414,7 @@ def test_solve_all_cells_fills_and_optimizes():
             assert_allclose(r.rho.mean(), cres.rho[e], atol=0.05)
 
     # the farm is deterministic: a second pass reproduces every raster bitwise
-    again = fine.solve_all_cells(g, cres, field, n=8, eps=0.02, max_iter=120)
+    again = fine.solve_all_cells(g, cres, field.tractions, n=8, eps=0.02, max_iter=120)
     for e, r in batch.cells.items():
         assert np.array_equal(r.rho, again.cells[e].rho)
 
@@ -435,7 +432,7 @@ def test_solve_all_cells_collects_failures():
     assert list(batch.failures) == [0]
     assert "equilibrated" in batch.failures[0]
     assert batch.cells[1].kind == "frozen-solid"
-    assert batch.n_optimized == 0
+    assert not any(r.kind == "optimized" for r in batch.cells.values())
 
 
 def test_solve_all_cells_takes_fine_cell_settings():
@@ -464,9 +461,10 @@ def test_solve_all_cells_pool_matches_serial_bitwise():
     field = eq.equilibrate_all(
         g, cres.rho, mat, bc, cres.solution.u, void_mask=cres.frozen == coarse.VOID
     )
-    serial = fine.solve_all_cells(g, cres, field, n=8, eps=0.02, max_iter=120, workers=1)
-    pooled = fine.solve_all_cells(g, cres, field, n=8, eps=0.02, max_iter=120, workers=2)
-    assert serial.n_optimized >= 2
+    settings = dict(n=8, eps=0.02, max_iter=120)
+    serial = fine.solve_all_cells(g, cres, field.tractions, workers=1, **settings)
+    pooled = fine.solve_all_cells(g, cres, field.tractions, workers=2, **settings)
+    assert sum(r.kind == "optimized" for r in serial.cells.values()) >= 2
     assert not serial.failures and not pooled.failures
     assert list(pooled.cells) == list(serial.cells)
     for e, r in serial.cells.items():

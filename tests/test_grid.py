@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import ndimage
 
+from twolevel_topopt.equilibrate import classify_nodes
 from twolevel_topopt.grid import (
     EDGE_LNODES,
     EDGE_NORMALS,
@@ -57,7 +58,7 @@ def test_edge_nodes_follow_corner_order():
 
 def test_edge_normals_point_outward():
     g = Grid(1, 1, 2.0, 3.0)
-    center = g.elem_centers([0])[0]
+    center = g.node_coords(g.elem_nodes[0]).mean(axis=0)
     for k in range(4):
         a, b = g.edge_nodes(0, k)
         mid = 0.5 * (g.node_coords([a])[0] + g.node_coords([b])[0])
@@ -98,6 +99,24 @@ def test_disconnected_mask_rejected():
         Grid(3, 3, 1.0, 1.0, active=active)
 
 
+def test_serpentine_mask_accepted():
+    # one path of width one that turns back on itself at alternate ends
+    active = np.zeros((7, 5), dtype=bool)
+    active[::2, :] = True
+    active[1::4, -1] = True
+    active[3::4, 0] = True
+    g = Grid(7, 5, 1.0, 1.0, active=active)
+    assert g.active_elems.size == 4 * 5 + 3
+
+
+def test_blocks_touching_at_a_corner_rejected():
+    active = np.zeros((4, 4), dtype=bool)
+    active[:2, :2] = True
+    active[2:, 2:] = True
+    with pytest.raises(GridError, match="not edge-connected"):
+        Grid(4, 4, 1.0, 1.0, active=active)
+
+
 def test_empty_mask_rejected():
     with pytest.raises(GridError):
         Grid(2, 2, 1.0, 1.0, active=np.zeros((2, 2), dtype=bool))
@@ -110,10 +129,16 @@ def test_bad_dimensions_rejected():
         Grid(2, 2, -1.0, 1.0)
 
 
+def classified_fan(g, n):
+    """Node n's (elements, edges, is_cycle) as classify_nodes orders them."""
+    fan = classify_nodes(g, BoundaryConditions())[n]
+    return fan.elements, fan.edges, fan.is_cycle
+
+
 def test_interior_node_fan_is_ccw_cycle():
     g = Grid(3, 3, 1.0, 1.0)
     n = g.node_id(1, 1)
-    elements, edges, is_cycle = g.node_fan(n)
+    elements, edges, is_cycle = classified_fan(g, n)
     assert is_cycle
     assert elements == [
         g.elem_id(1, 0),  # SE
@@ -134,7 +159,7 @@ def test_interior_node_fan_is_ccw_cycle():
 def test_boundary_node_fan_is_chain_with_boundary_extremes():
     g = Grid(3, 3, 1.0, 1.0)
     n = g.node_id(0, 1)  # left boundary, mid-height
-    elements, edges, is_cycle = g.node_fan(n)
+    elements, edges, is_cycle = classified_fan(g, n)
     assert not is_cycle
     assert elements == [g.elem_id(0, 0), g.elem_id(0, 1)]
     assert len(edges) == 3
@@ -147,7 +172,7 @@ def test_boundary_node_fan_is_chain_with_boundary_extremes():
 
 def test_corner_node_fan_single_element():
     g = Grid(2, 2, 1.0, 1.0)
-    elements, edges, is_cycle = g.node_fan(g.node_id(0, 0))
+    elements, edges, is_cycle = classified_fan(g, g.node_id(0, 0))
     assert not is_cycle
     assert elements == [g.elem_id(0, 0)]
     assert len(edges) == 2
@@ -155,7 +180,7 @@ def test_corner_node_fan_single_element():
 
 def test_reentrant_corner_fan_has_three_elements():
     g = Grid(4, 4, 1.0, 1.0, active=l_mask(4, 4))
-    elements, edges, is_cycle = g.node_fan(g.node_id(2, 2))
+    elements, edges, is_cycle = classified_fan(g, g.node_id(2, 2))
     assert not is_cycle
     assert len(elements) == 3
     assert len(edges) == 4
@@ -190,13 +215,13 @@ def connected_grids(draw):
 @settings(max_examples=60, deadline=None)
 @given(connected_grids())
 def test_node_fans_are_consistent_chains_or_cycles(g):
-    for n in range(g.n_nodes):
-        if not g.node_active[n]:
-            continue
-        try:
-            elements, edges, is_cycle = g.node_fan(n)
-        except GridError:
-            continue  # non-manifold corner contact is a legal rejection
+    try:
+        classes = classify_nodes(g, BoundaryConditions())
+    except GridError:
+        return  # non-manifold corner contact is a legal rejection
+    boundary = {(e, k) for e, k, _ in g.boundary_edges()}
+    for n, fan in classes.items():
+        elements, edges, is_cycle = fan.elements, fan.edges, fan.is_cycle
         m = len(elements)
         assert m >= 1
         assert len(edges) == (m if is_cycle else m + 1)
@@ -207,33 +232,49 @@ def test_node_fans_are_consistent_chains_or_cycles(g):
                 assert owner == elements[i]
                 assert g.neighbor(owner, ledge) == prev
         if not is_cycle:
-            boundary = {(e, k) for e, k, _ in g.boundary_edges()}
             assert tuple(edges[0]) in boundary
             assert tuple(edges[-1]) in boundary
 
 
+def _ref_fan(present):
+    """The fan of a node whose quadrants (SE, NE, NW, SW) hold the elements
+    present (-1 where none): a cycle when all four hold one, else the one
+    contiguous run of them, which starts right after a gap; None when the
+    node is non-manifold."""
+    quad_edges = ((3, 2), (0, 3), (1, 0), (2, 1))  # (preceding, following) per quadrant
+    m = sum(e >= 0 for e in present)
+    if m == 0:
+        return [], [], False
+    if m == 4:
+        return present, [(present[q], quad_edges[q][0]) for q in range(4)], True
+    starts = [q for q in range(4) if present[q] >= 0 and present[q - 1] < 0]
+    run = [(starts[0] + i) % 4 for i in range(m)]
+    if len(starts) > 1 or any(present[q] < 0 for q in run):
+        return None
+    edges = [(present[q], quad_edges[q][0]) for q in run]
+    edges.append((present[run[-1]], quad_edges[run[-1]][1]))
+    return [present[q] for q in run], edges, False
+
+
 def _ref_node_fan(g, n):
-    """node_fan by walking the four quadrants of one node: a cycle when all
-    four hold active elements, else the one contiguous run of them, which
-    starts right after a gap."""
+    """Node n's quadrant elements, walked one by one, and its _ref_fan."""
     jx, jy = g.node_index(n)
     present = []
     for ix, iy in ((jx, jy - 1), (jx, jy), (jx - 1, jy), (jx - 1, jy - 1)):  # SE NE NW SW
         inside = 0 <= ix < g.nx and 0 <= iy < g.ny
         present.append(g.elem_id(ix, iy) if inside and g.active[ix, iy] else -1)
-    quad_edges = ((3, 2), (0, 3), (1, 0), (2, 1))  # (preceding, following) per quadrant
-    m = sum(e >= 0 for e in present)
-    if m == 0:
-        return present, ([], [], False)
-    if m == 4:
-        return present, (present, [(present[q], quad_edges[q][0]) for q in range(4)], True)
-    starts = [q for q in range(4) if present[q] >= 0 and present[q - 1] < 0]
-    run = [(starts[0] + i) % 4 for i in range(m)]
-    if len(starts) > 1 or any(present[q] < 0 for q in run):
-        return present, None
-    edges = [(present[q], quad_edges[q][0]) for q in run]
-    edges.append((present[run[-1]], quad_edges[run[-1]][1]))
-    return present, ([present[q] for q in run], edges, False)
+    return present, _ref_fan(present)
+
+
+def test_node_fans_table_matches_reference():
+    # each quadrant stands in for its element id
+    for code, fan in enumerate(NODE_FANS):
+        ref = _ref_fan([q if code >> q & 1 else -1 for q in range(4)])
+        if fan is None:
+            assert ref is None
+        else:
+            quads, edges, is_cycle = fan
+            assert (list(quads), list(edges), is_cycle) == ref
 
 
 @st.composite
@@ -250,25 +291,30 @@ def masked_grids(draw):
 
 
 def _assert_fans_match_reference(g):
+    """node_quadrants and the fans of classify_nodes match the reference
+    walk; a non-manifold node fails the classification at the first one."""
     quadrants = g.node_quadrants()
+    fans = {}
     for n in range(g.n_nodes):
-        present, fan = _ref_node_fan(g, n)
+        present, fans[n] = _ref_node_fan(g, n)
         assert quadrants[n].tolist() == present
-        code = sum(1 << q for q in range(4) if present[q] >= 0)
-        assert (NODE_FANS[code] is None) == (fan is None)
-        if fan is None:
-            with pytest.raises(GridError, match=f"^non-manifold active region at node {n}$"):
-                g.node_fan(n)
-        else:
-            assert g.node_fan(n) == fan
+    bad = [n for n, fan in fans.items() if fan is None]
+    if bad:
+        with pytest.raises(GridError, match=f"^non-manifold active region at node {bad[0]}$"):
+            classify_nodes(g, BoundaryConditions())
+        return
+    classes = classify_nodes(g, BoundaryConditions())
+    assert list(classes) == np.flatnonzero(g.node_active).tolist()
+    for n, fan in classes.items():
+        assert (fan.elements, fan.edges, fan.is_cycle) == fans[n]
 
 
 def test_node_fan_matches_reference_at_a_non_manifold_node():
     active = np.ones((3, 3), dtype=bool)
     active[1, 1] = active[2, 2] = False  # elements (2, 1) and (1, 2) meet only at node (2, 2)
     g = Grid(3, 3, 1.0, 1.0, active=active)
-    with pytest.raises(GridError, match="non-manifold"):
-        g.node_fan(g.node_id(2, 2))
+    with pytest.raises(GridError, match=f"non-manifold active region at node {g.node_id(2, 2)}"):
+        classify_nodes(g, BoundaryConditions())
     _assert_fans_match_reference(g)
 
 

@@ -270,6 +270,17 @@ def test_mask_file_roundtrip(tmp_path):
     assert g.active[2, 0]
 
 
+@pytest.mark.parametrize("nx, ny, rows, active", [
+    (1, 3, "1\n1\n0\n", [[False, True, True]]),  # one column, top row first
+    (3, 1, "0,1,1\n", [[False], [True], [True]]),  # one row
+])
+def test_mask_file_of_one_column_or_row(tmp_path, nx, ny, rows, active):
+    path = tmp_path / "mask.csv"
+    path.write_text(rows)
+    config = pipeline.parse_config(f"[grid]\nnx = {nx}\nny = {ny}\nmask = file:{path}\n")
+    assert config.build_grid().active.tolist() == active
+
+
 def test_mask_file_errors(tmp_path):
     # the file itself is only read when the grid is built
     path = tmp_path / "mask.csv"
@@ -325,7 +336,7 @@ def test_stitch_places_cells():
     g = Grid(2, 1, 1.0, 1.0)
     batch = fake_batch({0: np.arange(4) / 4.0, 1: np.arange(4, 8) / 8.0}, n=2)
     image = pipeline.stitch(g, batch)
-    assert (image.width, image.height) == (4, 2)
+    assert image.data.shape == (4, 2)
     assert_allclose(image.data[0:2, 0:2], (np.arange(4) / 4.0).reshape(2, 2))
     assert_allclose(image.data[2:4, 0:2], (np.arange(4, 8) / 8.0).reshape(2, 2))
     # row 0 of the file raster is the top of the domain
@@ -367,6 +378,41 @@ def test_continuity_metric_skips_inactive_neighbors():
     assert metric["mean"] == 0.0
 
 
+def _ref_continuity(image):
+    """continuity_metric's per_boundary, one cell boundary at a time."""
+    n, active = image.n, image.active
+    nx, ny = active.shape
+    per_boundary = []
+    for ix in range(nx - 1):
+        for iy in range(ny):
+            if active[ix, iy] and active[ix + 1, iy]:
+                a = image.data[(ix + 1) * n - 1, iy * n : (iy + 1) * n]
+                b = image.data[(ix + 1) * n, iy * n : (iy + 1) * n]
+                per_boundary.append(float(np.abs(a - b).mean()))
+    for ix in range(nx):
+        for iy in range(ny - 1):
+            if active[ix, iy] and active[ix, iy + 1]:
+                a = image.data[ix * n : (ix + 1) * n, (iy + 1) * n - 1]
+                b = image.data[ix * n : (ix + 1) * n, (iy + 1) * n]
+                per_boundary.append(float(np.abs(a - b).mean()))
+    return per_boundary
+
+
+def test_continuity_metric_matches_boundary_loop_on_random_masks():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 8, 32, 200):
+        for _ in range(20):
+            nx, ny = rng.integers(1, 6, size=2)
+            image = pipeline.HighResImage(rng.uniform(size=(nx * n, ny * n)), n,
+                                          rng.uniform(size=(nx, ny)) < 0.7)
+            ref = _ref_continuity(image)
+            metric = pipeline.continuity_metric(image)
+            assert metric["per_boundary"] == ref  # bitwise, in the same order
+            assert metric["count"] == len(ref)
+            if ref:
+                assert (metric["mean"], metric["max"]) == (np.mean(ref), np.max(ref))
+
+
 def test_write_pgm_format(tmp_path):
     path = tmp_path / "img.pgm"
     pipeline.write_pgm(path, np.array([[1.0, 0.0], [0.5, 0.25]]))
@@ -405,7 +451,7 @@ def test_csv_raster_roundtrip(tmp_path):
     path = tmp_path / "field.csv"
     raster = np.random.default_rng(3).uniform(size=(3, 5))
     pipeline.write_csv_raster(path, raster)
-    assert np.array_equal(pipeline.read_csv_raster(path), raster)
+    assert np.array_equal(np.loadtxt(path, delimiter=","), raster)
 
 
 def test_field_raster_orientation():
@@ -417,7 +463,8 @@ def test_field_raster_orientation():
 
 def test_render_rejects_unknown_format(tmp_path):
     with pytest.raises(pipeline.ConfigError):
-        pipeline.render(np.zeros((2, 2)), "bmp", tmp_path / "x.bmp")
+        image = pipeline.HighResImage(np.zeros((2, 2)), n=1, active=np.ones((2, 2), dtype=bool))
+        pipeline.render(image, "bmp", tmp_path / "x.bmp")
 
 
 # ----------------------------------------------------------------- pipeline
@@ -463,7 +510,7 @@ def test_run_pipeline_artifacts(small_run):
     assert summary["certificate"]["max_force_residual_rel"] <= 1e-8
     assert summary["certificate"]["max_moment_residual_rel"] <= 1e-8
     assert summary["max_cell_reaction_rel"] <= 1e-6
-    highres = pipeline.read_csv_raster(out / "highres.csv")
+    highres = np.loadtxt(out / "highres.csv", delimiter=",")
     assert highres.shape == (2 * 4, 4 * 4)
     assert summary["continuity_mean"] >= 0.0
 
