@@ -27,19 +27,8 @@ class InfeasibleVolumeError(RuntimeError):
     """The volume target cannot be met with the current frozen set."""
 
 
-@dataclass
-class OCParams:
-    """Move limit zeta, damping eta and volume tolerance of the OC update."""
-
-    zeta: float = 0.2
-    eta: float = 0.5
-    vol_tol: float = 1e-4
-
-    def __post_init__(self):
-        if not 0 < self.zeta < 1:
-            raise ValueError(f"zeta must be in (0, 1), got {self.zeta}")
-        if not 0 < self.eta <= 1:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
+# OC update: move limit, damping exponent and relative volume tolerance.
+ZETA, ETA, VOL_TOL = 0.2, 0.5, 1e-4
 
 
 @dataclass
@@ -96,11 +85,13 @@ def sensitivity(grid, rho, material, element_energy):
 def _filter_plan(nx, ny, r_min, active_bytes):
     """Cone weights H_ef = r_min - dist within r_min, per offset as (dst, src,
     weight raster), and their sums; built once per mesh and r_min in each
-    process, and shared between callers, which must not mutate them."""
+    process, and shared between callers, which must not mutate them. An
+    offset of a grid's extent or more along an axis pairs no elements, so
+    the reach along each axis stops short of it."""
     act = np.frombuffer(active_bytes, dtype=bool).reshape(nx, ny).astype(float)
-    reach = max(int(np.ceil(r_min)), 0)
+    reach = [int(max(min(np.ceil(r_min), n - 1), 0)) for n in (nx, ny)]
     plan, den = [], np.zeros((nx, ny))
-    for dx, dy in itertools.product(range(-reach, reach + 1), repeat=2):
+    for dx, dy in itertools.product(*(range(-r, r + 1) for r in reach)):
         dist = np.hypot(dx, dy)
         if dist < r_min:
             src = (slice(max(0, -dx), nx - max(0, dx)), slice(max(0, -dy), ny - max(0, dy)))
@@ -132,28 +123,29 @@ def filter_sensitivities(grid, rho, sens, r_min):
     return out.ravel(order="C")
 
 
-def oc_step_values(rho, B, zeta, eta, rho_min):
-    """Pointwise OC move: rho*B^eta clamped to the move-limited box."""
+def oc_step_values(rho, B, rho_min):
+    """Pointwise OC move: rho*B clamped to the move-limited box; B is the
+    already-damped factor."""
     rho = np.asarray(rho, dtype=float)
-    lo = np.maximum((1.0 - zeta) * rho, rho_min)
-    hi = np.minimum((1.0 + zeta) * rho, 1.0)
-    return np.clip(rho * np.asarray(B, dtype=float) ** eta, lo, hi)
+    lo = np.maximum((1.0 - ZETA) * rho, rho_min)
+    hi = np.minimum((1.0 + ZETA) * rho, 1.0)
+    return np.clip(rho * np.asarray(B, dtype=float), lo, hi)
 
 
-def oc_update(grid, rho, filtered_sens, volume_target, material, frozen, params):
+def oc_update(grid, rho, filtered_sens, volume_target, material, frozen):
     """One OC density update with the volume multiplier solved exactly.
 
     volume_target is in absolute units (density times element area summed
-    over all active elements, frozen included). Returns (new_rho, info)
-    where info carries the achieved volume and whether the move limits
-    clamped the step short of the target.
+    over all active elements, frozen included). Returns (new_rho, clamped),
+    clamped telling whether the move limits stopped the step short of the
+    target.
 
-    With t = lmbda^(-eta), each free density is clip(a_i t, lo_i, hi_i) with
-    a_i = rho_i (drive_i / cell_vol)^eta and lo_i, hi_i its move limits, so
-    the free volume is continuous, nondecreasing and piecewise linear in t
-    for any eta. Its value at the sorted clip breakpoints follows from
-    cumulative sums of the slope and offset changes, and the target is
-    solved for on the linear segment that holds it.
+    With t = lmbda^(-ETA), each free density is clip(a_i t, lo_i, hi_i) with
+    a_i = rho_i (drive_i / cell_vol)^ETA and lo_i, hi_i its move limits, so
+    the free volume is continuous, nondecreasing and piecewise linear in t.
+    Its value at the sorted clip breakpoints follows from cumulative sums of
+    the slope and offset changes, and the target is solved for on the linear
+    segment that holds it.
     """
     rho = np.asarray(rho, dtype=float)
     free = (frozen == FREE) & grid.active.ravel(order="C")
@@ -162,13 +154,13 @@ def oc_update(grid, rho, filtered_sens, volume_target, material, frozen, params)
     frozen_vol = rho[act[frozen[act] != FREE]].sum() * cell_vol
 
     if not free.any():
-        return rho.copy(), {"volume": frozen_vol, "clamped": False}
+        return rho.copy(), False
 
     drive = -np.asarray(filtered_sens, dtype=float)[free]
     drive = np.maximum(drive, 0.0)
     rho_f = rho[free]
-    lo = np.maximum((1 - params.zeta) * rho_f, material.rho_min)
-    hi = np.minimum((1 + params.zeta) * rho_f, 1.0)
+    lo = np.maximum((1 - ZETA) * rho_f, material.rho_min)
+    hi = np.minimum((1 + ZETA) * rho_f, 1.0)
 
     target_free = volume_target - frozen_vol
     vmax = hi.sum() * cell_vol
@@ -186,11 +178,10 @@ def oc_update(grid, rho, filtered_sens, volume_target, material, frozen, params)
                 f"current frozen set"
             )
         new[free] = hi if target_free >= vmax else lo
-        achieved = new[act].sum() * cell_vol
-        return new, {"volume": achieved, "clamped": True}
+        return new, True
 
     moving = drive > 0
-    a = rho_f[moving] * (drive[moving] / cell_vol) ** params.eta
+    a = rho_f[moving] * (drive[moving] / cell_vol) ** ETA
     lo_m, hi_m = lo[moving], hi[moving]
     breaks = np.concatenate([lo_m / a, hi_m / a])
     # Tied breaks sit on one side of any segment of positive length, and a
@@ -206,8 +197,7 @@ def oc_update(grid, rho, filtered_sens, volume_target, material, frozen, params)
         # multiplier, so the target lies beyond the volume reachable as
         # lmbda -> 0: take that limiting move.
         new[free] = np.where(moving, hi, lo)
-        achieved = new[act].sum() * cell_vol
-        return new, {"volume": achieved, "clamped": True}
+        return new, True
 
     # The cumulative slope cancels when the drives span many decades, so it
     # only locates the segment holding the target; that segment's slope and
@@ -222,17 +212,17 @@ def oc_update(grid, rho, filtered_sens, volume_target, material, frozen, params)
     t = t_start
     if seg_slope > 0:
         t = np.clip((target_free / cell_vol - seg_offset) / seg_slope, t_start, t_end)
-    # The damped factor (drive / (lmbda cell_vol))^eta goes in with exponent
-    # 1: for small eta the undamped one overflows.
-    damped = (drive / cell_vol) ** params.eta * t
-    new[free] = oc_step_values(rho_f, damped, params.zeta, 1.0, material.rho_min)
+    # The damped factor (drive / (lmbda cell_vol))^ETA is formed as
+    # (drive / cell_vol)^ETA t: the undamped one can overflow.
+    damped = (drive / cell_vol) ** ETA * t
+    new[free] = oc_step_values(rho_f, damped, material.rho_min)
     achieved = new[act].sum() * cell_vol
-    if abs(achieved - volume_target) > params.vol_tol * volume_target:
+    if abs(achieved - volume_target) > VOL_TOL * volume_target:
         raise InfeasibleVolumeError(
             f"multiplier search missed: volume {achieved:.6g} vs target "
             f"{volume_target:.6g}"
         )
-    return new, {"volume": achieved, "clamped": False}
+    return new, False
 
 
 def simp_loop(operator, loads, rho, volume_target, frozen, r_min, eps, max_iter,
@@ -241,9 +231,8 @@ def simp_loop(operator, loads, rho, volume_target, frozen, r_min, eps, max_iter,
     update until max |drho| < eps on an unclamped step.
 
     operator is the fem.Operator of the grid and its supports, loads the
-    full-length load vector; the OC updates use the default OCParams.
-    check_each_solve passes every solve through the operator's residual
-    gates. projection (the fine scale's fine.ProjectionParams) may sharpen
+    full-length load vector. check_each_solve passes every solve through the
+    operator's residual gates. projection (the fine scale's fine.ProjectionParams) may sharpen
     each OC field: its step(it, rho, beta, rho_min) returns the field, the
     next beta, the grey measure and whether it projected, starting from its
     beta0. Delta spans all elements; OC moves free ones only. Returns (rho,
@@ -252,7 +241,6 @@ def simp_loop(operator, loads, rho, volume_target, frozen, r_min, eps, max_iter,
     """
     grid, material = operator.grid, operator.material
     act = grid.active_elems
-    oc_params = OCParams()
     rho = np.array(rho, dtype=float)
     beta = projection.beta0 if projection is not None else None
     history = []
@@ -262,9 +250,7 @@ def simp_loop(operator, loads, rho, volume_target, frozen, r_min, eps, max_iter,
             operator.check(rho, solution)
         sens = sensitivity(grid, rho, material, solution.element_energy)
         filtered = filter_sensitivities(grid, rho, sens, r_min)
-        new_rho, info = oc_update(
-            grid, rho, filtered, volume_target, material, frozen, oc_params
-        )
+        new_rho, clamped = oc_update(grid, rho, filtered, volume_target, material, frozen)
         row = {"iteration": it, "compliance": solution.compliance,
                "volume_fraction": new_rho[act].sum() / act.size}
         if projection is not None:
@@ -274,7 +260,7 @@ def simp_loop(operator, loads, rho, volume_target, frozen, r_min, eps, max_iter,
         row["max_delta"] = delta = float(np.abs(new_rho - rho).max())
         history.append(row)
         rho = new_rho
-        if delta < eps and not info["clamped"]:
+        if delta < eps and not clamped:
             return rho, True, history
     return rho, False, history
 

@@ -340,22 +340,20 @@ def split_internal_node(forces, pole):
     return _sides(Q), W[..., m, :].copy()
 
 
-def split_dirichlet_node(g, pole=None, voids=None):
+def split_dirichlet_node(g, voids=None):
     """Side forces of a chain whose both extreme edges carry reactions.
 
     g are the traction-adjusted nodal forces in chain order. The polygon is
-    closed by the total reaction side and the pole defaults to the closed
-    polygon's centroid (void-aware when voids are flagged). Returns (sides,
-    reactions, lam) with reactions = (R_first, R_last) acting on the end
-    elements through the extreme edges; lam is identically zero because the
-    reactions close the polygon exactly.
+    closed by the total reaction side and the pole is the closed polygon's
+    centroid (void-aware when voids are flagged). Returns (sides, lam); the
+    reactions acting on the end elements through the extreme edges are
+    sides[..., 0, 0, :] and sides[..., -1, 1, :], and lam is identically
+    zero because they close the polygon exactly.
     """
     g = np.asarray(g, dtype=float)
     W = _vertices(g)
-    if pole is None:
-        pole = _pole(g, W, voids)
-    Q = np.asarray(pole)[..., None, :] - W
-    return _sides(Q), (Q[..., 0, :], -Q[..., -1, :]), np.zeros(g.shape[:-2] + (2,))
+    Q = _pole(g, W, voids)[..., None, :] - W
+    return _sides(Q), np.zeros(g.shape[:-2] + (2,))
 
 
 def split_neumann_node(g, dirichlet_first=False, dirichlet_last=False):
@@ -366,8 +364,8 @@ def split_neumann_node(g, dirichlet_first=False, dirichlet_last=False):
     extreme edges keep exactly their prescribed (possibly zero) tractions
     and the middle element absorbs the closure defect lam = sum(g), which is
     the FE nodal residual. With one Dirichlet extreme the split is uniquely
-    determined and lam = 0. Returns (sides, reaction, lam); reaction is None
-    without a Dirichlet extreme.
+    determined and lam = 0; the reaction is the side force on that extreme
+    edge, sides[..., 0, 0, :] or sides[..., -1, 1, :]. Returns (sides, lam).
     """
     if dirichlet_first and dirichlet_last:
         raise EquilibrationError("use split_dirichlet_node for two reactions")
@@ -375,14 +373,13 @@ def split_neumann_node(g, dirichlet_first=False, dirichlet_last=False):
     m = W.shape[-2] - 1
     if dirichlet_first or dirichlet_last:
         Q = W[..., m if dirichlet_first else 0, None, :] - W
-        reaction = Q[..., 0, :] if dirichlet_first else -Q[..., m, :]
-        return _sides(Q), reaction, np.zeros(W.shape[:-2] + (2,))
+        return _sides(Q), np.zeros(W.shape[:-2] + (2,))
 
     # Both extremes prescribed: exact from each end (pole 0 for the first
     # half, W[m] for the second), defect in the middle.
     Q = -W
     Q[..., (m - 1) // 2 + 1 :, :] += W[..., m, None, :]
-    return _sides(Q), None, W[..., m, :].copy()
+    return _sides(Q), W[..., m, :].copy()
 
 
 @dataclass
@@ -393,12 +390,8 @@ class EquilibrationReport:
     moment_scale: float
     net_force: np.ndarray
     net_moment: np.ndarray
-    lambda_norms: np.ndarray
+    max_lambda: float
     class_counts: dict
-
-    @property
-    def max_lambda(self):
-        return float(self.lambda_norms.max())
 
 
 @dataclass
@@ -438,7 +431,7 @@ def equilibrate_all(grid, rho, material, bc, u, void_mask=None):
     side = np.full((grid.n_elems, 4, 2, 2), np.nan)
     # Boundary edges start from their prescription (zero where unloaded);
     # reaction edges are overwritten by the node splits below.
-    for elem, ledge, _ in grid.boundary_edges():
+    for elem, ledge in grid.boundary_edges():
         data = bc.neumann.get((elem, ledge))
         if data is None:
             side[elem, ledge] = 0.0
@@ -506,9 +499,9 @@ def _split_nodes(forces, side, classes, rows):
         if not write_last:
             g[:, -1] -= side[elems[:, -1], follow[:, -1], 1]
         if write_first and write_last:
-            sides, _, lam = split_dirichlet_node(g, voids=voids)
+            sides, lam = split_dirichlet_node(g, voids)
         else:
-            sides, _, lam = split_neumann_node(g, write_first, write_last)
+            sides, lam = split_neumann_node(g, write_first, write_last)
 
     lo, hi = int(not write_first), m - int(not write_last)
     side[elems[:, lo:], edges[:, lo:], 0] = sides[:, lo:, 0]
@@ -527,7 +520,7 @@ def build_report(grid, field_in, force_scale):
 
     moment_scale = force_scale * max(grid.hx, grid.hy)
     return EquilibrationReport(force_scale, moment_scale, net_force, net_moment,
-                               _norm(field_in.lambdas),
+                               float(_norm(field_in.lambdas).max()),
                                field_in.classes.kind_counts())
 
 

@@ -250,9 +250,9 @@ class Operator:
         self.material = material
         self.ke = ke = element_stiffness(material, grid.hx, grid.hy)
         ndof = 2 * grid.n_nodes
-        self.fixed = bc.constrained_dofs(grid)
+        self.fixed = bc.constrained_dofs()
         self.u0 = np.zeros(ndof)
-        self.u0[self.fixed] = bc.prescribed_values(grid)
+        self.u0[self.fixed] = bc.prescribed_values()
         active_dofs = np.repeat(2 * np.flatnonzero(grid.node_active), 2)
         active_dofs[1::2] += 1
         self.keep = np.setdiff1d(active_dofs, self.fixed, assume_unique=True)

@@ -133,10 +133,6 @@ def measure_nondiscreteness(rho):
     return float((4.0 * rho * (1.0 - rho)).mean() * 100.0)
 
 
-def cell_grid(problem):
-    return Grid(problem.n, problem.n, problem.hx / problem.n, problem.hy / problem.n)
-
-
 def rigid_body_supports(n):
     """Minimal support set: pin the bottom-left node, roll the bottom-right.
 
@@ -176,15 +172,14 @@ def _cell_solver(n, hx, hy, E, nu, p, rho_min):
     return _CellSolver(n, hx, hy, fem.MaterialModel(E=E, nu=nu, p=p, rho_min=rho_min))
 
 
-def apply_cell_tractions(problem, grid=None):
+def apply_cell_tractions(problem, grid):
     """Distribute the 4 coarse edge tractions onto the fine boundary mesh.
 
-    Each coarse linear traction is sampled at the fine sub-edge endpoints
-    and converted to consistent nodal loads, preserving the total force of
-    every coarse edge. Returns the assembled fine load vector.
+    grid is the cell's n x n fine grid, as its _CellSolver holds it. Each
+    coarse linear traction is sampled at the fine sub-edge endpoints and
+    converted to consistent nodal loads, preserving the total force of every
+    coarse edge. Returns the assembled fine load vector.
     """
-    if grid is None:
-        grid = cell_grid(problem)
     lnodes = np.array(EDGE_LNODES)
     # The fine elements along the bottom, right, top and left sides, each
     # side in order of increasing ix or iy, and their sub-edges' end nodes.

@@ -148,7 +148,7 @@ class Grid:
     # -- boundary topology ---------------------------------------------------
 
     def boundary_edges(self):
-        """All (element id, local edge id, outward normal) on the active boundary.
+        """All (element id, local edge id) pairs on the active boundary.
 
         Every active-element edge not shared with another active element is
         returned exactly once, by element and then by edge.
@@ -159,10 +159,7 @@ class Grid:
             [~padded[ix + 1 + dx, iy + 1 + dy] for dx, dy in EDGE_NEIGHBOR_OFFSETS], axis=1
         )
         rows, edges = np.nonzero(open_sides)
-        return [
-            (e, edge, EDGE_NORMALS[edge].copy())
-            for e, edge in zip(self.active_elems[rows].tolist(), edges.tolist())
-        ]
+        return list(zip(self.active_elems[rows].tolist(), edges.tolist()))
 
     def node_quadrants(self):
         """Per node, the active element in each quadrant (SE, NE, NW, SW), or -1.
@@ -277,14 +274,14 @@ class BoundaryConditions:
 
     def validate(self, grid):
         """Check BC targets against the grid; raises GridError on conflicts."""
-        boundary = {(e, k) for e, k, _ in grid.boundary_edges()}
+        boundary = set(grid.boundary_edges())
         for key in self.neumann:
             if key not in boundary:
                 raise GridError(f"Neumann edge {key} is not on the active boundary")
         for node in self.dirichlet:
             if not grid.node_active[node]:
                 raise GridError(f"Dirichlet node {node} is inactive")
-        constrained = self.constrained_dofs(grid)
+        constrained = self.constrained_dofs()
         if len(constrained) < 3:
             raise RigidModeError("insufficient Dirichlet constraints for rigid modes")
         loaded_nodes = set()
@@ -296,7 +293,7 @@ class BoundaryConditions:
                 # A fully fixed node may not also carry Neumann data.
                 raise GridError(f"node {node} has both Dirichlet and Neumann data")
 
-    def constrained_dofs(self, grid):
+    def constrained_dofs(self):
         """Sorted array of constrained global dof indices."""
         dofs = []
         for node, (mask, _) in self.dirichlet.items():
@@ -305,12 +302,12 @@ class BoundaryConditions:
                     dofs.append(2 * node + comp)
         return np.array(sorted(dofs), dtype=int)
 
-    def prescribed_values(self, grid):
+    def prescribed_values(self):
         """Values aligned with constrained_dofs()."""
         vals = {}
         for node, (mask, values) in self.dirichlet.items():
             for comp in range(2):
                 if mask[comp]:
                     vals[2 * node + comp] = values[comp]
-        dofs = self.constrained_dofs(grid)
+        dofs = self.constrained_dofs()
         return np.array([vals[d] for d in dofs])

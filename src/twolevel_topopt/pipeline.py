@@ -23,10 +23,12 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import resource
 import sys
 import time
 import typing
+import warnings
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -99,7 +101,7 @@ def apply_parabolic_edge_shear(grid, bc):
     the total load.
     """
     edges = []
-    for elem, ledge, _ in grid.boundary_edges():
+    for elem, ledge in grid.boundary_edges():
         ix, iy = grid.elem_index(elem)
         if ledge == 1 and ix == grid.nx - 1:
             edges.append((elem, iy))
@@ -133,11 +135,16 @@ def apply_parabolic_edge_shear(grid, bc):
 def load_mask_csv(path, nx, ny):
     """Read an activity mask CSV: ny rows (top first) of nx 0/1 entries."""
     try:
-        raster = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+        with warnings.catch_warnings():
+            # An empty file is a ConfigError below, not a warning.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            raster = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except OSError as exc:
         raise ConfigError(f"grid.mask: cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"grid.mask: {path} is not a table of numbers: {exc}") from exc
+    if raster.size == 0:
+        raise ConfigError(f"grid.mask: {path} is empty")
     if raster.shape != (ny, nx):
         raise ConfigError(
             f"grid.mask: {path} has shape {raster.shape}, expected {(ny, nx)}"
@@ -243,8 +250,10 @@ class RunConfig:
 
     def validate(self):
         for (section, key), f in _INI_FIELDS.items():
-            rule = f.metadata["rule"]
-            if rule and (error := rule(getattr(self, f.name))):
+            value, rule = getattr(self, f.name), f.metadata["rule"]
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{section}.{key}: must be finite, got {value!r}")
+            if rule and (error := rule(value)):
                 raise ConfigError(f"{section}.{key}: {error}")
         # Material, thresholds and projection are range-checked where they
         # are defined.
@@ -258,10 +267,12 @@ class RunConfig:
         if self.support_preset == "none" and not self.dirichlet:
             raise ConfigError("supports.preset: no supports; set a preset or dirichlet rows")
         size = f"the {self.nx} x {self.ny} grid"
-        for row, (ix, iy, ledge, *_) in enumerate(self.neumann, 1):
+        for row, (ix, iy, ledge, *values) in enumerate(self.neumann, 1):
             if not (0 <= ix < self.nx and 0 <= iy < self.ny and 0 <= ledge <= 3):
                 raise ConfigError(
                     f"loads.neumann row {row}: element ({ix}, {iy}) edge {ledge} is not on {size}")
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"loads.neumann row {row}: tractions must be finite")
         for row, (jx, jy, _) in enumerate(self.dirichlet, 1):
             if not (0 <= jx <= self.nx and 0 <= jy <= self.ny):
                 raise ConfigError(f"supports.dirichlet row {row}: node ({jx}, {jy}) is not on {size}")

@@ -12,7 +12,6 @@ from twolevel_topopt.coarse import (
     SOLID,
     VOID,
     InfeasibleVolumeError,
-    OCParams,
     ThresholdPolicy,
 )
 from twolevel_topopt.grid import BoundaryConditions, Grid
@@ -107,18 +106,39 @@ def test_filter_skips_inactive_elements(mat):
     assert_allclose(out[g.active_elems], -1.0)
 
 
+@pytest.mark.parametrize("r_min", [2.5, 7.0, 1e30])
+def test_filter_radius_past_the_grid_matches_all_pairs(r_min):
+    # The plan's reach stops at the grid's extent; every pair of active
+    # elements within r_min still weighs in, and a huge r_min gives the
+    # uniform-weight average.
+    active = np.ones((4, 3), dtype=bool)
+    active[3, 2] = False
+    g = Grid(4, 3, 1.0, 1.0, active=active)
+    rng = np.random.default_rng(3)
+    rho = rng.uniform(0.1, 1.0, g.n_elems)
+    sens = rng.normal(size=g.n_elems)
+    act = g.active_elems
+    ix, iy = np.divmod(act, g.ny)
+    weights = np.maximum(r_min - np.hypot(ix[:, None] - ix, iy[:, None] - iy), 0.0)
+    expected = weights @ (rho[act] * sens[act]) / (rho[act] * weights.sum(axis=1))
+    out = coarse.filter_sensitivities(g, rho, sens, r_min)
+    assert_allclose(out[act], expected, rtol=1e-12)
+    if r_min == 1e30:
+        assert_allclose(out[act], (rho[act] * sens[act]).mean() / rho[act], rtol=1e-12)
+
+
 def test_oc_step_values_frozen_examples():
     # B = 4 wants rho*sqrt(4) = 1.0, the 20 percent move limit caps at 0.6
-    assert_allclose(coarse.oc_step_values(np.array([0.5]), 4.0, 0.2, 0.5, 1e-3), 0.6)
+    assert_allclose(coarse.oc_step_values(np.array([0.5]), 4.0 ** 0.5, 1e-3), 0.6)
     # B = 0.25 wants 0.25, the lower move limit caps at 0.4
-    assert_allclose(coarse.oc_step_values(np.array([0.5]), 0.25, 0.2, 0.5, 1e-3), 0.4)
+    assert_allclose(coarse.oc_step_values(np.array([0.5]), 0.25 ** 0.5, 1e-3), 0.4)
     # small B inside the box passes through the damped move
     assert_allclose(
-        coarse.oc_step_values(np.array([0.5]), 1.1, 0.2, 0.5, 1e-3),
+        coarse.oc_step_values(np.array([0.5]), 1.1 ** 0.5, 1e-3),
         0.5 * 1.1**0.5,
     )
     # never below rho_min, never above one
-    out = coarse.oc_step_values(np.array([1e-3, 1.0]), 1.0, 0.2, 0.5, 1e-3)
+    out = coarse.oc_step_values(np.array([1e-3, 1.0]), 1.0 ** 0.5, 1e-3)
     assert out[0] >= 1e-3
     assert out[1] <= 1.0
 
@@ -133,8 +153,8 @@ def test_oc_update_hits_volume_target(mat):
     )
     frozen = np.zeros(g.n_elems, dtype=int)
     target = 0.5 * g.n_elems * g.hx * g.hy
-    new, info = coarse.oc_update(g, rho, sens, target, mat, frozen, OCParams())
-    assert not info["clamped"]
+    new, clamped = coarse.oc_update(g, rho, sens, target, mat, frozen)
+    assert not clamped
     assert_allclose(new.sum() * g.hx * g.hy, target, rtol=2e-4)
     assert np.all(new >= mat.rho_min - 1e-15)
     assert np.all(new <= 1.0 + 1e-15)
@@ -156,7 +176,7 @@ def test_oc_update_leaves_frozen_untouched(mat):
         g, rho, coarse.sensitivity(g, rho, mat, sol.element_energy), 1.5
     )
     target = rho.sum() * g.hx * g.hy
-    new, _ = coarse.oc_update(g, rho, sens, target, mat, frozen, OCParams())
+    new, _ = coarse.oc_update(g, rho, sens, target, mat, frozen)
     assert new[0] == 1.0
     assert new[1] == mat.rho_min
     assert_allclose(new.sum() * g.hx * g.hy, target, rtol=2e-4)
@@ -172,8 +192,8 @@ def test_oc_update_clamps_when_target_out_of_reach(mat):
     frozen = np.zeros(g.n_elems, dtype=int)
     # target above the +20 percent reachable volume but below the absolute cap
     target = 0.5 * g.n_elems * g.hx * g.hy
-    new, info = coarse.oc_update(g, rho, sens, target, mat, frozen, OCParams())
-    assert info["clamped"]
+    new, clamped = coarse.oc_update(g, rho, sens, target, mat, frozen)
+    assert clamped
     assert_allclose(new, 0.24)  # extreme admissible move
 
 
@@ -187,7 +207,7 @@ def test_oc_update_infeasible_target(mat):
     # frozen solids alone already exceed the target volume
     target = 3.0 * g.hx * g.hy
     with pytest.raises(InfeasibleVolumeError):
-        coarse.oc_update(g, rho, sens, target, mat, frozen, OCParams())
+        coarse.oc_update(g, rho, sens, target, mat, frozen)
 
 
 def test_oc_update_zero_drive_target_beyond_limit_move(mat):
@@ -200,28 +220,28 @@ def test_oc_update_zero_drive_target_beyond_limit_move(mat):
     sens[:3] = 0.0
     frozen = np.zeros(g.n_elems, dtype=int)
     # limiting move: 3 x 0.4 + 5 x 0.6 = 4.2; vmax = 8 x 0.6 = 4.8
-    new, info = coarse.oc_update(g, rho, sens, 4.5, mat, frozen, OCParams())
-    assert info["clamped"]
+    new, clamped = coarse.oc_update(g, rho, sens, 4.5, mat, frozen)
+    assert clamped
     assert np.all(np.isfinite(new))
     assert np.all((new >= mat.rho_min) & (new <= 1.0))
     assert_allclose(new[:3], 0.4)
     assert_allclose(new[3:], 0.6)
 
 
-def bisection_move(rho_f, drive, target_sum, cell_vol, params, rho_min):
+def bisection_move(rho_f, drive, target_sum, cell_vol, rho_min):
     """Reference OC move: plain bisection for the free volume target.
 
-    It bisects on y = eta log(lmbda), so that the move
-    rho_f (drive / (lmbda cell_vol))^eta = rho_f exp(eta log(drive / cell_vol) - y)
-    neither over- nor underflows for any eta in (0, 1].
+    It bisects on y = ETA log(lmbda), so that the move
+    rho_f (drive / (lmbda cell_vol))^ETA = rho_f exp(ETA log(drive / cell_vol) - y)
+    neither over- nor underflows.
     """
-    lo = np.maximum((1 - params.zeta) * rho_f, rho_min)
-    hi = np.minimum((1 + params.zeta) * rho_f, 1.0)
+    lo = np.maximum((1 - coarse.ZETA) * rho_f, rho_min)
+    hi = np.minimum((1 + coarse.ZETA) * rho_f, 1.0)
     with np.errstate(divide="ignore"):
         log_drive = np.log(drive / cell_vol)
 
     def move(y):
-        return np.clip(rho_f * np.exp(params.eta * log_drive - y), lo, hi)
+        return np.clip(rho_f * np.exp(coarse.ETA * log_drive - y), lo, hi)
 
     y_lo, y_hi = -100.0, 100.0
     for _ in range(200):
@@ -245,19 +265,17 @@ def oc_cases(draw):
     rho[frozen == VOID] = 1e-3
     sens = -10.0 ** rng.uniform(-6.0, 3.0, n)
     sens[rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = 0.0
-    eta = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
     # Position of the free target between vmin (0) and vmax (1); values
     # outside [0, 1] reach the clamped and the infeasible branches.
     where = draw(st.floats(min_value=-0.3, max_value=1.3))
-    return Grid(nx, ny, 0.5, 0.25), rho, sens, frozen, eta, where
+    return Grid(nx, ny, 0.5, 0.25), rho, sens, frozen, where
 
 
 @settings(max_examples=200, deadline=None)
 @given(oc_cases())
 def test_oc_update_exact_multiplier_matches_bisection(case):
-    g, rho, sens, frozen, eta, where = case
+    g, rho, sens, frozen, where = case
     mat = fem.MaterialModel(E=1.0, nu=0.3, p=3.0)
-    params = OCParams(eta=eta)
     cv = g.hx * g.hy
     free = frozen == FREE
     rho_f, drive = rho[free], -sens[free]
@@ -270,10 +288,10 @@ def test_oc_update_exact_multiplier_matches_bisection(case):
         return
     if target_sum > free.sum() or target_sum < free.sum() * mat.rho_min:
         with pytest.raises(InfeasibleVolumeError):
-            coarse.oc_update(g, rho, sens, target, mat, frozen, params)
+            coarse.oc_update(g, rho, sens, target, mat, frozen)
         return
 
-    new, info = coarse.oc_update(g, rho, sens, target, mat, frozen, params)
+    new, clamped = coarse.oc_update(g, rho, sens, target, mat, frozen)
     assert np.array_equal(new[~free], rho[~free])
     assert np.all((new[free] >= lo) & (new[free] <= hi))
     limit = np.where(drive > 0, hi, lo)
@@ -281,20 +299,19 @@ def test_oc_update_exact_multiplier_matches_bisection(case):
     if min(abs(target_sum - v) for v in (vmin, vmax, limit.sum())) <= 1e-12 * vmax:
         return
     if where >= 1:
-        assert info["clamped"]
+        assert clamped
         assert_allclose(new[free], hi, rtol=0, atol=0)
     elif where <= 0:
-        assert info["clamped"]
+        assert clamped
         assert_allclose(new[free], lo, rtol=0, atol=0)
     elif target_sum > limit.sum():
-        assert info["clamped"]
+        assert clamped
         assert_allclose(new[free], limit, rtol=0, atol=0)
     else:
-        assert not info["clamped"]
-        ref = bisection_move(rho_f, drive, target_sum, cv, params, mat.rho_min)
+        assert not clamped
+        ref = bisection_move(rho_f, drive, target_sum, cv, mat.rho_min)
         assert_allclose(new[free], ref, rtol=0, atol=1e-9)
-        assert abs(new.sum() * cv - target) <= params.vol_tol * target
-        assert_allclose(info["volume"], new.sum() * cv)
+        assert abs(new.sum() * cv - target) <= coarse.VOL_TOL * target
 
 
 def test_threshold_policy_validation(mat):

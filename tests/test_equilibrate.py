@@ -188,9 +188,10 @@ def test_split_internal_matches_assembled_system():
 
 def test_split_dirichlet_symmetric_halves():
     F = np.array([0.8, -0.3])
-    sides, reactions, lam = eq.split_dirichlet_node([F, F])
-    assert_allclose(reactions[0], F, atol=1e-14)
-    assert_allclose(reactions[1], F, atol=1e-14)
+    sides, lam = eq.split_dirichlet_node([F, F])
+    # the reactions act through the chain's extreme sides
+    assert_allclose(sides[0][0], F, atol=1e-14)
+    assert_allclose(sides[-1][1], F, atol=1e-14)
     # the interface between the two elements carries nothing
     assert_allclose(sides[0][1], 0.0, atol=1e-14)
     assert_allclose(sides[1][0], 0.0, atol=1e-14)
@@ -199,9 +200,9 @@ def test_split_dirichlet_symmetric_halves():
 
 def test_split_dirichlet_single_element_corner():
     F = np.array([1.0, 2.0])
-    sides, reactions, lam = eq.split_dirichlet_node([F])
-    assert_allclose(reactions[0], F / 2, atol=1e-14)
-    assert_allclose(reactions[1], F / 2, atol=1e-14)
+    sides, lam = eq.split_dirichlet_node([F])
+    assert_allclose(sides[0][0], F / 2, atol=1e-14)
+    assert_allclose(sides[-1][1], F / 2, atol=1e-14)
     assert_allclose(sides[0][0] + sides[0][1], F, atol=1e-14)
 
 
@@ -210,10 +211,10 @@ def test_split_dirichlet_outflow_and_identities():
     for m in (1, 2, 3):
         for _ in range(10):
             g = rng.normal(size=(m, 2))
-            sides, reactions, lam = eq.split_dirichlet_node(list(g))
+            sides, lam = eq.split_dirichlet_node(list(g))
             assert_allclose(lam, 0.0)
             assert_allclose(
-                reactions[0] + reactions[1], g.sum(axis=0), atol=1e-12
+                sides[0][0] + sides[-1][1], g.sum(axis=0), atol=1e-12
             )
             for c in range(m):
                 assert_allclose(sides[c][0] + sides[c][1], g[c], atol=1e-12)
@@ -249,19 +250,17 @@ def test_split_dirichlet_matches_assembled_system():
     rng = np.random.default_rng(31)
     for _ in range(30):
         g = rng.normal(size=(2, 2))
-        pole = rng.normal(size=2)
-        sides, reactions, _ = eq.split_dirichlet_node(list(g), pole=pole)
+        # the pole is the centroid of the polygon closed by the total reaction
+        pole = eq.polygon_centroid(g[0], g[1], -g.sum(axis=0), np.zeros(2))
+        sides, _ = eq.split_dirichlet_node(list(g))
         x, rank = _assemble_dirichlet_pair(g, pole)
         assert rank == 8
         geo = np.concatenate([sides[0][0], sides[0][1], sides[1][0], sides[1][1]])
         assert_allclose(x, geo, atol=1e-10)
-        assert_allclose(x[0:2], reactions[0], atol=1e-10)
-        assert_allclose(x[6:8], reactions[1], atol=1e-10)
 
 
 def test_split_neumann_unloaded_example():
-    sides, reaction, lam = eq.split_neumann_node([(2.0, 0.0), (-2.0, 0.0)])
-    assert reaction is None
+    sides, lam = eq.split_neumann_node([(2.0, 0.0), (-2.0, 0.0)])
     assert_allclose(lam, 0.0, atol=1e-14)
     assert_allclose(sides[0][0], (0.0, 0.0))  # boundary edges keep their
     assert_allclose(sides[1][1], (0.0, 0.0))  # prescribed (zero) share
@@ -272,7 +271,7 @@ def test_split_neumann_unloaded_example():
 def test_split_neumann_fully_loaded_is_silent():
     # when the prescription already accounts for the whole nodal force the
     # homogeneous part vanishes entirely
-    sides, reaction, lam = eq.split_neumann_node([(0.0, 0.0), (0.0, 0.0)])
+    sides, lam = eq.split_neumann_node([(0.0, 0.0), (0.0, 0.0)])
     for c in range(2):
         assert_allclose(sides[c][0], 0.0)
         assert_allclose(sides[c][1], 0.0)
@@ -282,8 +281,7 @@ def test_split_neumann_fully_loaded_is_silent():
 def test_split_neumann_defect_absorbed_mid_chain():
     rng = np.random.default_rng(37)
     g = rng.normal(size=(3, 2))
-    sides, reaction, lam = eq.split_neumann_node(list(g))
-    assert reaction is None
+    sides, lam = eq.split_neumann_node(list(g))
     assert_allclose(lam, g.sum(axis=0), atol=1e-14)
     assert_allclose(sides[0][0], 0.0)
     assert_allclose(sides[2][1], 0.0)
@@ -297,10 +295,11 @@ def test_split_neumann_single_reaction_balances():
     for m in (1, 2, 3):
         for first in (True, False):
             g = rng.normal(size=(m, 2))
-            sides, reaction, lam = eq.split_neumann_node(
+            sides, lam = eq.split_neumann_node(
                 list(g), dirichlet_first=first, dirichlet_last=not first
             )
             assert_allclose(lam, 0.0)
+            reaction = sides[0][0] if first else sides[-1][1]
             assert_allclose(reaction, g.sum(axis=0), atol=1e-13)
             free_end = sides[-1][1] if first else sides[0][0]
             assert_allclose(free_end, 0.0, atol=1e-14)
@@ -349,7 +348,7 @@ def test_split_neumann_matches_assembled_system():
     for m in (1, 2, 3, 4):
         for _ in range(10):
             g = rng.normal(size=(m, 2))
-            sides, _, lam = eq.split_neumann_node(list(g))
+            sides, lam = eq.split_neumann_node(list(g))
             x, rank, n = _assemble_neumann_chain(g, m)
             assert rank == n
             geo = np.concatenate(
@@ -602,7 +601,7 @@ def test_equilibrate_cantilever_certificate():
 
     # summing every boundary edge's force, applied loads cancel reactions
     total = np.zeros(2)
-    for e, k, _ in g.boundary_edges():
+    for e, k in g.boundary_edges():
         total += field.side_forces[e, k].sum(axis=0)
     assert_allclose(total, 0.0, atol=1e-10 * rep.force_scale)
 

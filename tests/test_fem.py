@@ -115,11 +115,11 @@ def clamp_left(g, bc):
 def dense_solve(g, rho, material, bc, f):
     """Reference displacements from a dense solve on the assembled stiffness."""
     dense = fem.assemble(g, rho, material).toarray()
-    fixed = bc.constrained_dofs(g)
+    fixed = bc.constrained_dofs()
     active = np.flatnonzero(np.repeat(g.node_active, 2))
     free = np.setdiff1d(active, fixed)
     u = np.zeros(2 * g.n_nodes)
-    u[fixed] = bc.prescribed_values(g)
+    u[fixed] = bc.prescribed_values()
     rhs = f[free] - dense[np.ix_(free, fixed)] @ u[fixed]
     u[free] = np.linalg.solve(dense[np.ix_(free, free)], rhs)
     return u

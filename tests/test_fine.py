@@ -64,16 +64,21 @@ def test_rigid_body_supports_three_constraints():
     g = Grid(n, n, 1.0 / n, 1.0 / n)
     bc = fine.rigid_body_supports(n)
     bc.validate(g)
-    dofs = bc.constrained_dofs(g)
+    dofs = bc.constrained_dofs()
     assert dofs.size == 3
     assert 0 in dofs and 1 in dofs  # bottom-left pin
     assert 2 * g.node_id(n, 0) + 1 in dofs  # bottom-right roller, y only
-    assert_allclose(bc.prescribed_values(g), 0.0)
+    assert_allclose(bc.prescribed_values(), 0.0)
+
+
+def cell_mesh(problem):
+    """The n x n fine grid of a problem's cell, as its _CellSolver builds it."""
+    return Grid(problem.n, problem.n, problem.hx / problem.n, problem.hy / problem.n)
 
 
 def dense_cell_solve(g, rho, material, bc, loads):
     """Reference cell displacements from a dense solve on fem.assemble."""
-    free = np.setdiff1d(np.arange(2 * g.n_nodes), bc.constrained_dofs(g))
+    free = np.setdiff1d(np.arange(2 * g.n_nodes), bc.constrained_dofs())
     K = fem.assemble(g, rho, material).toarray()
     u = np.zeros(2 * g.n_nodes)
     u[free] = np.linalg.solve(K[np.ix_(free, free)], loads[free])
@@ -89,7 +94,7 @@ def test_cell_solver_matches_general_solver():
         problem = fine.FineCellProblem(
             cell=0, target=0.5, tractions=uniaxial_tractions(), hx=hx, hy=hy, n=n
         )
-        g = fine.cell_grid(problem)
+        g = cell_mesh(problem)
         bc = fine.rigid_body_supports(problem.n)
         solver = fem.Operator(g, problem.material, bc)
         rng = np.random.default_rng(21)
@@ -123,12 +128,12 @@ def test_fine_cell_solve_final_check_matches_general_solver(balanced):
         require_equilibrated=balanced,
     )
     result = fine.fine_cell_solve(problem)
-    g = fine.cell_grid(problem)
+    g = cell_mesh(problem)
     bc = fine.rigid_body_supports(problem.n)
     loads = fine.apply_cell_tractions(problem, g)
     u_ref = dense_cell_solve(g, result.rho, problem.material, bc, loads)
     K = fem.assemble(g, result.rho, problem.material)
-    reaction = np.abs((K @ u_ref - loads)[bc.constrained_dofs(g)]).max()
+    reaction = np.abs((K @ u_ref - loads)[bc.constrained_dofs()]).max()
     assert_allclose(result.compliance, loads @ u_ref, rtol=1e-9)
     if balanced:
         assert reaction <= 1e-9 * result.reaction_scale
@@ -143,7 +148,7 @@ def test_cell_solver_reaction_check_rejects_inexact_solution():
         cell=0, target=0.5, tractions=bending_plus_tension_tractions(), hx=1.0,
         hy=1.0, n=6,
     )
-    g = fine.cell_grid(problem)
+    g = cell_mesh(problem)
     bc = fine.rigid_body_supports(problem.n)
     solver = fem.Operator(g, problem.material, bc)
     rng = np.random.default_rng(3)
@@ -163,7 +168,7 @@ def test_cell_solver_rejects_bad_density():
     problem = fine.FineCellProblem(
         cell=0, target=0.5, tractions=uniaxial_tractions(), hx=1.0, hy=1.0, n=4
     )
-    g = fine.cell_grid(problem)
+    g = cell_mesh(problem)
     bc = fine.rigid_body_supports(problem.n)
     solver = fem.Operator(g, problem.material, bc)
     loads = fine.apply_cell_tractions(problem, g)
@@ -179,7 +184,7 @@ def test_apply_cell_tractions_constant_lumping():
     problem = fine.FineCellProblem(
         cell=0, target=0.5, tractions=t, hx=1.0, hy=1.0, n=n
     )
-    g = fine.cell_grid(problem)
+    g = cell_mesh(problem)
     f = fine.apply_cell_tractions(problem, g)
     h = 1.0 / n
     for jx in range(n + 1):
@@ -202,7 +207,7 @@ def test_apply_cell_tractions_preserves_force_and_moment():
         problem = fine.FineCellProblem(
             cell=0, target=0.5, tractions=t, hx=hx, hy=hy, n=6
         )
-        g = fine.cell_grid(problem)
+        g = cell_mesh(problem)
         f = fine.apply_cell_tractions(problem, g)
         net_f, net_m, scale = fine.traction_equilibrium(t, hx, hy)
         assert_allclose(f.reshape(-1, 2).sum(axis=0), net_f, atol=1e-12 * scale)
@@ -220,7 +225,7 @@ def test_apply_cell_tractions_matches_sub_edge_loop():
     for n, hx, hy in ((1, 1.0, 1.0), (3, 0.5, 0.8), (7, 2.0, 0.3)):
         t = rng.normal(size=(4, 2, 2))
         problem = fine.FineCellProblem(cell=0, target=0.5, tractions=t, hx=hx, hy=hy, n=n)
-        g = fine.cell_grid(problem)
+        g = cell_mesh(problem)
         corners = np.array([(0.0, 0.0), (hx, 0.0), (hx, hy), (0.0, hy)])
         coords = g.node_coords()
         expected = np.zeros(2 * g.n_nodes)

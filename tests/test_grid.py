@@ -69,14 +69,13 @@ def test_boundary_edges_full_rectangle():
     g = Grid(4, 3, 1.0, 1.0)
     edges = g.boundary_edges()
     assert len(edges) == 2 * (4 + 3)
-    for e, k, normal in edges:
+    for e, k in edges:
         assert g.neighbor(e, k) == -1
-        assert_allclose(normal, EDGE_NORMALS[k])
 
 
 def test_boundary_edges_l_domain_include_reentrant_sides():
     g = Grid(4, 4, 1.0, 1.0, active=l_mask(4, 4))
-    edges = {(e, k) for e, k, _ in g.boundary_edges()}
+    edges = set(g.boundary_edges())
     # the elements left of / below the missing quadrant expose new edges
     assert (g.elem_id(1, 2), 1) in edges
     assert (g.elem_id(2, 1), 2) in edges
@@ -163,7 +162,7 @@ def test_boundary_node_fan_is_chain_with_boundary_extremes():
     assert not is_cycle
     assert elements == [g.elem_id(0, 0), g.elem_id(0, 1)]
     assert len(edges) == 3
-    boundary = {(e, k) for e, k, _ in g.boundary_edges()}
+    boundary = set(g.boundary_edges())
     assert tuple(edges[0]) in boundary
     assert tuple(edges[-1]) in boundary
     owner, ledge = edges[1]
@@ -219,7 +218,7 @@ def test_node_fans_are_consistent_chains_or_cycles(g):
         classes = classify_nodes(g, BoundaryConditions())
     except GridError:
         return  # non-manifold corner contact is a legal rejection
-    boundary = {(e, k) for e, k, _ in g.boundary_edges()}
+    boundary = set(g.boundary_edges())
     for n, fan in classes.items():
         elements, edges, is_cycle = fan.elements, fan.edges, fan.is_cycle
         m = len(elements)
@@ -365,8 +364,8 @@ def test_constrained_dofs_and_values_align():
     bc = BoundaryConditions()
     bc.fix_node(3, ux=0.5, uy=-1.0)
     bc.fix_node(1, mask=(False, True), uy=2.0)
-    dofs = bc.constrained_dofs(g)
-    vals = bc.prescribed_values(g)
+    dofs = bc.constrained_dofs()
+    vals = bc.prescribed_values()
     assert dofs.tolist() == [3, 6, 7]
     assert_allclose(vals, [2.0, 0.5, -1.0])
 
@@ -413,11 +412,6 @@ def test_boundary_edges_match_element_loop(g):
     # neighbour, by element and then by edge
     expected = [(int(e), k) for e in g.active_elems for k in range(4) if g.neighbor(e, k) < 0]
     edges = g.boundary_edges()
-    assert [(e, k) for e, k, _ in edges] == expected
-    for e, k, normal in edges:
+    assert edges == expected
+    for e, k in edges:
         assert type(e) is int and type(k) is int
-        assert np.array_equal(normal, EDGE_NORMALS[k])
-    # each normal is its own array, not a view of the shared table
-    if edges:
-        edges[0][2][:] = 9.0
-        assert not (EDGE_NORMALS == 9.0).any()

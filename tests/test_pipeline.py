@@ -2,7 +2,11 @@
 
 import configparser
 import json
+import os
 import re
+import subprocess
+import sys
+import typing
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -121,6 +125,8 @@ dirichlet =
          "loads.neumann row 2: element (0, 4) edge 0 is not on the 8 x 4 grid"),
         ("[grid]\nnx = 8\nny = 4\n[supports]\ndirichlet = 0 0 xy\n  9 0 xy\n",
          "supports.dirichlet row 2: node (9, 0) is not on the 8 x 4 grid"),
+        ("[loads]\nneumann = 0 0 0 nan -1 0 -1\n", "loads.neumann row 1: tractions must be finite"),
+        ("[loads]\nneumann = 0 0 0 0 -1 0 -inf\n", "loads.neumann row 1: tractions must be finite"),
     ],
 )
 def test_parse_config_rejects(text, fragment):
@@ -150,6 +156,19 @@ def test_out_of_range_value_error_names_its_ini_key(name):
     with pytest.raises(pipeline.ConfigError) as err:
         pipeline.parse_config(f"[{section}]\n{key} = {OUT_OF_RANGE[name]}\n")
     assert str(err.value).startswith(f"{section}.{key}: ")
+
+
+# The (section, key) of every float field.
+FLOAT_KEYS = [key for key, f in pipeline._INI_FIELDS.items()
+              if typing.get_type_hints(pipeline.RunConfig)[f.name] is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS)
+def test_non_finite_value_error_names_its_ini_key(section, key, value):
+    with pytest.raises(pipeline.ConfigError) as err:
+        pipeline.parse_config(f"[{section}]\n{key} = {value}\n")
+    assert str(err.value).startswith(f"{section}.{key}: must be finite")
 
 
 @pytest.mark.parametrize("name, value", [
@@ -182,7 +201,7 @@ def test_explicit_rows_add_to_preset_loads_and_supports():
     assert bc.neumann.keys() == preset.neumann.keys()
     mask, values = bc.dirichlet[grid.node_id(0, 0)]
     assert mask.tolist() == [True, True] and values.tolist() == [0.0, 0.0]
-    assert bc.constrained_dofs(grid).tolist() == preset.constrained_dofs(grid).tolist()
+    assert bc.constrained_dofs().tolist() == preset.constrained_dofs().tolist()
 
 
 def test_conflicting_prescribed_values_are_a_config_error(monkeypatch):
@@ -293,6 +312,14 @@ def test_mask_file_errors(tmp_path):
     )
     with pytest.raises(pipeline.ConfigError, match="cannot read"):
         gone.build_grid()
+
+
+@pytest.mark.filterwarnings("error")
+def test_empty_mask_file_is_a_config_error_without_a_warning(tmp_path):
+    path = tmp_path / "mask.csv"
+    path.write_text("")
+    with pytest.raises(pipeline.ConfigError, match="is empty"):
+        pipeline.load_mask_csv(path, 2, 1)
 
 
 def test_parabolic_shear_preserves_edge_shares():
@@ -688,6 +715,37 @@ def test_cli_rejects_bad_mask_file(tmp_path, capsys, rows, message):
     assert cli.main(args) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "configuration error" in err and message in err
+
+
+@pytest.mark.parametrize("old, new, code", [
+    ("r_min = 1.3", "r_min = inf", cli.EXIT_CONFIG),
+    ("r_min = 1.3", "r_min = 1e30", 0),  # the filter's reach stops at the grid
+    ("[coarse]\n", "[coarse]\np = nan\n", cli.EXIT_CONFIG),
+    ("[grid]\n", "[material]\ne = nan\n\n[grid]\n", cli.EXIT_CONFIG),
+    ("hx = 0.5", "hx = inf", cli.EXIT_CONFIG),
+    ("preset = shear-right\n", "preset = shear-right\nneumann = 3 0 1 nan 0 0 0\n",
+     cli.EXIT_CONFIG),
+    ("[grid]\n", "[grid]\nmask = file:{empty}\n", cli.EXIT_CONFIG),
+], ids=["r_min-inf", "r_min-1e30", "p-nan", "e-nan", "hx-inf", "neumann-nan", "empty-mask"])
+def test_cli_ends_without_traceback_or_warning(tmp_path, old, new, code):
+    # a separate interpreter, so that stderr shows whatever escapes main
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    path = tmp_path / "run.ini"
+    assert old in SMALL_RUN
+    path.write_text(SMALL_RUN.replace(old, new.format(empty=empty), 1))
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "twolevel_topopt.cli", "verify", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr, done.stderr
+    if code == cli.EXIT_CONFIG:
+        assert done.stderr.startswith("configuration error: ")
 
 
 @pytest.mark.parametrize("command", ["verify", "run"])
