@@ -1,17 +1,20 @@
 """Coarse-scale SIMP with optimality-criteria updates and threshold freezing.
 
 The inner loop, simp_loop, iterates FE solve -> sensitivity -> cone filter ->
-OC update until the largest density change drops below eps; the fine cells
-run it too, with a projection step added. The outer stage loop then
-freezes densities beyond the prescribed thresholds to solid (1) or void
-(rho_min) and repeats until every free density lies inside the range.
+OC update until the largest density change drops below eps, or stops early
+once the fields repeat in a cycle; the fine cells run it too, with a
+projection step added. The outer stage loop then freezes densities beyond
+the prescribed thresholds to solid (1) or void (rho_min) and repeats until
+every free density lies inside the range.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,11 +241,20 @@ def simp_loop(operator, loads, rho, volume_target, frozen, r_min, eps, max_iter,
     beta0. Delta spans all elements; OC moves free ones only. Returns (rho,
     converged, history), one row per iteration whose volume_fraction is the
     mean active density after the OC step.
+
+    A loop that has locked into a limit cycle stops unconverged: when a
+    field and its beta equal those one period P back to within 1e-3 eps,
+    every later iteration repeats the last P, so the field the cap would
+    return is the kept one whose iteration is congruent to max_iter modulo
+    P. P is 2, or lcm(2, cadence) with a projection, whose gate depends on
+    it % cadence. Such a stop returns fewer than max_iter history rows.
     """
     grid, material = operator.grid, operator.material
     act = grid.active_elems
     rho = np.array(rho, dtype=float)
     beta = projection.beta0 if projection is not None else None
+    period = 2 if projection is None else math.lcm(2, projection.cadence)
+    kept = collections.deque(maxlen=period + 1)  # (field, beta) of this and P back
     history = []
     for it in range(1, max_iter + 1):
         solution = operator.solve(rho, loads)
@@ -262,6 +274,10 @@ def simp_loop(operator, loads, rho, volume_target, frozen, r_min, eps, max_iter,
         rho = new_rho
         if delta < eps and not clamped:
             return rho, True, history
+        kept.append((rho, beta))
+        back, back_beta = kept[0]
+        if len(kept) > period and back_beta == beta and np.abs(rho - back).max() < 1e-3 * eps:
+            return kept[-1 - (it - max_iter) % period][0], False, history
     return rho, False, history
 
 
@@ -336,10 +352,13 @@ def stage_loop(
     stages = 0
     for stage in range(1, stage_cap + 1):
         stages = stage
+        start = len(history)
         rho, inner_ok = simp_inner_solve(operator, loads, rho, volume_target, frozen,
                                          r_min, eps, max_inner, stage, history)
         if not inner_ok:
-            log.warning("stage %d hit the inner iteration cap", stage)
+            log.warning("stage %d stopped unconverged: %s", stage,
+                        "the inner iteration cap" if len(history) - start == max_inner
+                        else "a limit cycle")
         n_frozen = freeze_out_of_range(grid, rho, frozen, policy, material.rho_min)
         stage_fields.append(rho.copy())
         log.info(

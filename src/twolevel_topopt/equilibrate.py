@@ -211,7 +211,7 @@ def _reaction_edges(grid, bc, elems, ledges):
     return fixed[ends].all(axis=-1) & ~loaded[elems, ledges]
 
 
-def classify_nodes(grid, bc, void_mask=None):
+def classify_nodes(grid, bc, void_mask):
     """Classify every active node by its fan topology and boundary conditions.
 
     void_mask marks frozen-void elements; they stay in the fans (their nodal
@@ -222,8 +222,6 @@ def classify_nodes(grid, bc, void_mask=None):
     sees two opposite void elements; raises GridError at a non-manifold
     node. Returns a NodeClasses mapping.
     """
-    if void_mask is None:
-        void_mask = np.zeros(grid.n_elems, dtype=bool)
     void_mask = np.asarray(void_mask, dtype=bool).ravel()
 
     n_void = grid.count_neighbours(void_mask)
@@ -322,7 +320,7 @@ def _pole(forces, W, voids):
         k = min(m, 3)
         sides = [forces[..., c, :] for c in range(k)] + [-W[..., k, :]]
         pole = polygon_centroid(*sides, *[np.zeros(2)] * (3 - k))
-    return _void_aware_pole(W, [] if voids is None else list(voids), pole)
+    return _void_aware_pole(W, list(voids), pole)
 
 
 def split_internal_node(forces, pole):
@@ -340,15 +338,16 @@ def split_internal_node(forces, pole):
     return _sides(Q), W[..., m, :].copy()
 
 
-def split_dirichlet_node(g, voids=None):
+def split_dirichlet_node(g, voids):
     """Side forces of a chain whose both extreme edges carry reactions.
 
     g are the traction-adjusted nodal forces in chain order. The polygon is
     closed by the total reaction side and the pole is the closed polygon's
-    centroid (void-aware when voids are flagged). Returns (sides, lam); the
-    reactions acting on the end elements through the extreme edges are
-    sides[..., 0, 0, :] and sides[..., -1, 1, :], and lam is identically
-    zero because they close the polygon exactly.
+    centroid, moved next to the void elements that voids flags in chain
+    order. Returns (sides, lam); the reactions acting on the end elements
+    through the extreme edges are sides[..., 0, 0, :] and
+    sides[..., -1, 1, :], and lam is identically zero because they close
+    the polygon exactly.
     """
     g = np.asarray(g, dtype=float)
     W = _vertices(g)
@@ -356,7 +355,7 @@ def split_dirichlet_node(g, voids=None):
     return _sides(Q), np.zeros(g.shape[:-2] + (2,))
 
 
-def split_neumann_node(g, dirichlet_first=False, dirichlet_last=False):
+def split_neumann_node(g, dirichlet_first, dirichlet_last):
     """Side forces of a chain with at most one reaction extreme.
 
     g are the traction-adjusted nodal forces in chain order. With no
@@ -411,17 +410,15 @@ class EdgeTractionField:
     report: EquilibrationReport = None
 
 
-def equilibrate_all(grid, rho, material, bc, u, void_mask=None):
+def equilibrate_all(grid, rho, material, bc, u, void_mask):
     """Split the full FE solution into an equilibrated edge traction field.
 
     Works from the element nodal forces rho^p K0 u_e, so the input state
     must be a converged solve for exactly this density field. Returns an
     EdgeTractionField whose report certifies per-element equilibrium,
-    pointwise action-reaction and per-node closure defects.
+    pointwise action-reaction and per-node closure defects. void_mask marks
+    the frozen-void elements, as classify_nodes takes it.
     """
-    if void_mask is None:
-        void_mask = np.zeros(grid.n_elems, dtype=bool)
-    void_mask = np.asarray(void_mask, dtype=bool).ravel()
     forces = fem.element_nodal_forces(grid, rho, material, u)
     act = grid.active_elems
     force_scale = float(np.linalg.norm(forces[act], axis=2).max()) if act.size else 0.0

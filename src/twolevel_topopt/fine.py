@@ -6,7 +6,9 @@ are self-equilibrated, three scalar supports (bottom-left pin plus a
 bottom-right vertical roller) suffice and their reactions vanish. The loop
 is the coarse one, coarse.simp_loop, plus an exponential density projection
 applied every couple of iterations while the field is still far from 0-1,
-doubling the projection steepness up to beta_max.
+doubling the projection steepness up to beta_max. A cell stops converged,
+at the iteration cap, or early once its OC step and projection repeat a
+cycle of fields; the last two are flagged unconverged and still usable.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ class FineCellResult:
     cell: int
     rho: np.ndarray
     kind: str  # frozen-solid | frozen-void | optimized
-    converged: bool = True
+    converged: bool = True  # False at the iteration cap or a cycle stop
     iterations: int = 0
     m_nd: float = 0.0
     beta_final: float = 0.0
@@ -219,8 +221,10 @@ def fine_cell_solve(problem):
     Rejects traction sets that are not self-equilibrated. Runs
     coarse.simp_loop from a uniform density equal to the cell target, with
     the problem's ProjectionParams sharpening the field; convergence is
-    max |drho| < eps on the end-of-iteration field. Hitting the iteration cap
-    returns a flagged, still-usable result.
+    max |drho| < eps on the end-of-iteration field. Hitting the iteration cap,
+    or a cycle that would repeat up to it, returns a flagged (converged
+    False), still-usable result; a cycle stop has iterations < max_iter and
+    the field the capped run would return.
     """
     if not 0 < problem.target <= 1:
         raise FineSolveError(f"cell {problem.cell}: target {problem.target} invalid")

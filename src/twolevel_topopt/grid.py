@@ -99,12 +99,9 @@ class Grid:
     def node_index(self, n):
         return divmod(n, self.ny + 1)
 
-    def node_coords(self, nodes=None):
-        """Physical coordinates of the given node ids (default: all nodes)."""
-        if nodes is None:
-            nodes = np.arange(self.n_nodes)
-        nodes = np.asarray(nodes)
-        jx, jy = np.divmod(nodes, self.ny + 1)
+    def node_coords(self, nodes):
+        """Physical coordinates of the given node ids."""
+        jx, jy = np.divmod(np.asarray(nodes), self.ny + 1)
         return np.stack([jx * self.hx, jy * self.hy], axis=-1)
 
     def elem_id(self, ix, iy):

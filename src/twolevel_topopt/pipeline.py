@@ -590,24 +590,27 @@ def _load_cells(data):
                                 n=int(data["n"]))
 
 
-def _write_cells_csv(path, batch, targets):
-    """Write cells.csv; returns the counts of cells stopped by the iteration
-    cap and of cells whose mean density misses the target, their coarse
-    density, by more than 1e-4. A cell's stop reason is `frozen`,
-    `converged` or `iteration-cap`."""
-    flags = {"cells_not_converged": 0, "cells_off_target": 0}
+def _write_cells_csv(path, batch, targets, max_iter):
+    """Write cells.csv; returns the counts of unconverged cells, of those
+    the ones a cycle stopped before max_iter, and of cells whose mean
+    density misses the target, their coarse density, by more than 1e-4. A
+    cell's stop reason is `frozen`, `converged`, `iteration-cap` or
+    `cycle`."""
+    flags = {"cells_not_converged": 0, "cells_cycled": 0, "cells_off_target": 0}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([*_CELL_COLUMNS, "target", "mean_density", "stop_reason"])
         for cell, r in sorted(batch.cells.items()):
             target, mean = float(targets[cell]), float(r.rho.mean())
+            cycled = not r.converged and r.iterations < max_iter
             flags["cells_not_converged"] += not r.converged
+            flags["cells_cycled"] += cycled
             flags["cells_off_target"] += abs(mean - target) > 1e-4
             values = (getattr(r, name) for name in _CELL_COLUMNS)
             writer.writerow(
                 [*(int(v) if isinstance(v, (bool, np.bool_)) else v for v in values),
-                 target, mean, "frozen" if r.kind != "optimized"
-                 else "converged" if r.converged else "iteration-cap"]
+                 target, mean, "frozen" if r.kind != "optimized" else "converged"
+                 if r.converged else "cycle" if cycled else "iteration-cap"]
             )
     return flags
 
@@ -789,7 +792,7 @@ def run_pipeline(config, skip_fine=False):
                 max_iter=config.fine_max_iter, workers=config.workers,
             )
         if batch.failures:
-            _write_cells_csv(out / "cells.csv", batch, result.rho)
+            _write_cells_csv(out / "cells.csv", batch, result.rho, config.fine_max_iter)
             details = "; ".join(
                 f"cell {cell}: {msg}" for cell, msg in sorted(batch.failures.items())
             )
@@ -797,7 +800,7 @@ def run_pipeline(config, skip_fine=False):
         with _timed(timings, "io_s"):
             _save_cells(cells_ckpt, batch, fingerprint)
     with _timed(timings, "io_s"):
-        flags = _write_cells_csv(out / "cells.csv", batch, result.rho)
+        flags = _write_cells_csv(out / "cells.csv", batch, result.rho, config.fine_max_iter)
 
     with _timed(timings, "stitch_s"):
         image = stitch(grid, batch)

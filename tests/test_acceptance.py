@@ -144,7 +144,7 @@ def test_uniaxial_patch_tractions_recovered_exactly():
     rho = np.ones(g.n_elems)
     mat = fem.MaterialModel(E=1000.0, nu=0.3, p=1.0)
     sol = fem.solve(g, rho, mat, bc)
-    field = equilibrate.equilibrate_all(g, rho, mat, bc, sol.u)
+    field = equilibrate.equilibrate_all(g, rho, mat, bc, sol.u, np.zeros(g.n_elems, dtype=bool))
     sigma = np.array([[1.0, 0.0], [0.0, 0.0]])
     worst = 0.0
     for e in g.active_elems:

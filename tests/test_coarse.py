@@ -393,3 +393,45 @@ def test_stage_loop_records_monotone_frozen_counts(mat):
     ]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
     assert counts[-1] == np.count_nonzero(result.frozen != FREE)
+
+
+class AlternatingProjection:
+    """A projection stub whose step returns fields[it % 2] whatever the OC
+    step proposed, with beta doubling each step when `growing`."""
+
+    def __init__(self, fields, cadence, growing=False):
+        self.fields, self.cadence, self.growing = fields, cadence, growing
+        self.beta0 = 1.0
+
+    def step(self, it, rho, beta, rho_min):
+        return self.fields[it % 2], 2.0 * beta if self.growing else beta, 0.0, True
+
+
+@pytest.mark.parametrize("cadence, period", [(1, 2), (2, 2), (3, 6)])
+@pytest.mark.parametrize("max_iter", [20, 21])
+def test_simp_loop_stops_a_cycle_with_the_capped_phase(mat, cadence, period, max_iter):
+    g, bc = cantilever(4, 4)
+    fields = (np.full(g.n_elems, 0.7), np.full(g.n_elems, 0.3))
+    rho, converged, history = coarse.simp_loop(
+        fem.Operator(g, mat, bc), fem.load_vector(g, bc), np.full(g.n_elems, 0.5),
+        0.5 * g.n_elems, np.zeros(g.n_elems, dtype=np.int8), 1.3, 0.01, max_iter,
+        projection=AlternatingProjection(fields, cadence),
+    )
+    # iteration period + 1 repeats iteration 1, the first lag-P repeat
+    assert not converged
+    assert [row["iteration"] for row in history] == list(range(1, period + 2))
+    # the capped run would end on iteration max_iter, whose field is fields[max_iter % 2]
+    assert rho is fields[max_iter % 2]
+
+
+def test_simp_loop_runs_to_the_cap_while_beta_still_moves(mat):
+    # the fields repeat, but a changed beta means a changed map: no cycle yet
+    g, bc = cantilever(4, 4)
+    fields = (np.full(g.n_elems, 0.7), np.full(g.n_elems, 0.3))
+    rho, converged, history = coarse.simp_loop(
+        fem.Operator(g, mat, bc), fem.load_vector(g, bc), np.full(g.n_elems, 0.5),
+        0.5 * g.n_elems, np.zeros(g.n_elems, dtype=np.int8), 1.3, 0.01, 9,
+        projection=AlternatingProjection(fields, 2, growing=True),
+    )
+    assert (converged, len(history)) == (False, 9)
+    assert rho is fields[1]

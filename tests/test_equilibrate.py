@@ -188,7 +188,7 @@ def test_split_internal_matches_assembled_system():
 
 def test_split_dirichlet_symmetric_halves():
     F = np.array([0.8, -0.3])
-    sides, lam = eq.split_dirichlet_node([F, F])
+    sides, lam = eq.split_dirichlet_node([F, F], [False, False])
     # the reactions act through the chain's extreme sides
     assert_allclose(sides[0][0], F, atol=1e-14)
     assert_allclose(sides[-1][1], F, atol=1e-14)
@@ -200,7 +200,7 @@ def test_split_dirichlet_symmetric_halves():
 
 def test_split_dirichlet_single_element_corner():
     F = np.array([1.0, 2.0])
-    sides, lam = eq.split_dirichlet_node([F])
+    sides, lam = eq.split_dirichlet_node([F], [False])
     assert_allclose(sides[0][0], F / 2, atol=1e-14)
     assert_allclose(sides[-1][1], F / 2, atol=1e-14)
     assert_allclose(sides[0][0] + sides[0][1], F, atol=1e-14)
@@ -211,7 +211,7 @@ def test_split_dirichlet_outflow_and_identities():
     for m in (1, 2, 3):
         for _ in range(10):
             g = rng.normal(size=(m, 2))
-            sides, lam = eq.split_dirichlet_node(list(g))
+            sides, lam = eq.split_dirichlet_node(list(g), [False] * len(g))
             assert_allclose(lam, 0.0)
             assert_allclose(
                 sides[0][0] + sides[-1][1], g.sum(axis=0), atol=1e-12
@@ -252,7 +252,7 @@ def test_split_dirichlet_matches_assembled_system():
         g = rng.normal(size=(2, 2))
         # the pole is the centroid of the polygon closed by the total reaction
         pole = eq.polygon_centroid(g[0], g[1], -g.sum(axis=0), np.zeros(2))
-        sides, _ = eq.split_dirichlet_node(list(g))
+        sides, _ = eq.split_dirichlet_node(list(g), [False] * len(g))
         x, rank = _assemble_dirichlet_pair(g, pole)
         assert rank == 8
         geo = np.concatenate([sides[0][0], sides[0][1], sides[1][0], sides[1][1]])
@@ -260,7 +260,7 @@ def test_split_dirichlet_matches_assembled_system():
 
 
 def test_split_neumann_unloaded_example():
-    sides, lam = eq.split_neumann_node([(2.0, 0.0), (-2.0, 0.0)])
+    sides, lam = eq.split_neumann_node([(2.0, 0.0), (-2.0, 0.0)], False, False)
     assert_allclose(lam, 0.0, atol=1e-14)
     assert_allclose(sides[0][0], (0.0, 0.0))  # boundary edges keep their
     assert_allclose(sides[1][1], (0.0, 0.0))  # prescribed (zero) share
@@ -271,7 +271,7 @@ def test_split_neumann_unloaded_example():
 def test_split_neumann_fully_loaded_is_silent():
     # when the prescription already accounts for the whole nodal force the
     # homogeneous part vanishes entirely
-    sides, lam = eq.split_neumann_node([(0.0, 0.0), (0.0, 0.0)])
+    sides, lam = eq.split_neumann_node([(0.0, 0.0), (0.0, 0.0)], False, False)
     for c in range(2):
         assert_allclose(sides[c][0], 0.0)
         assert_allclose(sides[c][1], 0.0)
@@ -281,7 +281,7 @@ def test_split_neumann_fully_loaded_is_silent():
 def test_split_neumann_defect_absorbed_mid_chain():
     rng = np.random.default_rng(37)
     g = rng.normal(size=(3, 2))
-    sides, lam = eq.split_neumann_node(list(g))
+    sides, lam = eq.split_neumann_node(list(g), False, False)
     assert_allclose(lam, g.sum(axis=0), atol=1e-14)
     assert_allclose(sides[0][0], 0.0)
     assert_allclose(sides[2][1], 0.0)
@@ -348,7 +348,7 @@ def test_split_neumann_matches_assembled_system():
     for m in (1, 2, 3, 4):
         for _ in range(10):
             g = rng.normal(size=(m, 2))
-            sides, lam = eq.split_neumann_node(list(g))
+            sides, lam = eq.split_neumann_node(list(g), False, False)
             x, rank, n = _assemble_neumann_chain(g, m)
             assert rank == n
             geo = np.concatenate(
@@ -372,7 +372,7 @@ def cantilever(nx, ny, hx=1.0, hy=1.0):
 
 def test_classify_cantilever_census():
     g, bc = cantilever(4, 3)
-    classes = eq.classify_nodes(g, bc)
+    classes = eq.classify_nodes(g, bc, np.zeros(g.n_elems, dtype=bool))
     assert len(classes) == 5 * 4
     kinds = {n: c.kind for n, c in classes.items()}
     assert kinds[g.node_id(2, 1)] == "internal"
@@ -401,7 +401,7 @@ def test_classify_reentrant_corner():
     bc = BoundaryConditions()
     for jy in range(5):
         bc.fix_node(g.node_id(0, jy))
-    classes = eq.classify_nodes(g, bc)
+    classes = eq.classify_nodes(g, bc, np.zeros(g.n_elems, dtype=bool))
     assert classes[g.node_id(2, 2)].kind == "neumann-reentrant"
     assert len(classes[g.node_id(2, 2)].elements) == 3
     # inactive quadrant nodes carry no class at all
@@ -462,11 +462,9 @@ def test_classify_rejects_three_void_neighbours_around_solid_corners():
         eq.classify_nodes(g, bc, voids)
 
 
-def _ref_classify_nodes(grid, bc, void_mask=None):
+def _ref_classify_nodes(grid, bc, void_mask):
     """classify_nodes one node at a time, each fan from the node's row of
     Grid.node_quadrants and grid.NODE_FANS, as a dict."""
-    if void_mask is None:
-        void_mask = np.zeros(grid.n_elems, dtype=bool)
     void_mask = np.asarray(void_mask, dtype=bool).ravel()
 
     def edge_is_dirichlet(elem, ledge):
@@ -540,8 +538,9 @@ def test_classify_nodes_matches_reference_at_reentrant_reactions():
             bc.fix_node(g.node_id(0, jy))
         for jx, jy in clamped:
             bc.fix_node(g.node_id(jx, jy))
-        classes = eq.classify_nodes(g, bc)
-        assert dict(classes.items()) == _ref_classify_nodes(g, bc)
+        no_voids = np.zeros(g.n_elems, dtype=bool)
+        classes = eq.classify_nodes(g, bc, no_voids)
+        assert dict(classes.items()) == _ref_classify_nodes(g, bc, no_voids)
         kinds.append(classes[g.node_id(2, 2)].kind)
     assert kinds == ["dirichlet-chain-3-2", "dirichlet-chain-3-1", "neumann-reentrant"]
 
@@ -568,7 +567,7 @@ def test_equilibrate_uniaxial_patch_recovers_exact_tractions():
         bc.add_edge_traction(g.elem_id(3, iy), 1, (1.0, 0.0), (1.0, 0.0))
     rho = np.ones(g.n_elems)
     sol = fem.solve(g, rho, mat, bc)
-    field = eq.equilibrate_all(g, rho, mat, bc, sol.u)
+    field = eq.equilibrate_all(g, rho, mat, bc, sol.u, np.zeros(g.n_elems, dtype=bool))
 
     for e in g.active_elems:
         for k in range(4):
@@ -585,7 +584,7 @@ def test_equilibrate_cantilever_certificate():
     rng = np.random.default_rng(3)
     rho = rng.uniform(0.4, 1.0, g.n_elems)
     sol = fem.solve(g, rho, mat, bc)
-    field = eq.equilibrate_all(g, rho, mat, bc, sol.u)
+    field = eq.equilibrate_all(g, rho, mat, bc, sol.u, np.zeros(g.n_elems, dtype=bool))
     rep = field.report
 
     assert rep.force_scale > 0
@@ -613,8 +612,8 @@ def test_equilibrate_moment_balance_is_pole_independent():
     mat = fem.MaterialModel(E=10.0, nu=0.25, p=1.0)
     rho = np.full(g.n_elems, 0.7)
     sol = fem.solve(g, rho, mat, bc)
-    field = eq.equilibrate_all(g, rho, mat, bc, sol.u)
-    coords = g.node_coords()
+    field = eq.equilibrate_all(g, rho, mat, bc, sol.u, np.zeros(g.n_elems, dtype=bool))
+    coords = g.node_coords(np.arange(g.n_nodes))
     for e in (g.elem_id(1, 1), g.elem_id(3, 0)):
         for ref in (np.zeros(2), np.array([10.0, -3.0])):
             m_tot = 0.0
@@ -675,7 +674,7 @@ def test_stress_tractions_control_field():
 
     holder = Holder()
     holder.tractions = raw
-    field = eq.equilibrate_all(g, rho, mat, bc, sol.u)
+    field = eq.equilibrate_all(g, rho, mat, bc, sol.u, np.zeros(g.n_elems, dtype=bool))
     # raw FE stresses are discontinuous across edges; the equilibrated field
     # is continuous by construction
     assert eq.action_reaction_residual(g, holder) > 0.0
@@ -708,7 +707,7 @@ def test_stress_tractions_uniform_stress_on_every_edge():
     g = Grid(3, 2, 0.5, 0.3)
     mat = fem.MaterialModel(E=200.0, nu=0.3, p=3.0)
     a = np.array([[1e-3, 4e-4], [-2e-4, 2e-3]])
-    u = (g.node_coords() @ a.T).ravel()
+    u = (g.node_coords(np.arange(g.n_nodes)) @ a.T).ravel()
     rho = np.full(g.n_elems, 0.5)
     sxx, syy, sxy = 0.5**3 * mat.D0 @ (a[0, 0], a[1, 1], a[0, 1] + a[1, 0])
     sigma = np.array([[sxx, sxy], [sxy, syy]])
@@ -745,7 +744,7 @@ def test_dump_tractions_csv(tmp_path):
     mat = fem.MaterialModel(E=100.0, nu=0.3, p=1.0)
     rho = np.ones(g.n_elems)
     sol = fem.solve(g, rho, mat, bc)
-    field = eq.equilibrate_all(g, rho, mat, bc, sol.u)
+    field = eq.equilibrate_all(g, rho, mat, bc, sol.u, np.zeros(g.n_elems, dtype=bool))
     path = tmp_path / "tractions.csv"
     eq.dump_tractions_csv(g, field, path)
     lines = path.read_text().strip().splitlines()
@@ -1022,7 +1021,7 @@ def test_batched_split_matches_per_node_on_fixtures():
     bc.fix_node(g.node_id(0, 0))
     for iy in range(3):
         bc.add_edge_traction(g.elem_id(3, iy), 1, (1.0, 0.0), (1.0, 0.0))
-    _assert_matches_per_node(g, np.ones(g.n_elems), mat, bc, None)
+    _assert_matches_per_node(g, np.ones(g.n_elems), mat, bc, np.zeros(g.n_elems, dtype=bool))
 
     g, bc = cantilever(5, 5)
     voids = np.zeros(g.n_elems, dtype=bool)
@@ -1039,7 +1038,8 @@ def test_batched_split_matches_per_node_on_fixtures():
     for jy in range(5):
         bc.fix_node(g.node_id(0, jy))
     bc.add_edge_traction(g.elem_id(3, 0), 1, (0.0, -1.0), (0.3, -0.5))
-    _assert_matches_per_node(g, np.full(g.n_elems, 0.8), mat, bc, None)
+    _assert_matches_per_node(g, np.full(g.n_elems, 0.8), mat, bc,
+                             np.zeros(g.n_elems, dtype=bool))
 
 
 @settings(max_examples=200, deadline=None)
@@ -1078,7 +1078,7 @@ def test_split_error_names_first_failing_node(monkeypatch):
 
     monkeypatch.setattr(eq, "polygon_centroid", fail)
     with pytest.raises(eq.EquilibrationError, match=r"^node 2 \(dirichlet-standard\): boom$"):
-        eq.equilibrate_all(g, rho, mat, bc, sol.u)
+        eq.equilibrate_all(g, rho, mat, bc, sol.u, np.zeros(g.n_elems, dtype=bool))
 
 
 def test_centroid_batch_matches_one_polygon_at_a_time():

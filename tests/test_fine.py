@@ -1,5 +1,7 @@
 """Per-cell fine optimization: projection, cell loading and the solve loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -211,7 +213,7 @@ def test_apply_cell_tractions_preserves_force_and_moment():
         f = fine.apply_cell_tractions(problem, g)
         net_f, net_m, scale = fine.traction_equilibrium(t, hx, hy)
         assert_allclose(f.reshape(-1, 2).sum(axis=0), net_f, atol=1e-12 * scale)
-        coords = g.node_coords() - [hx / 2.0, hy / 2.0]
+        coords = g.node_coords(np.arange(g.n_nodes)) - [hx / 2.0, hy / 2.0]
         fv = f.reshape(-1, 2)
         moment = float(np.sum(coords[:, 0] * fv[:, 1] - coords[:, 1] * fv[:, 0]))
         assert_allclose(moment, net_m, atol=1e-12 * max(scale, 1.0))
@@ -227,7 +229,7 @@ def test_apply_cell_tractions_matches_sub_edge_loop():
         problem = fine.FineCellProblem(cell=0, target=0.5, tractions=t, hx=hx, hy=hy, n=n)
         g = cell_mesh(problem)
         corners = np.array([(0.0, 0.0), (hx, 0.0), (hx, hy), (0.0, hy)])
-        coords = g.node_coords()
+        coords = g.node_coords(np.arange(g.n_nodes))
         expected = np.zeros(2 * g.n_nodes)
         sides = ([(i, 0) for i in range(n)], [(n - 1, i) for i in range(n)],
                  [(i, n - 1) for i in range(n)], [(0, i) for i in range(n)])
@@ -378,6 +380,37 @@ def test_fine_cell_solve_without_projection_is_the_coarse_loop():
     assert result.rho.tobytes() == rho.tobytes()
     assert (result.iterations, result.converged) == (len(history), converged)
     assert [{key: row[key] for key in history[0]} for row in result.history] == history
+
+
+@pytest.fixture(scope="module")
+def example2_cell74():
+    """example2 cell 74: its OC step and projection lock into a 2-cycle."""
+    from twolevel_topopt import equilibrate, pipeline
+
+    c = pipeline.preset_config("example2")
+    g = c.build_grid()
+    bc = c.build_bc(g)
+    result = coarse.stage_loop(g, c.coarse_material(), bc, c.threshold_policy(),
+                               r_min=c.coarse_r_min, eps=c.coarse_eps,
+                               max_inner=c.max_inner, stage_cap=c.stage_cap)
+    field = equilibrate.equilibrate_all(g, result.rho, c.coarse_material(), bc,
+                                        result.solution.u, void_mask=result.frozen == coarse.VOID)
+    return fine.FineCellProblem(
+        cell=74, target=float(result.rho[74]), tractions=field.tractions[74], hx=g.hx,
+        hy=g.hy, n=c.fine_n, material=c.fine_material(), r_min=c.fine_r_min, eps=c.fine_eps,
+        projection=c.projection_params(), max_iter=c.fine_max_iter,
+    )
+
+
+@pytest.mark.parametrize("max_iter, mean", [(300, 0.9466), (301, 0.7573)])
+def test_fine_cell_solve_stops_a_two_cycle_on_the_capped_phase(example2_cell74, max_iter,
+                                                                 mean):
+    # the capped run returns mean density 0.9466 after 300 iterations and
+    # 0.7573 after 301; the cycle stop returns the same phase long before
+    result = fine.fine_cell_solve(replace(example2_cell74, max_iter=max_iter))
+    assert not result.converged
+    assert result.iterations <= 60
+    assert_allclose(result.rho.mean(), mean, atol=1e-3)
 
 
 # --------------------------------------------------------------- batch farm

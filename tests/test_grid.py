@@ -130,7 +130,7 @@ def test_bad_dimensions_rejected():
 
 def classified_fan(g, n):
     """Node n's (elements, edges, is_cycle) as classify_nodes orders them."""
-    fan = classify_nodes(g, BoundaryConditions())[n]
+    fan = classify_nodes(g, BoundaryConditions(), np.zeros(g.n_elems, dtype=bool))[n]
     return fan.elements, fan.edges, fan.is_cycle
 
 
@@ -215,7 +215,7 @@ def connected_grids(draw):
 @given(connected_grids())
 def test_node_fans_are_consistent_chains_or_cycles(g):
     try:
-        classes = classify_nodes(g, BoundaryConditions())
+        classes = classify_nodes(g, BoundaryConditions(), np.zeros(g.n_elems, dtype=bool))
     except GridError:
         return  # non-manifold corner contact is a legal rejection
     boundary = set(g.boundary_edges())
@@ -300,9 +300,9 @@ def _assert_fans_match_reference(g):
     bad = [n for n, fan in fans.items() if fan is None]
     if bad:
         with pytest.raises(GridError, match=f"^non-manifold active region at node {bad[0]}$"):
-            classify_nodes(g, BoundaryConditions())
+            classify_nodes(g, BoundaryConditions(), np.zeros(g.n_elems, dtype=bool))
         return
-    classes = classify_nodes(g, BoundaryConditions())
+    classes = classify_nodes(g, BoundaryConditions(), np.zeros(g.n_elems, dtype=bool))
     assert list(classes) == np.flatnonzero(g.node_active).tolist()
     for n, fan in classes.items():
         assert (fan.elements, fan.edges, fan.is_cycle) == fans[n]
@@ -313,7 +313,7 @@ def test_node_fan_matches_reference_at_a_non_manifold_node():
     active[1, 1] = active[2, 2] = False  # elements (2, 1) and (1, 2) meet only at node (2, 2)
     g = Grid(3, 3, 1.0, 1.0, active=active)
     with pytest.raises(GridError, match=f"non-manifold active region at node {g.node_id(2, 2)}"):
-        classify_nodes(g, BoundaryConditions())
+        classify_nodes(g, BoundaryConditions(), np.zeros(g.n_elems, dtype=bool))
     _assert_fans_match_reference(g)
 
 

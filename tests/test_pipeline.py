@@ -808,39 +808,45 @@ def test_cells_csv_flags_capped_and_off_target_cells(tmp_path):
     cells = {
         3: fine.FineCellResult(3, np.full(16, 0.4), "optimized", converged=True),
         5: fine.FineCellResult(5, rho_off, "optimized", converged=True),
-        7: fine.FineCellResult(7, np.full(16, 0.5), "optimized", converged=False),
+        7: fine.FineCellResult(7, np.full(16, 0.5), "optimized", converged=False,
+                               iterations=20),
         8: fine.FineCellResult(8, np.ones(16), "frozen-solid"),
+        9: fine.FineCellResult(9, np.full(16, 0.7), "optimized", converged=False,
+                               iterations=19),
     }
     batch = fine.FineBatchResult(cells=cells, failures={}, n=4)
     targets = np.zeros(10)
-    targets[[3, 5, 7, 8]] = [0.4 + 5e-5, 0.6, 0.5, 1.0]
+    targets[[3, 5, 7, 8, 9]] = [0.4 + 5e-5, 0.6, 0.5, 1.0, 0.7]
     path = tmp_path / "cells.csv"
-    assert pipeline._write_cells_csv(path, batch, targets) == {
-        "cells_not_converged": 1, "cells_off_target": 1}
+    # an unconverged cell under max_iter iterations stopped on a cycle
+    assert pipeline._write_cells_csv(path, batch, targets, 20) == {
+        "cells_not_converged": 2, "cells_cycled": 1, "cells_off_target": 1}
     import csv
 
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert [int(r["cell"]) for r in rows] == [3, 5, 7, 8]
+    assert [int(r["cell"]) for r in rows] == [3, 5, 7, 8, 9]
     assert [r["stop_reason"] for r in rows] == ["converged", "converged", "iteration-cap",
-                                                "frozen"]
-    assert [float(r["target"]) for r in rows] == targets[[3, 5, 7, 8]].tolist()
+                                                "frozen", "cycle"]
+    assert [float(r["target"]) for r in rows] == targets[[3, 5, 7, 8, 9]].tolist()
     assert [float(r["mean_density"]) for r in rows] == [
-        float(cells[c].rho.mean()) for c in (3, 5, 7, 8)]
+        float(cells[c].rho.mean()) for c in (3, 5, 7, 8, 9)]
 
 
 def test_run_pipeline_records_cell_flags_and_blas_threads(small_run):
     config, out, summary = small_run
     on_disk = json.loads((out / "summary.json").read_text())
     assert on_disk["cells_not_converged"] == summary["cells_not_converged"]
+    assert on_disk["cells_cycled"] == summary["cells_cycled"]
     assert on_disk["cells_off_target"] == summary["cells_off_target"]
     assert on_disk["blas_threads"] == (1 if fem._openblas() else None)
     import csv
 
     with open(out / "cells.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert sum(r["stop_reason"] == "iteration-cap" for r in rows) == summary[
+    assert sum(r["stop_reason"] in ("iteration-cap", "cycle") for r in rows) == summary[
         "cells_not_converged"]
+    assert sum(r["stop_reason"] == "cycle" for r in rows) == summary["cells_cycled"]
     assert sum(abs(float(r["mean_density"]) - float(r["target"])) > 1e-4 for r in rows) == (
         summary["cells_off_target"])
     iterations = sorted(int(r["iterations"]) for r in rows if r["kind"] == "optimized")
@@ -849,6 +855,7 @@ def test_run_pipeline_records_cell_flags_and_blas_threads(small_run):
     for r in rows:
         assert r["stop_reason"] == ("frozen" if r["kind"].startswith("frozen")
                                     else "converged" if r["converged"] == "1"
+                                    else "cycle" if int(r["iterations"]) < config.fine_max_iter
                                     else "iteration-cap")
 
 
