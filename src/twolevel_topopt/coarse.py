@@ -50,8 +50,8 @@ class ThresholdPolicy:
             )
         if self.rho_bar_min <= rho_min:
             raise ValueError("rho_bar_min must exceed rho_min")
-        if not 0 < self.rho0 <= 1:
-            raise ValueError(f"rho0 must be in (0, 1], got {self.rho0}")
+        if not rho_min <= self.rho0 <= 1:
+            raise ValueError(f"rho0 must be in [rho_min, 1] = [{rho_min}, 1], got {self.rho0}")
 
 
 @dataclass

@@ -20,7 +20,6 @@ shared edge holds exact negations on its two sides.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,19 +126,6 @@ def _segment_midpoint(V):
     return 0.5 * (V[rows, i[best]] + V[rows, j[best]])
 
 
-@dataclass
-class NodeClass:
-    """Classification of one node with its ordered element fan."""
-
-    node: int
-    kind: str
-    elements: list
-    edges: list
-    is_cycle: bool
-    void_flags: list
-    extreme_dirichlet: tuple = (False, False)
-
-
 # Node kinds by index: nv for a cycle with nv void elements, 2 + 3m + d for a
 # chain of m elements with d reaction extremes.
 KINDS = (
@@ -158,8 +144,9 @@ _FAN_LEDGES = np.array([tuple(k for _, k in edges) + (0,) * (5 - len(edges))
                         for _, edges, _ in _FANS])
 
 
-class NodeClasses(Mapping):
-    """Classified nodes by id, held as arrays; classes[n] builds a NodeClass.
+@dataclass
+class NodeClasses:
+    """Classified nodes as arrays.
 
     Row r describes node nodes[r]: its kind (index into KINDS), fan size m,
     elements (slots from m on hold -1), the local ids of its fan edges (m + 1
@@ -167,31 +154,13 @@ class NodeClasses(Mapping):
     reaction extremes.
     """
 
-    def __init__(self, nodes, kind, m, elements, ledges, voids, extremes):
-        self.nodes, self.kind, self.m = nodes, kind, m
-        self.elements, self.ledges = elements, ledges
-        self.voids, self.extremes = voids, extremes
-
-    def __len__(self):
-        return len(self.nodes)
-
-    def __iter__(self):
-        return iter(self.nodes.tolist())
-
-    def _row(self, n):
-        row = int(np.searchsorted(self.nodes, n))
-        if row == len(self.nodes) or self.nodes[row] != n:
-            raise KeyError(n)
-        return row
-
-    def __getitem__(self, n):
-        row = self._row(n)
-        m = int(self.m[row])
-        elements = self.elements[row, :m].tolist()
-        ledges = self.ledges[row, : m if m == 4 else m + 1].tolist()
-        edges = [(elements[min(i, m - 1)], k) for i, k in enumerate(ledges)]
-        return NodeClass(int(n), KINDS[self.kind[row]], elements, edges, m == 4,
-                         self.voids[row, :m].tolist(), tuple(self.extremes[row].tolist()))
+    nodes: np.ndarray
+    kind: np.ndarray
+    m: np.ndarray
+    elements: np.ndarray
+    ledges: np.ndarray
+    voids: np.ndarray
+    extremes: np.ndarray
 
     def kind_counts(self):
         """Nodes per kind name, kinds in the order of their first node."""
@@ -220,7 +189,7 @@ def classify_nodes(grid, bc, void_mask):
     when a non-void element has three or more void edge-neighbours, which
     the coarse freezing stage is required to have removed, or when a node
     sees two opposite void elements; raises GridError at a non-manifold
-    node. Returns a NodeClasses mapping.
+    node. Returns the NodeClasses arrays, rows by node id.
     """
     void_mask = np.asarray(void_mask, dtype=bool).ravel()
 
@@ -448,10 +417,12 @@ def equilibrate_all(grid, rho, material, bc, u, void_mask):
         try:
             lam[classes.nodes[rows]] = _split_nodes(forces, side, classes, rows)
         except EquilibrationError as exc:
-            failures.append((classes.nodes[rows[exc.row]], exc))
+            failures.append((rows[exc.row], exc))
     if failures:
-        n, exc = min(failures, key=lambda failure: failure[0])
-        raise EquilibrationError(f"node {n} ({classes[n].kind}): {exc}") from exc
+        # Rows run by node id, so the first failing row is the lowest node.
+        row, exc = min(failures, key=lambda failure: failure[0])
+        raise EquilibrationError(
+            f"node {classes.nodes[row]} ({KINDS[classes.kind[row]]}): {exc}") from exc
 
     if np.isnan(side[act]).any():
         missing = int(np.isnan(side[act]).any(axis=(1, 2, 3)).sum())

@@ -119,15 +119,6 @@ class Grid:
         nodes = self.elem_nodes[e]
         return int(nodes[a]), int(nodes[b])
 
-    def neighbor(self, e, edge):
-        """Active element sharing the given edge, or -1."""
-        ix, iy = self.elem_index(e)
-        dx, dy = EDGE_NEIGHBOR_OFFSETS[edge]
-        mx, my = ix + dx, iy + dy
-        if 0 <= mx < self.nx and 0 <= my < self.ny and self.active[mx, my]:
-            return self.elem_id(mx, my)
-        return -1
-
     def count_neighbours(self, mask):
         """Per element, the number of active edge-neighbours flagged in mask.
 

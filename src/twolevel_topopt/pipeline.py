@@ -116,17 +116,19 @@ def apply_parabolic_edge_shear(grid, bc):
     def tau(y):
         return 1.0 - (2.0 * (y - c) / h) ** 2
 
+    # L2 projection of the parabola onto each edge's linear shape functions:
+    # mass matrix [[L/3, L/6], [L/6, L/3]], right-hand sides by Simpson
+    # (exact for the cubic integrands).
+    L = grid.hy
+    det = L * L / 12.0
+    if det == 0.0:
+        raise ConfigError(f"shear-right: grid.hy = {L!r} is too small to fit the load on")
     for elem, iy in edges:
         y0 = iy * grid.hy
         y1 = y0 + grid.hy
-        L = grid.hy
-        # L2 projection of the parabola onto the edge's linear shape functions:
-        # mass matrix [[L/3, L/6], [L/6, L/3]], right-hand sides by Simpson
-        # (exact for the cubic integrands).
         ym = 0.5 * (y0 + y1)
         b1 = L / 6.0 * (tau(y0) * 1.0 + 4.0 * tau(ym) * 0.5 + 0.0)
         b2 = L / 6.0 * (0.0 + 4.0 * tau(ym) * 0.5 + tau(y1) * 1.0)
-        det = L * L / 12.0
         t_s = (L / 3.0 * b1 - L / 6.0 * b2) / det
         t_e = (L / 3.0 * b2 - L / 6.0 * b1) / det
         bc.add_edge_traction(elem, 1, (0.0, -t_s), (0.0, -t_e))
@@ -443,9 +445,9 @@ def stitch(grid, batch):
 def continuity_metric(image):
     """Mean |density jump| across each interior cell boundary of the image.
 
-    Returns {"per_boundary": [...], "mean": float, "max": float,
-    "count": int}; boundaries between an active and an inactive cell are
-    skipped (there is no facing material row to compare).
+    Returns {"mean": float, "max": float, "count": int}; boundaries between
+    an active and an inactive cell are skipped (there is no facing material
+    row to compare).
     """
     n, data, active = image.n, image.data, image.active
     nx, ny = active.shape
@@ -457,15 +459,11 @@ def continuity_metric(image):
     per_boundary = np.concatenate([
         x_jumps[active[:-1] & active[1:]],
         y_jumps.transpose(0, 2, 1)[active[:, :-1] & active[:, 1:]],
-    ]).mean(axis=1).tolist()
-    if not per_boundary:
-        return {"per_boundary": [], "mean": 0.0, "max": 0.0, "count": 0}
-    return {
-        "per_boundary": per_boundary,
-        "mean": float(np.mean(per_boundary)),
-        "max": float(np.max(per_boundary)),
-        "count": len(per_boundary),
-    }
+    ]).mean(axis=1)
+    if not per_boundary.size:
+        return {"mean": 0.0, "max": 0.0, "count": 0}
+    return {"mean": float(per_boundary.mean()), "max": float(per_boundary.max()),
+            "count": per_boundary.size}
 
 
 def write_pgm(path, raster):
@@ -635,6 +633,16 @@ def equilibrium_certificate(grid, field_out):
     }
 
 
+def _write_json(path, obj):
+    """Write obj as strict JSON. A NaN or infinity raises PipelineError
+    before the file is opened, so no partial file is left."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise PipelineError(f"{path} would hold a non-finite number: {exc}") from exc
+    path.write_text(text)
+
+
 def _fingerprint(config, grid):
     """Hash of every input that can change a result.
 
@@ -752,8 +760,7 @@ def run_pipeline(config, skip_fine=False):
         )
         certificate = equilibrium_certificate(grid, field_out)
     with _timed(timings, "io_s"):
-        with open(out / "equilibrium_certificate.json", "w") as fh:
-            json.dump(certificate, fh, indent=2, sort_keys=True)
+        _write_json(out / "equilibrium_certificate.json", certificate)
         equilibrate.dump_tractions_csv(grid, field_out, out / "tractions.csv")
 
     summary = {
@@ -775,8 +782,7 @@ def run_pipeline(config, skip_fine=False):
     if skip_fine:
         summary["peak_rss_mb"] = _peak_rss_mb(workers=0)
         summary["wall_time_s"] = time.perf_counter() - t0
-        with open(out / "summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
+        _write_json(out / "summary.json", summary)
         return summary
 
     timings.update(farm_s=0.0, stitch_s=0.0)
@@ -829,6 +835,5 @@ def run_pipeline(config, skip_fine=False):
     )
     summary["peak_rss_mb"] = _peak_rss_mb(config.workers)
     summary["wall_time_s"] = time.perf_counter() - t0
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+    _write_json(out / "summary.json", summary)
     return summary

@@ -321,6 +321,10 @@ def test_threshold_policy_validation(mat):
         ThresholdPolicy(rho_bar_min=1e-4).validate(1e-3)
     with pytest.raises(ValueError):
         ThresholdPolicy(rho0=0.0).validate(1e-3)
+    # a start below rho_min is no density the FE model accepts
+    with pytest.raises(ValueError, match=r"rho0 must be in \[rho_min, 1\]"):
+        ThresholdPolicy(rho0=5e-4).validate(1e-3)
+    ThresholdPolicy(rho0=1e-3).validate(1e-3)
     ThresholdPolicy().validate(1e-3)
 
 
