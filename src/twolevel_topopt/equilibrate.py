@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .grid import EDGE_LNODES, EDGE_NORMALS, NODE_FANS, GridError
+from .grid import CORNER_OFFSETS, EDGE_LNODES, EDGE_NORMALS, NODE_FANS, GridError, edge_lengths
 
 # Local (xi, eta) coordinates of element corners 0..3.
-_CORNER_XI = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
+_CORNER_XI = 2.0 * CORNER_OFFSETS - 1.0
 
 
 class EquilibrationError(RuntimeError):
@@ -268,86 +268,61 @@ def _vertices(forces):
     return np.cumsum(np.concatenate([np.zeros_like(forces[..., :1, :]), forces], axis=-2), axis=-2)
 
 
-def _sides(Q):
-    """Side forces [..., c, 0] (preceding) and [..., c, 1] (following) per element."""
-    return np.stack([Q[..., :-1, :], -Q[..., 1:, :]], axis=-2)
+def fan_poles(forces, cycle, first, last, voids):
+    """One pole per fan edge (m around a cycle, m + 1 along a chain), by fan class.
 
-
-def _pole(forces, W, voids):
-    """Default pole: centroid of the force polygon closed by a last side.
-
-    Around a cycle the closing side -W[3] stands in for the fourth force, so
-    the FE nodal residual cannot trip the centroid's closure check; on a
-    chain with two reactions it is the total reaction. A single force is
-    split evenly. The pole then moves next to void elements; the vertices W
-    run over W[0..m-1] around a cycle and W[0..m] along a chain.
+    forces (..., m, 2) are the nodal forces in fan order, less the
+    prescribed end forces of a chain's extreme edges; first and last flag a
+    chain's reaction extremes and voids its void elements. W are the running
+    vertices. A cycle, or a chain with two reactions, takes the centroid of
+    the force polygon closed by -W[k], k = min(m, 3): around a cycle that
+    side stands in for the fourth force, so the FE nodal residual cannot
+    trip the centroid's closure check, and along the chain it is the total
+    reaction. A single force is split evenly. That pole then moves next to
+    void elements. A chain with one reaction takes the vertex at its
+    prescribed end, W[m] or W[0]. A chain without reaction takes -0.0 on its
+    first half and W[m] on its second, so both extremes keep their
+    prescription and the middle element takes the closure defect
+    (-0.0 - W is -W to the sign of a zero).
     """
+    W = _vertices(forces)
     m = forces.shape[-2]
+    if not (cycle or first or last):
+        poles = np.full(W.shape, -0.0)
+        poles[..., (m - 1) // 2 + 1 :, :] = W[..., m, None, :]
+        return poles
+    if first != last:
+        return np.repeat(W[..., m if first else 0, None, :], m + 1, axis=-2)
     if m == 1:
         pole = 0.5 * W[..., 1, :]
     else:
         k = min(m, 3)
         sides = [forces[..., c, :] for c in range(k)] + [-W[..., k, :]]
         pole = polygon_centroid(*sides, *[np.zeros(2)] * (3 - k))
-    return _void_aware_pole(W, list(voids), pole)
+    pole = _void_aware_pole(W[..., :m, :] if cycle else W, voids, pole)
+    return np.repeat(pole[..., None, :], m + (not cycle), axis=-2)
 
 
-def split_internal_node(forces, pole):
-    """Side forces of a 4-element interior fan for a given pole.
+def split_node(forces, poles):
+    """Side forces of node fans read off one pole per fan edge (Maxwell diagram).
 
-    forces are the four nodal forces in cyclic fan order. Returns (sides,
-    lam) where sides[c] = (P_left, P_right) acting on element c through its
-    preceding and following edge, and lam is the polygon closure defect
-    (absorbed by the last element's corner identity). Leading axes of forces
-    and pole hold one node each.
+    forces (..., m, 2) are the nodal forces of the fan's m elements in fan
+    order. A chain has m + 1 fan edges, a cycle m, its edge m being edge 0
+    again. The side force on edge i is Q[i] = poles[i] - W[i], W the running
+    vertices; element c takes Q[c] through its preceding edge
+    (sides[..., c, 0]) and -Q[c + 1] through its following edge
+    (sides[..., c, 1]). Returns (sides, lam), lam the closure defect the
+    elements leave: W[m] around a cycle, where the last element absorbs it,
+    and poles[m] - poles[0] along a chain.
     """
     W = _vertices(forces)
     m = W.shape[-2] - 1
-    Q = np.asarray(pole)[..., None, :] - W[..., np.arange(m + 1) % m, :]
-    return _sides(Q), W[..., m, :].copy()
-
-
-def split_dirichlet_node(g, voids):
-    """Side forces of a chain whose both extreme edges carry reactions.
-
-    g are the traction-adjusted nodal forces in chain order. The polygon is
-    closed by the total reaction side and the pole is the closed polygon's
-    centroid, moved next to the void elements that voids flags in chain
-    order. Returns (sides, lam); the reactions acting on the end elements
-    through the extreme edges are sides[..., 0, 0, :] and
-    sides[..., -1, 1, :], and lam is identically zero because they close
-    the polygon exactly.
-    """
-    g = np.asarray(g, dtype=float)
-    W = _vertices(g)
-    Q = _pole(g, W, voids)[..., None, :] - W
-    return _sides(Q), np.zeros(g.shape[:-2] + (2,))
-
-
-def split_neumann_node(g, dirichlet_first, dirichlet_last):
-    """Side forces of a chain with at most one reaction extreme.
-
-    g are the traction-adjusted nodal forces in chain order. With no
-    reaction the system is overdetermined by one vector equation; the two
-    extreme edges keep exactly their prescribed (possibly zero) tractions
-    and the middle element absorbs the closure defect lam = sum(g), which is
-    the FE nodal residual. With one Dirichlet extreme the split is uniquely
-    determined and lam = 0; the reaction is the side force on that extreme
-    edge, sides[..., 0, 0, :] or sides[..., -1, 1, :]. Returns (sides, lam).
-    """
-    if dirichlet_first and dirichlet_last:
-        raise EquilibrationError("use split_dirichlet_node for two reactions")
-    W = _vertices(g)
-    m = W.shape[-2] - 1
-    if dirichlet_first or dirichlet_last:
-        Q = W[..., m if dirichlet_first else 0, None, :] - W
-        return _sides(Q), np.zeros(W.shape[:-2] + (2,))
-
-    # Both extremes prescribed: exact from each end (pole 0 for the first
-    # half, W[m] for the second), defect in the middle.
-    Q = -W
-    Q[..., (m - 1) // 2 + 1 :, :] += W[..., m, None, :]
-    return _sides(Q), W[..., m, :].copy()
+    Q = poles - W[..., : poles.shape[-2], :]
+    if poles.shape[-2] == m:
+        Q, lam = np.concatenate([Q, Q[..., :1, :]], axis=-2), W[..., m, :]
+    else:
+        lam = poles[..., m, :] - poles[..., 0, :]
+    return np.stack([Q[..., :-1, :], -Q[..., 1:, :]], axis=-2), lam
 
 
 @dataclass
@@ -429,7 +404,7 @@ def equilibrate_all(grid, rho, material, bc, u, void_mask):
         raise EquilibrationError(f"{missing} elements have unassigned edge forces")
     side[~grid.active.ravel(order="C")] = 0.0
 
-    lengths = np.array([grid.hx, grid.hy, grid.hx, grid.hy])[:, None]
+    lengths = edge_lengths(grid.hx, grid.hy)[:, None]
     tractions = np.stack(
         fem.tractions_from_forces(side[:, :, 0], side[:, :, 1], lengths), axis=2
     )
@@ -451,25 +426,19 @@ def _split_nodes(forces, side, classes, rows):
     which are taken off the nodal forces first.
     """
     m = classes.m[rows[0]]
-    voids = classes.voids[rows[0], :m].tolist()
+    cycle = m == 4
+    first, last = classes.extremes[rows[0]].tolist()
+    write_first, write_last = first or cycle, last or cycle
     elems = classes.elements[rows, :m]
     edges = classes.ledges[rows, :m]
     follow = (edges + 3) % 4
     g = forces[elems, edges]
-    if m == 4:
-        pole = _pole(g, _vertices(g)[:, :m], voids)
-        sides, lam = split_internal_node(g, pole)
-        write_first = write_last = True
-    else:
-        write_first, write_last = classes.extremes[rows[0]].tolist()
-        if not write_first:
-            g[:, 0] -= side[elems[:, 0], edges[:, 0], 0]
-        if not write_last:
-            g[:, -1] -= side[elems[:, -1], follow[:, -1], 1]
-        if write_first and write_last:
-            sides, lam = split_dirichlet_node(g, voids)
-        else:
-            sides, lam = split_neumann_node(g, write_first, write_last)
+    if not write_first:
+        g[:, 0] -= side[elems[:, 0], edges[:, 0], 0]
+    if not write_last:
+        g[:, -1] -= side[elems[:, -1], follow[:, -1], 1]
+    poles = fan_poles(g, cycle, first, last, classes.voids[rows[0], :m].tolist())
+    sides, lam = split_node(g, poles)
 
     lo, hi = int(not write_first), m - int(not write_last)
     side[elems[:, lo:], edges[:, lo:], 0] = sides[:, lo:, 0]

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .grid import EDGE_LNODES
+from .grid import CORNER_OFFSETS, EDGE_LNODES, edge_lengths
 
 _GAUSS = 1.0 / np.sqrt(3.0)
 
@@ -196,9 +196,9 @@ def edge_traction_resultants(tractions, hx, hy):
     force (..., 2) and the moment (...).
     """
     tractions = np.asarray(tractions, dtype=float)
-    corners = np.array([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)]) * (hx, hy)
+    corners = (CORNER_OFFSETS - 0.5) * (hx, hy)
     ends = corners[np.array(EDGE_LNODES)]  # (edge, end, xy)
-    lengths = np.array([hx, hy, hx, hy])[:, None]
+    lengths = edge_lengths(hx, hy)[:, None]
     p_start, p_end = consistent_edge_loads(
         tractions[..., 0, :], tractions[..., 1, :], lengths
     )

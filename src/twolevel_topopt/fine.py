@@ -21,13 +21,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import coarse, fem
-from .grid import CORNER_OFFSETS, EDGE_LNODES, BoundaryConditions, Grid
+from .grid import CORNER_OFFSETS, EDGE_LNODES, BoundaryConditions, Grid, edge_lengths
 
 log = logging.getLogger(__name__)
 
 
 class FineSolveError(RuntimeError):
-    """A fine cell problem is invalid or failed to solve."""
+    """A fine cell problem is invalid or failed to solve; the message omits the cell id."""
 
 
 @dataclass
@@ -196,7 +196,7 @@ def apply_cell_tractions(problem, grid):
     frac /= (axis * axis).sum(axis=1)[:, None, None]
     t_start, t_end = np.asarray(problem.tractions, dtype=float).transpose(1, 0, 2)
     t = t_start[:, None, None] + frac[..., None] * (t_end - t_start)[:, None, None]
-    lengths = np.array([grid.hx, grid.hy, grid.hx, grid.hy])[:, None, None]
+    lengths = edge_lengths(grid.hx, grid.hy)[:, None, None]
     loads = np.stack(fem.consistent_edge_loads(t[:, :, 0], t[:, :, 1], lengths), axis=2)
     f = np.zeros(2 * grid.n_nodes)
     np.add.at(f, 2 * ends[..., None] + np.arange(2), loads)
@@ -210,7 +210,7 @@ def traction_equilibrium(tractions, hx, hy):
     """
     tractions = np.asarray(tractions, dtype=float)
     net_f, net_m = fem.edge_traction_resultants(tractions, hx, hy)
-    lengths = np.array([hx, hy, hx, hy])[:, None]
+    lengths = edge_lengths(hx, hy)[:, None]
     resultants = 0.5 * lengths * tractions.sum(axis=1)
     return net_f, float(net_m), float(np.linalg.norm(resultants, axis=1).max())
 
@@ -227,14 +227,14 @@ def fine_cell_solve(problem):
     the field the capped run would return.
     """
     if not 0 < problem.target <= 1:
-        raise FineSolveError(f"cell {problem.cell}: target {problem.target} invalid")
+        raise FineSolveError(f"target {problem.target} invalid")
     net_f, net_m, scale = traction_equilibrium(problem.tractions, problem.hx, problem.hy)
     char_len = max(problem.hx, problem.hy)
     if problem.require_equilibrated and scale > 0 and (
         np.linalg.norm(net_f) > 1e-6 * scale or abs(net_m) > 1e-6 * scale * char_len
     ):
         raise FineSolveError(
-            f"cell {problem.cell}: tractions are not self-equilibrated "
+            "tractions are not self-equilibrated "
             f"(|F| = {np.linalg.norm(net_f):.3e}, |M| = {abs(net_m):.3e}, "
             f"scale = {scale:.3e})"
         )

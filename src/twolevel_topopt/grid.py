@@ -30,6 +30,11 @@ EDGE_NEIGHBOR_OFFSETS = ((0, -1), (1, 0), (0, 1), (-1, 0))
 QUAD_OFFSETS = ((0, -1), (0, 0), (-1, 0), (-1, -1))
 
 
+def edge_lengths(hx, hy):
+    """Lengths of local edges 0..3 (bottom, right, top, left) of an hx x hy element."""
+    return np.array([hx, hy, hx, hy])
+
+
 class GridError(ValueError):
     """Invalid grid configuration (bad dimensions, disconnected mask, ...)."""
 
@@ -111,7 +116,7 @@ class Grid:
         return divmod(e, self.ny)
 
     def edge_length(self, edge):
-        return self.hx if edge in (0, 2) else self.hy
+        return edge_lengths(self.hx, self.hy)[edge]
 
     def edge_nodes(self, e, edge):
         """Global (start, end) node ids of a local edge, counter-clockwise."""

@@ -195,7 +195,7 @@ def test_force_polygon_splitting_matches_assembled_systems():
             pole = equilibrate.polygon_centroid(*forces)
         else:
             pole = rng.normal(size=2)
-        sides, lam = equilibrate.split_internal_node(list(forces), pole)
+        sides, lam = equilibrate.split_node(list(forces), np.tile(pole, (4, 1)))
         x, rank = _assembled_corner_split(forces, pole)
         assert rank == 18
         geo = np.concatenate(

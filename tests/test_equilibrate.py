@@ -108,9 +108,16 @@ def test_side_forces_to_tractions_inverts_consistent_loads():
 # ------------------------------------------------------------- node splits
 
 
+def _split_chain(g, first, last):
+    """Split a void-free chain with the poles of its class, first and last
+    flagging its reaction extremes."""
+    g = np.array(g, dtype=float)
+    return eq.split_node(g, eq.fan_poles(g, False, first, last, [False] * len(g)))
+
+
 def test_split_internal_square_example():
     forces = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
-    sides, lam = eq.split_internal_node(forces, np.array([0.5, 0.5]))
+    sides, lam = eq.split_node(forces, np.tile([0.5, 0.5], (4, 1)))
     assert_allclose(sides[0][0], (0.5, 0.5), atol=1e-14)
     assert_allclose(sides[0][1], (0.5, -0.5), atol=1e-14)
     assert_allclose(lam, (0.0, 0.0), atol=1e-14)
@@ -125,7 +132,7 @@ def test_split_internal_identities_any_pole():
         forces = rng.normal(size=(4, 2))
         forces[3] = -forces[:3].sum(axis=0)
         pole = rng.normal(size=2) * 3
-        sides, lam = eq.split_internal_node(list(forces), pole)
+        sides, lam = eq.split_node(list(forces), np.tile(pole, (4, 1)))
         assert_allclose(lam, 0.0, atol=1e-14)
         for c in range(4):
             assert_allclose(sides[c][0] + sides[c][1], forces[c], atol=1e-13)
@@ -137,7 +144,7 @@ def test_split_internal_defect_lands_in_last_element():
     rng = np.random.default_rng(18)
     forces = rng.normal(size=(4, 2))  # deliberately not closed
     pole = np.array([0.2, -0.4])
-    sides, lam = eq.split_internal_node(list(forces), pole)
+    sides, lam = eq.split_node(list(forces), np.tile(pole, (4, 1)))
     assert_allclose(lam, forces.sum(axis=0), atol=1e-14)
     for c in range(3):
         assert_allclose(sides[c][0] + sides[c][1], forces[c], atol=1e-13)
@@ -179,7 +186,7 @@ def test_split_internal_matches_assembled_system():
         if k % 2 == 0:
             forces[3] = -forces[:3].sum(axis=0)
         pole = rng.normal(size=2)
-        sides, lam = eq.split_internal_node(list(forces), pole)
+        sides, lam = eq.split_node(list(forces), np.tile(pole, (4, 1)))
         x, rank = _assemble_internal(forces, pole)
         assert rank == 18
         geo = np.concatenate(
@@ -190,7 +197,7 @@ def test_split_internal_matches_assembled_system():
 
 def test_split_dirichlet_symmetric_halves():
     F = np.array([0.8, -0.3])
-    sides, lam = eq.split_dirichlet_node([F, F], [False, False])
+    sides, lam = _split_chain([F, F], True, True)
     # the reactions act through the chain's extreme sides
     assert_allclose(sides[0][0], F, atol=1e-14)
     assert_allclose(sides[-1][1], F, atol=1e-14)
@@ -202,7 +209,7 @@ def test_split_dirichlet_symmetric_halves():
 
 def test_split_dirichlet_single_element_corner():
     F = np.array([1.0, 2.0])
-    sides, lam = eq.split_dirichlet_node([F], [False])
+    sides, lam = _split_chain([F], True, True)
     assert_allclose(sides[0][0], F / 2, atol=1e-14)
     assert_allclose(sides[-1][1], F / 2, atol=1e-14)
     assert_allclose(sides[0][0] + sides[0][1], F, atol=1e-14)
@@ -213,7 +220,7 @@ def test_split_dirichlet_outflow_and_identities():
     for m in (1, 2, 3):
         for _ in range(10):
             g = rng.normal(size=(m, 2))
-            sides, lam = eq.split_dirichlet_node(list(g), [False] * len(g))
+            sides, lam = _split_chain(g, True, True)
             assert_allclose(lam, 0.0)
             assert_allclose(
                 sides[0][0] + sides[-1][1], g.sum(axis=0), atol=1e-12
@@ -254,7 +261,7 @@ def test_split_dirichlet_matches_assembled_system():
         g = rng.normal(size=(2, 2))
         # the pole is the centroid of the polygon closed by the total reaction
         pole = eq.polygon_centroid(g[0], g[1], -g.sum(axis=0), np.zeros(2))
-        sides, _ = eq.split_dirichlet_node(list(g), [False] * len(g))
+        sides, _ = _split_chain(g, True, True)
         x, rank = _assemble_dirichlet_pair(g, pole)
         assert rank == 8
         geo = np.concatenate([sides[0][0], sides[0][1], sides[1][0], sides[1][1]])
@@ -262,7 +269,7 @@ def test_split_dirichlet_matches_assembled_system():
 
 
 def test_split_neumann_unloaded_example():
-    sides, lam = eq.split_neumann_node([(2.0, 0.0), (-2.0, 0.0)], False, False)
+    sides, lam = _split_chain([(2.0, 0.0), (-2.0, 0.0)], False, False)
     assert_allclose(lam, 0.0, atol=1e-14)
     assert_allclose(sides[0][0], (0.0, 0.0))  # boundary edges keep their
     assert_allclose(sides[1][1], (0.0, 0.0))  # prescribed (zero) share
@@ -273,7 +280,7 @@ def test_split_neumann_unloaded_example():
 def test_split_neumann_fully_loaded_is_silent():
     # when the prescription already accounts for the whole nodal force the
     # homogeneous part vanishes entirely
-    sides, lam = eq.split_neumann_node([(0.0, 0.0), (0.0, 0.0)], False, False)
+    sides, lam = _split_chain([(0.0, 0.0), (0.0, 0.0)], False, False)
     for c in range(2):
         assert_allclose(sides[c][0], 0.0)
         assert_allclose(sides[c][1], 0.0)
@@ -283,7 +290,7 @@ def test_split_neumann_fully_loaded_is_silent():
 def test_split_neumann_defect_absorbed_mid_chain():
     rng = np.random.default_rng(37)
     g = rng.normal(size=(3, 2))
-    sides, lam = eq.split_neumann_node(list(g), False, False)
+    sides, lam = _split_chain(g, False, False)
     assert_allclose(lam, g.sum(axis=0), atol=1e-14)
     assert_allclose(sides[0][0], 0.0)
     assert_allclose(sides[2][1], 0.0)
@@ -297,9 +304,7 @@ def test_split_neumann_single_reaction_balances():
     for m in (1, 2, 3):
         for first in (True, False):
             g = rng.normal(size=(m, 2))
-            sides, lam = eq.split_neumann_node(
-                list(g), dirichlet_first=first, dirichlet_last=not first
-            )
+            sides, lam = _split_chain(g, first, not first)
             assert_allclose(lam, 0.0)
             reaction = sides[0][0] if first else sides[-1][1]
             assert_allclose(reaction, g.sum(axis=0), atol=1e-13)
@@ -307,11 +312,6 @@ def test_split_neumann_single_reaction_balances():
             assert_allclose(free_end, 0.0, atol=1e-14)
             for c in range(m):
                 assert_allclose(sides[c][0] + sides[c][1], g[c], atol=1e-13)
-
-
-def test_split_neumann_rejects_two_reactions():
-    with pytest.raises(eq.EquilibrationError):
-        eq.split_neumann_node([(1.0, 0.0)], dirichlet_first=True, dirichlet_last=True)
 
 
 def _assemble_neumann_chain(g, m):
@@ -350,7 +350,7 @@ def test_split_neumann_matches_assembled_system():
     for m in (1, 2, 3, 4):
         for _ in range(10):
             g = rng.normal(size=(m, 2))
-            sides, lam = eq.split_neumann_node(list(g), False, False)
+            sides, lam = _split_chain(g, False, False)
             x, rank, n = _assemble_neumann_chain(g, m)
             assert rank == n
             geo = np.concatenate(

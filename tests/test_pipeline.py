@@ -558,6 +558,27 @@ def test_run_pipeline_resumes_from_checkpoints(small_run, monkeypatch):
     assert_allclose(again["coarse_compliance"], summary["coarse_compliance"])
 
 
+def test_run_pipeline_names_a_failing_cell_once(tmp_path, monkeypatch):
+    """A farm failure names its cell once, however the failure arose."""
+    solve_all_cells = fine.solve_all_cells
+    unbalanced = []
+
+    def unbalance_one(grid, coarse_result, tractions, **settings):
+        cell = int(np.flatnonzero(coarse_result.frozen == coarse.FREE)[0])
+        unbalanced.append(cell)
+        tractions = np.array(tractions)
+        tractions[cell, 1, :, 0] += 1.0
+        return solve_all_cells(grid, coarse_result, tractions, **settings)
+
+    monkeypatch.setattr(fine, "solve_all_cells", unbalance_one)
+    config = replace(pipeline.parse_config(SMALL_RUN), out=str(tmp_path))
+    with pytest.raises(pipeline.PipelineError) as failure:
+        pipeline.run_pipeline(config)
+    message = str(failure.value)
+    assert "tractions are not self-equilibrated" in message
+    assert message.count(f"cell {unbalanced[0]}:") == 1
+
+
 def test_run_pipeline_deterministic_reruns(small_run, tmp_path):
     config, out, _ = small_run
     from dataclasses import replace
