@@ -317,10 +317,13 @@ class Operator:
             raise SolverError("singular stiffness (insufficient constraints?)")
         u = self.u0.copy()
         u[self.keep] = uf
-        energy = element_compliance_contributions(
-            self.grid, rho, self.material, u, ke=self.ke
-        )
-        return FESolution(u=u, f=f, compliance=float(f @ u), element_energy=energy)
+        # Finite displacements under huge loads can still overflow the energies.
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = element_compliance_contributions(self.grid, rho, self.material, u, ke=self.ke)
+            compliance = float(f @ u)
+        if not (np.isfinite(energy).all() and np.isfinite(compliance)):
+            raise SolverError("compliance is not finite (loads too large for the stiffness?)")
+        return FESolution(u=u, f=f, compliance=compliance, element_energy=energy)
 
     def norm_inf(self, rho):
         """Infinity norm of the reduced stiffness: the largest row sum of |K|.

@@ -107,7 +107,6 @@ class FineCellResult:
     compliance: float = 0.0
     max_reaction: float = 0.0
     reaction_scale: float = 0.0
-    history: list = field(default_factory=list)
 
 
 def project_density(rho, beta, mu):
@@ -270,7 +269,6 @@ def fine_cell_solve(problem):
         compliance=solution.compliance,
         max_reaction=max_reaction,
         reaction_scale=scale,
-        history=history,
     )
 
 

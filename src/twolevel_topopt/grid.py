@@ -262,7 +262,10 @@ class BoundaryConditions:
         t_end = np.array(t_end, dtype=float)
         if (key := (int(elem), int(edge))) in self.neumann:
             old_start, old_end = self.neumann[key]
-            t_start, t_end = old_start + t_start, old_end + t_end
+            with np.errstate(over="ignore"):
+                t_start, t_end = old_start + t_start, old_end + t_end
+            if not (np.isfinite(t_start).all() and np.isfinite(t_end).all()):
+                raise GridError(f"tractions on edge {key} sum to a non-finite value")
         self.neumann[key] = (t_start, t_end)
 
     def validate(self, grid):

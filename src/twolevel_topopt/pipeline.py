@@ -512,7 +512,7 @@ _HISTORY_COLUMNS = (("stage", int), ("iteration", int), ("compliance", float),
 
 # The arrays of cells.npz, one per FineCellResult field; all but rho are also
 # the leading columns of cells.csv.
-_CELL_ARRAYS = [f.name for f in fields(fine.FineCellResult) if f.name != "history"]
+_CELL_ARRAYS = [f.name for f in fields(fine.FineCellResult)]
 _CELL_COLUMNS = [name for name in _CELL_ARRAYS if name != "rho"]
 
 

@@ -349,10 +349,7 @@ def test_fine_cell_solve_bending_cell():
     assert result.max_reaction <= 1e-6 * result.reaction_scale
     # the grey start forces the projection to engage and sharpen the field
     assert result.beta_final > problem.projection.beta0
-    assert any(h["projected"] for h in result.history)
     assert result.m_nd < 60.0
-    assert result.history[-1]["iteration"] == result.iterations
-    assert result.history[-1]["max_delta"] < problem.eps
     # bending concentrates material in the outer fibers
     raster = result.rho.reshape(problem.n, problem.n)
     outer = np.concatenate([raster[:, :2].ravel(), raster[:, -2:].ravel()])
@@ -368,18 +365,18 @@ def test_fine_cell_solve_without_projection_is_the_coarse_loop():
         n=12, max_iter=60, projection=fine.ProjectionParams(beta0=0.0, beta_max=0.0),
     )
     result = fine.fine_cell_solve(problem)
-    assert any(h["projected"] for h in result.history)
     m = problem.material
     solver = fine._cell_solver(problem.n, problem.hx, problem.hy, m.E, m.nu, m.p, m.rho_min)
     g = solver.grid
-    rho, converged, history = coarse.simp_loop(
-        solver, fine.apply_cell_tractions(problem, g), np.full(g.n_elems, problem.target),
-        problem.target * g.n_elems * g.hx * g.hy, np.zeros(g.n_elems, dtype=np.int8),
-        problem.r_min, problem.eps, problem.max_iter,
-    )
-    assert result.rho.tobytes() == rho.tobytes()
+    args = (solver, fine.apply_cell_tractions(problem, g), np.full(g.n_elems, problem.target),
+            problem.target * g.n_elems * g.hx * g.hy, np.zeros(g.n_elems, dtype=np.int8),
+            problem.r_min, problem.eps, problem.max_iter)
+    gated, _, gated_history = coarse.simp_loop(*args, projection=problem.projection)
+    rho, converged, history = coarse.simp_loop(*args)
+    assert any(h["projected"] for h in gated_history)
+    assert result.rho.tobytes() == gated.tobytes() == rho.tobytes()
     assert (result.iterations, result.converged) == (len(history), converged)
-    assert [{key: row[key] for key in history[0]} for row in result.history] == history
+    assert [{key: row[key] for key in history[0]} for row in gated_history] == history
 
 
 @pytest.fixture(scope="module")
@@ -508,8 +505,8 @@ def test_solve_all_cells_pool_matches_serial_bitwise():
     for e, r in serial.cells.items():
         p = pooled.cells[e]
         assert p.rho.tobytes() == r.rho.tobytes()
-        assert (p.kind, p.iterations, p.converged, p.compliance, p.history) == (
-            r.kind, r.iterations, r.converged, r.compliance, r.history)
+        assert (p.kind, p.iterations, p.converged, p.compliance) == (
+            r.kind, r.iterations, r.converged, r.compliance)
 
 
 def test_solve_all_cells_shares_one_read_only_raster_per_frozen_kind():

@@ -663,8 +663,8 @@ def _strict_json(path):
 
 
 def test_cli_non_finite_certificate_is_a_numerical_failure(tmp_path, capsys):
-    # every cell frozen solid under a finite 1e300 traction: the
-    # certificate's force scale overflows to inf, and its residuals are NaN
+    # a finite 1e300 traction overflows the compliance of the first coarse
+    # solve, which stops the run before any artifact would hold inf
     path = tmp_path / "huge.ini"
     path.write_text(
         "[grid]\nnx = 2\nny = 2\n[thresholds]\nrho0 = 1.0\n"
@@ -674,11 +674,19 @@ def test_cli_non_finite_certificate_is_a_numerical_failure(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == cli.EXIT_NUMERICAL
     err = capsys.readouterr().err
-    assert "run failed" in err and "equilibrium_certificate.json" in err
+    assert "run failed: compliance is not finite" in err
     assert "Traceback" not in err
+    assert not (out / "coarse_history.csv").exists()
     assert not (out / "equilibrium_certificate.json").exists()
     for written in out.glob("*.json"):
         _strict_json(written)
+
+
+def test_write_json_refuses_a_non_finite_number(tmp_path):
+    path = tmp_path / "summary.json"
+    with pytest.raises(pipeline.PipelineError, match="summary.json would hold a non-finite"):
+        pipeline._write_json(path, {"compliance": float("nan")})
+    assert not path.exists()
 
 
 _EXTREMES = (0.0, -1.0, 5e-324, 1e-300, 1e-9, 0.5, 1.0, 1e9, 1e300, -1e300, sys.float_info.max)
@@ -838,7 +846,15 @@ def test_cli_rejects_bad_mask_file(tmp_path, capsys, rows, message):
     ("preset = shear-right\n", "preset = shear-right\nneumann = 3 0 1 nan 0 0 0\n",
      cli.EXIT_CONFIG),
     ("[grid]\n", "[grid]\nmask = file:{empty}\n", cli.EXIT_CONFIG),
-], ids=["r_min-inf", "r_min-1e30", "p-nan", "e-nan", "hx-inf", "neumann-nan", "empty-mask"])
+    # a finite traction whose compliance overflows, and two finite rows
+    # on one edge whose sum does
+    ("preset = shear-right\n", "preset = shear-right\nneumann = 3 0 1 0 0 0 1e300\n",
+     cli.EXIT_NUMERICAL),
+    ("preset = shear-right\n",
+     "preset = shear-right\nneumann = 3 0 1 1e308 0 1e308 0\n    3 0 1 1e308 0 1e308 0\n",
+     cli.EXIT_CONFIG),
+], ids=["r_min-inf", "r_min-1e30", "p-nan", "e-nan", "hx-inf", "neumann-nan", "empty-mask",
+        "compliance-overflow", "neumann-sum-overflow"])
 def test_cli_ends_without_traceback_or_warning(tmp_path, old, new, code):
     # a separate interpreter, so that stderr shows whatever escapes main
     empty = tmp_path / "empty.csv"
@@ -1044,6 +1060,19 @@ def test_cells_checkpoint_round_trip(tmp_path):
     assert (loaded.n, loaded.failures, list(loaded.cells)) == (4, {}, [2, 4, 9])
     for cell, result in cells.items():
         assert_same_fields(loaded.cells[cell], result)
+
+
+def test_cells_checkpoint_keeps_a_solved_cell_whole(tmp_path):
+    # a fresh cell is exactly the record that cells.npz stores
+    t = np.zeros((4, 2, 2))
+    t[1], t[3] = [(-2.0, 0.0), (4.0, 0.0)], [(-4.0, 0.0), (2.0, 0.0)]  # bending and tension
+    result = fine.fine_cell_solve(fine.FineCellProblem(
+        cell=3, target=0.4, tractions=t, hx=1.0, hy=1.0, n=6, max_iter=40))
+    assert result.kind == "optimized" and result.iterations > 1
+    path = tmp_path / "cells.npz"
+    pipeline._save_cells(path, fine.FineBatchResult(cells={3: result}, failures={}, n=6), "fp")
+    loaded = pipeline._read_checkpoint(path, pipeline._load_cells, "fp")
+    assert_same_fields(loaded.cells[3], result)
 
 
 def test_coarse_checkpoint_round_trip(tmp_path):
