@@ -14,7 +14,6 @@ import collections
 import functools
 import itertools
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,7 +99,10 @@ def _filter_plan(nx, ny, r_min, active_bytes):
             src = (slice(max(0, -dx), nx - max(0, dx)), slice(max(0, -dy), ny - max(0, dy)))
             dst = (slice(max(0, dx), nx - max(0, -dx)), slice(max(0, dy), ny - max(0, -dy)))
             plan.append((dst, src, (r_min - dist) * act[src]))
-            den[dst] += plan[-1][2]
+            with np.errstate(over="ignore"):
+                den[dst] += plan[-1][2]
+    if not np.isfinite(den).all():
+        raise fem.SolverError(f"the filter weights of r_min = {r_min!r} overflow")
     return plan, den
 
 
@@ -117,12 +119,17 @@ def filter_sensitivities(grid, rho, sens, r_min):
     plan, den = _filter_plan(grid.nx, grid.ny, float(r_min), grid.active.tobytes())
 
     num = np.zeros(shape)
-    for dst, src, contrib in plan:
-        num[dst] += contrib * rho2[src] * sens2[src]
-
     out = np.zeros(shape)
     mask = grid.active & (den > 0)
-    out[mask] = num[mask] / (rho2[mask] * den[mask])
+    # Extreme r_min or energies can overflow the sums or underflow the
+    # denominator; the result is then checked rather than passed on.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for dst, src, contrib in plan:
+            num[dst] += contrib * rho2[src] * sens2[src]
+        out[mask] = num[mask] / (rho2[mask] * den[mask])
+    if not np.isfinite(out).all():
+        raise fem.SolverError(
+            "filtered sensitivities are not finite (r_min or loads out of range?)")
     return out.ravel(order="C")
 
 
@@ -237,24 +244,25 @@ def simp_loop(operator, loads, rho, volume_target, frozen, r_min, eps, max_iter,
     full-length load vector. check_each_solve passes every solve through the
     operator's residual gates. projection (the fine scale's fine.ProjectionParams) may sharpen
     each OC field: its step(it, rho, beta, rho_min) returns the field, the
-    next beta, the grey measure and whether it projected, starting from its
-    beta0. Delta spans all elements; OC moves free ones only. Returns (rho,
+    next beta, the grey measure and whether it projected, starting from
+    beta 1. Delta spans all elements; OC moves free ones only. Returns (rho,
     converged, history), one row per iteration whose volume_fraction is the
     mean active density after the OC step.
 
     A loop that has locked into a limit cycle stops unconverged: when a
-    field and its beta equal those one period P back to within 1e-3 eps,
-    every later iteration repeats the last P, so the field the cap would
-    return is the kept one whose iteration is congruent to max_iter modulo
-    P. P is 2, or lcm(2, cadence) with a projection, whose gate depends on
-    it % cadence. Such a stop returns fewer than max_iter history rows.
+    field and its beta equal those two iterations back to within 1e-3 eps,
+    every later iteration repeats the last two, so the field the cap would
+    return is the kept one whose iteration has the parity of max_iter. Such
+    a stop returns fewer than max_iter history rows.
     """
     grid, material = operator.grid, operator.material
     act = grid.active_elems
     rho = np.array(rho, dtype=float)
-    beta = projection.beta0 if projection is not None else None
-    period = 2 if projection is None else math.lcm(2, projection.cadence)
-    kept = collections.deque(maxlen=period + 1)  # (field, beta) of this and P back
+    beta = 1.0 if projection is not None else None
+    # The projection gate opens on even iterations only, so with or without
+    # a projection the loop's map repeats every two iterations.
+    period = 2
+    kept = collections.deque(maxlen=period + 1)  # (field, beta) of this and 2 back
     history = []
     for it in range(1, max_iter + 1):
         solution = operator.solve(rho, loads)

@@ -50,7 +50,10 @@ def _norm(v):
 
 
 def _segment_crossing(p1, p2, p3, p4):
-    """Proper interior intersection of segments p1p2 and p3p4 as (point, found)."""
+    """Proper interior intersection of segments p1p2 and p3p4 as (point, found).
+
+    Where none is found, the point is p1.
+    """
     d1 = p2 - p1
     d2 = p4 - p3
     denom = _cross(d1, d2)
@@ -60,7 +63,7 @@ def _segment_crossing(p1, p2, p3, p4):
     s = _cross(p3 - p1, d2) / denom
     t = _cross(p3 - p1, d1) / denom
     found = ok & (1e-12 < s) & (s < 1 - 1e-12) & (1e-12 < t) & (t < 1 - 1e-12)
-    return p1 + s[..., None] * d1, found
+    return p1 + np.where(found, s, 0.0)[..., None] * d1, found
 
 
 def polygon_centroid(F1, F2, F3, F4):
@@ -365,6 +368,10 @@ def equilibrate_all(grid, rho, material, bc, u, void_mask):
     """
     forces = fem.element_nodal_forces(grid, rho, material, u)
     act = grid.active_elems
+    # A force polygon's centroid takes products of three forces.
+    if np.abs(forces).max() > 1e100:
+        raise EquilibrationError(
+            f"nodal forces up to {np.abs(forces).max():.3e} exceed 1e100, too large to split")
     force_scale = float(np.linalg.norm(forces[act], axis=2).max()) if act.size else 0.0
 
     classes = classify_nodes(grid, bc, void_mask)

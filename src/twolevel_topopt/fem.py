@@ -134,15 +134,23 @@ def strain_matrix(xi, eta, hx, hy):
 
 
 def element_stiffness(material, hx, hy):
-    """8x8 stiffness of one solid element (rho = 1), 2x2 Gauss quadrature."""
-    D0 = material.D0
+    """8x8 stiffness of one solid element (rho = 1), 2x2 Gauss quadrature.
+
+    Raises ValueError when E, hx or hy are so extreme that it is not finite.
+    """
     K = np.zeros((8, 8))
-    detJ = hx * hy / 4.0
-    for xi in (-_GAUSS, _GAUSS):
-        for eta in (-_GAUSS, _GAUSS):
-            B = strain_matrix(xi, eta, hx, hy)
-            K += B.T @ D0 @ B * detJ
-    return 0.5 * (K + K.T)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        D0 = material.D0
+        detJ = hx * hy / 4.0
+        for xi in (-_GAUSS, _GAUSS):
+            for eta in (-_GAUSS, _GAUSS):
+                B = strain_matrix(xi, eta, hx, hy)
+                K += B.T @ D0 @ B * detJ
+        K = 0.5 * (K + K.T)
+    if not np.isfinite(K).all():
+        raise ValueError(
+            f"the stiffness of a {hx!r} x {hy!r} element with E = {material.E!r} is not finite")
+    return K
 
 
 def assemble(grid, rho, material):
@@ -329,14 +337,15 @@ class Operator:
         """Infinity norm of the reduced stiffness: the largest row sum of |K|.
 
         Row r holds ab[d, r - d] on and below the diagonal and, by symmetry,
-        ab[d, r] above it.
+        ab[d, r] above it. A sum that overflows gives inf.
         """
         ab = self.band(rho)
         np.abs(ab, out=ab)
-        rows = ab[1:].sum(axis=0)
         n = self.keep.size
-        for d in range(self.bandwidth + 1):
-            rows[d:] += ab[d, : n - d]
+        with np.errstate(over="ignore"):
+            rows = ab[1:].sum(axis=0)
+            for d in range(self.bandwidth + 1):
+                rows[d:] += ab[d, : n - d]
         return float(rows.max())
 
     def check(self, rho, solution):
@@ -346,10 +355,13 @@ class Operator:
         1e-8 (|f| + |K| |u|) and 1e-6 |f|, with f the free loads less the
         forces of the prescribed displacements.
         """
-        residual = self._product(rho, solution.u) - solution.f
-        res = np.linalg.norm(residual[self.keep])
-        fnorm = np.linalg.norm(self._free_loads(rho, solution.f))
-        unorm = np.linalg.norm(solution.u[self.keep])
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = self._product(rho, solution.u) - solution.f
+            res = np.linalg.norm(residual[self.keep])
+            fnorm = np.linalg.norm(self._free_loads(rho, solution.f))
+            unorm = np.linalg.norm(solution.u[self.keep])
+        if not np.isfinite([res, fnorm, unorm]).all():
+            raise SolverError("residual norms are not finite (loads too large for the stiffness?)")
         # For near-binary density fields |K||u| dwarfs |f| and evaluating K u
         # in float64 already rounds at eps |K| |u|, so a bound relative to |f|
         # alone would reject exact solutions. For well-scaled systems the

@@ -5,8 +5,8 @@ the equilibrated edge tractions of its coarse edges. Because those loads
 are self-equilibrated, three scalar supports (bottom-left pin plus a
 bottom-right vertical roller) suffice and their reactions vanish. The loop
 is the coarse one, coarse.simp_loop, plus an exponential density projection
-applied every couple of iterations while the field is still far from 0-1,
-doubling the projection steepness up to beta_max. A cell stops converged,
+applied on even iterations while the field is still far from 0-1, doubling
+the projection steepness from 1 up to beta_max. A cell stops converged,
 at the iteration cap, or early once its OC step and projection repeat a
 cycle of fields; the last two are flagged unconverged and still usable.
 """
@@ -32,36 +32,31 @@ class FineSolveError(RuntimeError):
 
 @dataclass
 class ProjectionParams:
-    """Exponential projection schedule: threshold mu, beta doubling, gate."""
+    """Exponential projection schedule: beta doubling from 1, the grey gate.
 
-    beta0: float = 1.0
+    The threshold is 0.5 and the gate opens on even iterations only; both
+    are fixed parts of the method.
+    """
+
     beta_max: float = 2.0
-    mu: float = 0.5
     m_nd_min: float = 50.0
-    cadence: int = 2
 
     def __post_init__(self):
-        if not 0 <= self.beta0 <= self.beta_max:
-            raise ValueError(
-                f"need 0 <= beta0 <= beta_max, got {self.beta0} vs {self.beta_max}"
-            )
-        if not 0 < self.mu < 1:
-            raise ValueError(f"mu must be in (0, 1), got {self.mu}")
-        if self.cadence < 1:
-            raise ValueError("cadence must be a positive iteration count")
+        if not self.beta_max >= 1:
+            raise ValueError(f"beta_max must be at least 1, got {self.beta_max!r}")
 
     def step(self, it, rho, beta, rho_min):
         """The projection step after iteration it's OC update.
 
-        Every `cadence` iterations, while the grey measure of rho exceeds
-        m_nd_min, rho is projected at steepness beta and beta doubles (capped
-        at beta_max). Returns (rho, beta, m_nd, projected).
+        On even iterations, while the grey measure of rho exceeds m_nd_min,
+        rho is projected at steepness beta and beta doubles (capped at
+        beta_max). Returns (rho, beta, m_nd, projected).
         """
         m_nd = measure_nondiscreteness(rho)
-        if it % self.cadence == 0 and m_nd > self.m_nd_min:
+        if it % 2 == 0 and m_nd > self.m_nd_min:
             # The projection maps [0,1] onto itself, so densities near the
             # floor come out below it; pull them back into the FE-valid range.
-            rho = np.clip(project_density(rho, beta, self.mu), rho_min, 1.0)
+            rho = np.clip(project_density(rho, beta), rho_min, 1.0)
             return rho, min(2.0 * beta, self.beta_max), m_nd, True
         return rho, beta, m_nd, False
 
@@ -109,22 +104,20 @@ class FineCellResult:
     reaction_scale: float = 0.0
 
 
-def project_density(rho, beta, mu):
-    """Exponential projection pushing densities away from mu towards 0/1.
+def project_density(rho, beta):
+    """Exponential projection pushing densities away from 0.5 towards 0/1.
 
-    Piecewise-exponential with fixed points 0, mu and 1; beta = 0 is the
+    Piecewise-exponential with fixed points 0, 0.5 and 1; beta = 0 is the
     identity and larger beta sharpens the push. Monotone in rho for any
     beta >= 0.
     """
     rho = np.asarray(rho, dtype=float)
-    if beta == 0.0:
-        return rho.copy()
     out = np.empty_like(rho)
-    low = rho <= mu
-    r = rho[low] / mu
-    out[low] = mu * (np.exp(-beta * (1.0 - r)) - (1.0 - r) * np.exp(-beta))
-    r = (rho[~low] - mu) / (1.0 - mu)
-    out[~low] = (1.0 - mu) * (1.0 - np.exp(-beta * r) + r * np.exp(-beta)) + mu
+    low = rho <= 0.5
+    r = rho[low] / 0.5
+    out[low] = 0.5 * (np.exp(-beta * (1.0 - r)) - (1.0 - r) * np.exp(-beta))
+    r = (rho[~low] - 0.5) / 0.5
+    out[~low] = 0.5 * (1.0 - np.exp(-beta * r) + r * np.exp(-beta)) + 0.5
     return out
 
 
@@ -265,7 +258,7 @@ def fine_cell_solve(problem):
         converged=converged,
         iterations=len(history),
         m_nd=measure_nondiscreteness(rho),
-        beta_final=history[-1]["beta"] if history else problem.projection.beta0,
+        beta_final=history[-1]["beta"] if history else 1.0,
         compliance=solution.compliance,
         max_reaction=max_reaction,
         reaction_scale=scale,

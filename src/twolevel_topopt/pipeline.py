@@ -234,11 +234,8 @@ class RunConfig:
     fine_eps: float = _ini("fine", fine.FineCellProblem.eps, key="eps", rule=_positive)
     fine_max_iter: int = _ini("fine", fine.FineCellProblem.max_iter, key="max_iter",
                               rule=_at_least(1))
-    beta0: float = _ini("projection", fine.ProjectionParams.beta0)
-    beta_max: float = _ini("projection", fine.ProjectionParams.beta_max, rule=_positive)
-    mu: float = _ini("projection", fine.ProjectionParams.mu)
+    beta_max: float = _ini("projection", fine.ProjectionParams.beta_max, rule=_at_least(1))
     m_nd_min: float = _ini("projection", fine.ProjectionParams.m_nd_min, rule=_positive)
-    cadence: int = _ini("projection", fine.ProjectionParams.cadence)
     # plus rows (ix, iy, ledge, tsx, tsy, tex, tey)
     load_preset: str = _ini("loads", "shear-right", key="preset",
                             rule=_known(LOAD_PRESETS.get, "preset"))
@@ -257,13 +254,14 @@ class RunConfig:
                 raise ConfigError(f"{section}.{key}: must be finite, got {value!r}")
             if rule and (error := rule(value)):
                 raise ConfigError(f"{section}.{key}: {error}")
-        # Material, thresholds and projection are range-checked where they
-        # are defined.
+        # Material, thresholds and element stiffness are range-checked where
+        # they are defined.
         try:
             material = self.coarse_material()
-            self.fine_material()
             self.threshold_policy().validate(material.rho_min)
-            self.projection_params()
+            fem.element_stiffness(material, self.hx, self.hy)
+            fem.element_stiffness(self.fine_material(), self.hx / self.fine_n,
+                                  self.hy / self.fine_n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.support_preset == "none" and not self.dirichlet:
@@ -289,9 +287,9 @@ class RunConfig:
     def build_bc(self, grid):
         """The supports and loads on grid: the presets', plus the explicit
         rows, which add supports and tractions to what a preset put on the
-        same node or edge. A conflict among them or with the mask is a
-        ConfigError; too few supports leave the stiffness singular, a
-        RigidModeError."""
+        same node or edge. A conflict among them or with the mask, or an
+        edge whose nodal loads overflow, is a ConfigError; too few supports
+        leave the stiffness singular, a RigidModeError."""
         bc = BoundaryConditions()
         try:
             SUPPORT_PRESETS[self.support_preset](grid, bc)
@@ -307,6 +305,12 @@ class RunConfig:
             raise
         except GridError as exc:
             raise ConfigError(f"supports and loads: {exc}") from exc
+        for (e, k), (t_start, t_end) in bc.neumann.items():
+            with np.errstate(over="ignore"):
+                loads = fem.consistent_edge_loads(t_start, t_end, grid.edge_length(k))
+            if not np.isfinite(loads).all():
+                raise ConfigError(f"loads: the nodal loads on element {grid.elem_index(e)} "
+                                  f"edge {k} are not finite")
         return bc
 
     def coarse_material(self):
@@ -319,9 +323,7 @@ class RunConfig:
         return coarse.ThresholdPolicy(self.rho_bar_min, self.rho_bar_max, self.rho0)
 
     def projection_params(self):
-        return fine.ProjectionParams(
-            self.beta0, self.beta_max, self.mu, self.m_nd_min, self.cadence
-        )
+        return fine.ProjectionParams(self.beta_max, self.m_nd_min)
 
 
 # -- presets ---------------------------------------------------------------

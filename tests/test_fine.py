@@ -23,13 +23,12 @@ def uniaxial_tractions(sigma=1.0):
 
 def test_projection_fixed_points():
     for beta in (0.5, 1.0, 2.0, 8.0):
-        for mu in (0.3, 0.5, 0.7):
-            out = fine.project_density(np.array([0.0, mu, 1.0]), beta, mu)
-            assert_allclose(out, [0.0, mu, 1.0], atol=1e-12)
+        out = fine.project_density(np.array([0.0, 0.5, 1.0]), beta)
+        assert_allclose(out, [0.0, 0.5, 1.0], atol=1e-12)
 
 
 def test_projection_frozen_value():
-    out = fine.project_density(np.array([0.25]), 2.0, 0.5)
+    out = fine.project_density(np.array([0.25]), 2.0)
     expected = 0.5 * (np.exp(-1.0) - 0.5 * np.exp(-2.0))
     assert_allclose(out, expected, rtol=1e-14)
     assert_allclose(out, 0.150105899776568, rtol=1e-12)
@@ -38,7 +37,7 @@ def test_projection_frozen_value():
 def test_projection_monotone_and_sharpening():
     rho = np.linspace(0.0, 1.0, 1001)
     for beta in (0.5, 2.0):
-        out = fine.project_density(rho, beta, 0.5)
+        out = fine.project_density(rho, beta)
         assert np.all(np.diff(out) >= -1e-12)
         below = rho <= 0.5
         assert np.all(out[below] <= rho[below] + 1e-12)
@@ -47,8 +46,14 @@ def test_projection_monotone_and_sharpening():
 
 def test_projection_vanishing_beta_is_identity():
     rho = np.linspace(0.0, 1.0, 101)
-    assert_allclose(fine.project_density(rho, 0.0, 0.5), rho)
-    assert np.abs(fine.project_density(rho, 1e-6, 0.5) - rho).max() < 1e-5
+    assert_allclose(fine.project_density(rho, 0.0), rho)
+    assert np.abs(fine.project_density(rho, 1e-6) - rho).max() < 1e-5
+
+
+def test_projection_params_beta_max_is_at_least_the_first_beta():
+    assert fine.ProjectionParams(beta_max=1.0).beta_max == 1.0
+    with pytest.raises(ValueError, match="beta_max must be at least 1"):
+        fine.ProjectionParams(beta_max=0.5)
 
 
 def test_nondiscreteness_values():
@@ -320,7 +325,7 @@ def test_fine_cell_solve_uniform_stress_is_fixed_point():
     assert result.converged
     assert result.iterations == 1
     assert_allclose(result.rho, 0.5, atol=1e-9)
-    assert result.beta_final == problem.projection.beta0
+    assert result.beta_final == 1.0
 
 
 def bending_plus_tension_tractions(c=6.0, s=1.0):
@@ -348,7 +353,7 @@ def test_fine_cell_solve_bending_cell():
     # self-equilibrated loading leaves the rigid-body supports unloaded
     assert result.max_reaction <= 1e-6 * result.reaction_scale
     # the grey start forces the projection to engage and sharpen the field
-    assert result.beta_final > problem.projection.beta0
+    assert result.beta_final > 1.0
     assert result.m_nd < 60.0
     # bending concentrates material in the outer fibers
     raster = result.rho.reshape(problem.n, problem.n)
@@ -358,11 +363,12 @@ def test_fine_cell_solve_bending_cell():
 
 
 def test_fine_cell_solve_without_projection_is_the_coarse_loop():
-    # beta pinned at 0 makes the projection the identity, so the fine solve
-    # must be bitwise simp_loop without one: both scales run one loop
+    # the grey measure never exceeds 100, so the gate stays shut and the fine
+    # solve must be bitwise simp_loop without a projection: both scales run
+    # one loop
     problem = fine.FineCellProblem(
         cell=0, target=0.5, tractions=bending_plus_tension_tractions(), hx=1.0, hy=1.0,
-        n=12, max_iter=60, projection=fine.ProjectionParams(beta0=0.0, beta_max=0.0),
+        n=12, max_iter=60, projection=fine.ProjectionParams(m_nd_min=101.0),
     )
     result = fine.fine_cell_solve(problem)
     m = problem.material
@@ -373,7 +379,7 @@ def test_fine_cell_solve_without_projection_is_the_coarse_loop():
             problem.r_min, problem.eps, problem.max_iter)
     gated, _, gated_history = coarse.simp_loop(*args, projection=problem.projection)
     rho, converged, history = coarse.simp_loop(*args)
-    assert any(h["projected"] for h in gated_history)
+    assert not any(h["projected"] for h in gated_history)
     assert result.rho.tobytes() == gated.tobytes() == rho.tobytes()
     assert (result.iterations, result.converged) == (len(history), converged)
     assert [{key: row[key] for key in history[0]} for row in gated_history] == history

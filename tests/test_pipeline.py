@@ -113,6 +113,10 @@ dirichlet =
     [
         ("[nonsense]\nfoo = 1\n", "unknown config section"),
         ("[grid]\nspacing = 1\n", "unknown key grid.spacing"),
+        # the projection's start, threshold and cadence are fixed, not keys
+        ("[projection]\nbeta0 = 1.0\n", "unknown key projection.beta0"),
+        ("[projection]\nmu = 0.5\n", "unknown key projection.mu"),
+        ("[projection]\ncadence = 2\n", "unknown key projection.cadence"),
         ("[grid]\nnx = fast\n", "bad value"),
         ("[run]\npreset = example9\n", "unknown preset"),
         ("[loads]\nneumann = 0 0 1 0\n", "expected 7 fields"),
@@ -122,7 +126,7 @@ dirichlet =
         ("[grid]\nnx = 0\n", "positive"),
         ("[material]\nnu = 0.7\n", "nu out of range"),
         ("[thresholds]\nrho_bar_min = 0.9\n", "rho_bar_min < rho_bar_max"),
-        ("[projection]\nbeta0 = 5.0\n", "beta0 <= beta_max"),
+        ("[projection]\nbeta_max = 0.5\n", "projection.beta_max: must be at least 1"),
         ("[grid]\nmask = blob\n", "unknown mask spec"),
         ("[grid]\nnx = 8\nny = 4\n[loads]\nneumann = 0 0 0 0 -1 0 -1\n  0 4 0 0 -1 0 -1\n",
          "loads.neumann row 2: element (0, 4) edge 0 is not on the 8 x 4 grid"),
@@ -143,7 +147,7 @@ OUT_OF_RANGE = {
     "nx": "0", "ny": "0", "hx": "0", "hy": "-0.5", "mask": "blob",
     "coarse_r_min": "0", "coarse_eps": "0", "max_inner": "0", "stage_cap": "0",
     "fine_n": "1", "fine_r_min": "0", "fine_eps": "-0.01", "fine_max_iter": "0",
-    "beta_max": "0", "m_nd_min": "0", "load_preset": "push-left",
+    "beta_max": "0.5", "m_nd_min": "0", "load_preset": "push-left",
     "support_preset": "clamp-right", "workers": "-1",
 }
 
@@ -218,6 +222,15 @@ def test_conflicting_prescribed_values_are_a_config_error(monkeypatch):
         config.build_bc(config.build_grid())
 
 
+def test_build_bc_names_an_edge_whose_nodal_loads_overflow():
+    # each traction is finite, but 2 t_start + t_end is not
+    config = pipeline.parse_config(
+        "[grid]\nnx = 2\nny = 2\n[loads]\npreset = none\nneumann = 1 0 1 0 1.7e308 0 1.7e308\n"
+        "[supports]\npreset = none\ndirichlet = 0 0 xy\n  0 1 xy\n")
+    with pytest.raises(pipeline.ConfigError, match=r"element \(1, 0\) edge 1 are not finite"):
+        config.build_bc(config.build_grid())
+
+
 def test_readme_ini_example_parses_and_sets_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
@@ -239,7 +252,7 @@ NON_DEFAULT = {
     "rho_bar_min": "0.1", "rho_bar_max": "0.9", "coarse_p": "1.5", "coarse_r_min": "2.0",
     "coarse_eps": "0.05", "max_inner": "20", "stage_cap": "5", "fine_n": "8",
     "fine_p": "2.5", "fine_r_min": "1.5", "fine_eps": "0.02", "fine_max_iter": "40",
-    "beta0": "1.5", "beta_max": "3.0", "mu": "0.4", "m_nd_min": "40.0", "cadence": "3",
+    "beta_max": "3.0", "m_nd_min": "40.0",
     "load_preset": "none", "neumann": "0 0 1 0 -1 0 -1", "support_preset": "clamp-top",
     "dirichlet": "0 0 xy", "out": "elsewhere", "workers": "2",
 }
@@ -701,9 +714,7 @@ _ABUSE_KEYS = {
     ("thresholds", "rho_bar_max"): _NUMBERS,
     ("coarse", "p"): _NUMBERS, ("coarse", "r_min"): _NUMBERS, ("coarse", "eps"): _NUMBERS,
     ("fine", "p"): _NUMBERS, ("fine", "r_min"): _NUMBERS, ("fine", "eps"): _NUMBERS,
-    ("projection", "beta0"): _NUMBERS, ("projection", "beta_max"): _NUMBERS,
-    ("projection", "mu"): _NUMBERS, ("projection", "m_nd_min"): _NUMBERS,
-    ("projection", "cadence"): st.integers(-2, 5),
+    ("projection", "beta_max"): _NUMBERS, ("projection", "m_nd_min"): _NUMBERS,
     ("loads", "preset"): st.sampled_from(sorted(pipeline.LOAD_PRESETS)),
     ("supports", "preset"): st.sampled_from(sorted(pipeline.SUPPORT_PRESETS)),
 }
@@ -846,15 +857,29 @@ def test_cli_rejects_bad_mask_file(tmp_path, capsys, rows, message):
     ("preset = shear-right\n", "preset = shear-right\nneumann = 3 0 1 nan 0 0 0\n",
      cli.EXIT_CONFIG),
     ("[grid]\n", "[grid]\nmask = file:{empty}\n", cli.EXIT_CONFIG),
-    # a finite traction whose compliance overflows, and two finite rows
-    # on one edge whose sum does
+    # a finite traction whose compliance overflows, two finite rows on one
+    # edge whose sum does, and a finite row whose nodal loads do
     ("preset = shear-right\n", "preset = shear-right\nneumann = 3 0 1 0 0 0 1e300\n",
      cli.EXIT_NUMERICAL),
     ("preset = shear-right\n",
      "preset = shear-right\nneumann = 3 0 1 1e308 0 1e308 0\n    3 0 1 1e308 0 1e308 0\n",
      cli.EXIT_CONFIG),
+    ("preset = shear-right\n", "preset = shear-right\nneumann = 3 0 1 0 1.7e308 0 1.7e308\n",
+     cli.EXIT_CONFIG),
+    # an element stiffness, filter weights, a filtered sensitivity, residual
+    # norms and force polygons that would overflow or divide 0 by 0
+    ("hx = 0.5", "hx = 1e308", cli.EXIT_CONFIG),
+    ("r_min = 1.3", "r_min = 1e308", cli.EXIT_NUMERICAL),
+    ("r_min = 1.3", "r_min = 5e-324", cli.EXIT_NUMERICAL),
+    ("preset = shear-right\n",
+     "preset = shear-right\nneumann = 3 0 1 0 0 0 1e160\n\n[material]\ne = 1e300\n",
+     cli.EXIT_NUMERICAL),
+    ("preset = shear-right\n", "preset = shear-right\nneumann = 3 0 1 0 0 0 1e104\n",
+     cli.EXIT_NUMERICAL),
 ], ids=["r_min-inf", "r_min-1e30", "p-nan", "e-nan", "hx-inf", "neumann-nan", "empty-mask",
-        "compliance-overflow", "neumann-sum-overflow"])
+        "compliance-overflow", "neumann-sum-overflow", "nodal-load-overflow", "stiffness-overflow",
+        "filter-weight-overflow", "filter-underflow", "residual-norm-overflow",
+        "force-polygon-overflow"])
 def test_cli_ends_without_traceback_or_warning(tmp_path, old, new, code):
     # a separate interpreter, so that stderr shows whatever escapes main
     empty = tmp_path / "empty.csv"
