@@ -25,10 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .grid import CORNER_OFFSETS, EDGE_LNODES, EDGE_NORMALS, NODE_FANS, GridError, edge_lengths
-
-# Local (xi, eta) coordinates of element corners 0..3.
-_CORNER_XI = 2.0 * CORNER_OFFSETS - 1.0
+from .grid import EDGE_LNODES, NODE_FANS, GridError, edge_lengths
 
 
 class EquilibrationError(RuntimeError):
@@ -484,33 +481,6 @@ def action_reaction_residual(grid, field_in):
         mismatch = mine[shared] + theirs[shared][:, ::-1]
         worst = max(worst, float(np.abs(mismatch).max(initial=0.0)))
     return worst
-
-
-def stress_tractions(grid, rho, material, u):
-    """Naive control field: edge tractions from the raw FE corner stresses.
-
-    Evaluates each element's stress tensor at its corners and projects onto
-    the outward edge normals, t = sigma . n. Unlike the equilibrated field
-    this is discontinuous across edges and does not balance per element; it
-    serves as the comparison baseline for boundary-continuity measurements.
-    """
-    act = grid.active_elems
-    ue = fem.element_displacements(grid, u)[act]
-    rho = np.asarray(rho, dtype=float)[act]
-    stress = np.stack(
-        [
-            fem.element_stress(
-                material, grid.hx, grid.hy, ue, rho=rho, p=material.p, xi=xi, eta=eta
-            )
-            for xi, eta in _CORNER_XI
-        ],
-        axis=1,
-    )
-    # Stress tensors [[sxx, sxy], [sxy, syy]] at each edge's (start, end) corner.
-    ends = stress[:, np.array(EDGE_LNODES)][..., [[0, 2], [2, 1]]]
-    tractions = np.zeros((grid.n_elems, 4, 2, 2))
-    tractions[act] = np.einsum("akeij,kj->akei", ends, EDGE_NORMALS)
-    return tractions
 
 
 def dump_tractions_csv(grid, field_in, path):

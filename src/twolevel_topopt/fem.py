@@ -248,7 +248,6 @@ class Operator:
     element factors rho^p to the lower band of the reduced stiffness (LAPACK
     storage, K[row, col] at ab[row - col, col]) is built once, so each solve
     is one sparse product and one banded Cholesky factorization in place.
-    Nonzero prescribed displacements u0 enter the right-hand side as K u0.
     Node numbering runs column by column, so the band is about 2 (ny + 2)
     dofs wide.
     """
@@ -259,8 +258,6 @@ class Operator:
         self.ke = ke = element_stiffness(material, grid.hx, grid.hy)
         ndof = 2 * grid.n_nodes
         self.fixed = bc.constrained_dofs()
-        self.u0 = np.zeros(ndof)
-        self.u0[self.fixed] = bc.prescribed_values()
         active_dofs = np.repeat(2 * np.flatnonzero(grid.node_active), 2)
         active_dofs[1::2] += 1
         self.keep = np.setdiff1d(active_dofs, self.fixed, assume_unique=True)
@@ -306,24 +303,18 @@ class Operator:
             self.grid.elem_dofs.ravel(), weights=forces.ravel(), minlength=u.size
         )
 
-    def _free_loads(self, rho, f):
-        """Loads on the free dofs, less the forces of the prescribed displacements."""
-        if not self.u0.any():
-            return f[self.keep]
-        return (f - self._product(rho, self.u0))[self.keep]
-
     def solve(self, rho, f):
         """FESolution of K(rho) u = f for a full-length load vector f."""
         try:
             uf = sla.solveh_banded(
-                self.band(rho), self._free_loads(rho, f), overwrite_ab=True,
+                self.band(rho), f[self.keep], overwrite_ab=True,
                 lower=True, check_finite=False,
             )
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"banded factorization failed: {exc}") from exc
         if not np.isfinite(uf).all():
             raise SolverError("singular stiffness (insufficient constraints?)")
-        u = self.u0.copy()
+        u = np.zeros(f.size)
         u[self.keep] = uf
         # Finite displacements under huge loads can still overflow the energies.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -352,13 +343,12 @@ class Operator:
         """Backward-error gates of a solution; returns its largest support reaction.
 
         The residual K u - f on the free dofs must stay below both
-        1e-8 (|f| + |K| |u|) and 1e-6 |f|, with f the free loads less the
-        forces of the prescribed displacements.
+        1e-8 (|f| + |K| |u|) and 1e-6 |f|, with f the loads on the free dofs.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             residual = self._product(rho, solution.u) - solution.f
             res = np.linalg.norm(residual[self.keep])
-            fnorm = np.linalg.norm(self._free_loads(rho, solution.f))
+            fnorm = np.linalg.norm(solution.f[self.keep])
             unorm = np.linalg.norm(solution.u[self.keep])
         if not np.isfinite([res, fnorm, unorm]).all():
             raise SolverError("residual norms are not finite (loads too large for the stiffness?)")
@@ -421,12 +411,3 @@ def element_nodal_forces(grid, rho, material, u, ke=None):
     forces = scale[:, None] * (ue @ ke.T)
     return forces.reshape(grid.n_elems, 4, 2)
 
-
-def element_stress(material, hx, hy, ue, rho=1.0, p=1.0, xi=0.0, eta=0.0):
-    """Stress vector (sxx, syy, sxy) at a reference point of each element.
-
-    ue is one element's displacement vector (8,) or a stack (..., 8) with
-    rho a matching stack of densities; the result has shape (..., 3).
-    """
-    B = strain_matrix(xi, eta, hx, hy)
-    return (np.asarray(rho, dtype=float) ** p)[..., None] * (ue @ B.T @ material.D0.T)

@@ -83,8 +83,8 @@ class FineCellProblem:
     eps: float = 0.01
     projection: ProjectionParams = field(default_factory=ProjectionParams)
     max_iter: int = 300
-    # Control runs (e.g. loading cells with raw FE stresses for comparison)
-    # may disable the balance check; the supports then carry real reactions.
+    # Control runs may disable the balance check, e.g. the raw-stress farm
+    # of tests/reference.py; the supports then carry real reactions.
     require_equilibrated: bool = True
 
 

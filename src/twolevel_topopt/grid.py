@@ -20,9 +20,6 @@ CORNER_OFFSETS = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=int)
 # Edge k connects local corners EDGE_LNODES[k] = (start, end), counter-clockwise.
 EDGE_LNODES = ((0, 1), (1, 2), (2, 3), (3, 0))
 
-# Outward unit normals of edges 0..3 (bottom, right, top, left).
-EDGE_NORMALS = np.array([(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)])
-
 # Neighbouring element offset across each edge.
 EDGE_NEIGHBOR_OFFSETS = ((0, -1), (1, 0), (0, 1), (-1, 0))
 
@@ -229,32 +226,26 @@ NODE_FANS = tuple(_fan_from_quads([bool(code >> q & 1) for q in range(4)]) for c
 
 @dataclass
 class BoundaryConditions:
-    """Dirichlet constraints and Neumann edge tractions.
+    """Dirichlet supports and Neumann edge tractions.
 
-    dirichlet maps node id -> (mask, values) where mask is a length-2 bool
-    (x, y constrained) and values the prescribed displacements. neumann maps
-    (element id, local edge id) -> (t_start, t_end) linear traction endpoints
-    in the element's counter-clockwise edge orientation.
+    Supports fix displacement components at zero. dirichlet maps node id ->
+    (mask, values): mask is a length-2 bool (x, y constrained) and values
+    are always zero. The benchmark harness unpacks that pair per node, so
+    it stays until the harness reads the mask alone. neumann maps (element
+    id, local edge id) -> (t_start, t_end) linear traction endpoints in the
+    element's counter-clockwise edge orientation.
     """
 
     dirichlet: dict = field(default_factory=dict)
     neumann: dict = field(default_factory=dict)
 
-    def fix_node(self, node, ux=0.0, uy=0.0, mask=(True, True)):
-        """Prescribe (ux, uy) on the masked components of node.
-
-        Fixing a node again constrains the union of the components; giving a
-        component a second, different value is a GridError.
-        """
+    def fix_node(self, node, mask=(True, True)):
+        """Fix the masked components of node at zero; fixing a node again
+        constrains the union of the components."""
         mask = np.asarray(mask, dtype=bool)
-        values = np.array([ux, uy], dtype=float)
         if int(node) in self.dirichlet:
-            old_mask, old_values = self.dirichlet[int(node)]
-            if (old_values != values)[old_mask & mask].any():
-                raise GridError(f"node {node} has two prescribed values for one component")
-            values = np.where(old_mask, old_values, values)
-            mask = old_mask | mask
-        self.dirichlet[int(node)] = (mask, values)
+            mask = self.dirichlet[int(node)][0] | mask
+        self.dirichlet[int(node)] = (mask, np.zeros(2))
 
     def add_edge_traction(self, elem, edge, t_start, t_end):
         """Add a linear traction to a boundary edge; tractions on one edge sum."""
@@ -297,13 +288,3 @@ class BoundaryConditions:
                 if mask[comp]:
                     dofs.append(2 * node + comp)
         return np.array(sorted(dofs), dtype=int)
-
-    def prescribed_values(self):
-        """Values aligned with constrained_dofs()."""
-        vals = {}
-        for node, (mask, values) in self.dirichlet.items():
-            for comp in range(2):
-                if mask[comp]:
-                    vals[2 * node + comp] = values[comp]
-        dofs = self.constrained_dofs()
-        return np.array([vals[d] for d in dofs])

@@ -20,7 +20,9 @@ from numpy.testing import assert_allclose
 from scipy import ndimage
 
 from twolevel_topopt import coarse, equilibrate, fem, fine, pipeline
-from twolevel_topopt.grid import EDGE_NORMALS, BoundaryConditions, Grid
+from twolevel_topopt.grid import BoundaryConditions, Grid
+
+from reference import EDGE_NORMALS, stress_tractions
 
 pytestmark = pytest.mark.acceptance
 
@@ -82,7 +84,7 @@ def ex1_batch(ex1, ex1_field):
 @pytest.fixture(scope="session")
 def ex1_control_batch(ex1):
     grid, result = ex1["grid"], ex1["result"]
-    raw = equilibrate.stress_tractions(
+    raw = stress_tractions(
         grid, result.rho, ex1["config"].coarse_material(), result.solution.u
     )
     batch = run_farm(ex1, raw, require_equilibrated=False)

@@ -17,14 +17,20 @@ from twolevel_topopt import equilibrate as eq
 from twolevel_topopt import fem
 from twolevel_topopt.grid import (
     EDGE_LNODES,
-    EDGE_NORMALS,
     NODE_FANS,
     BoundaryConditions,
     Grid,
     GridError,
 )
 
-from reference import NodeClass, neighbor, node_classes
+from reference import (
+    CORNER_XI,
+    EDGE_NORMALS,
+    NodeClass,
+    neighbor,
+    node_classes,
+    stress_tractions,
+)
 
 
 # ---------------------------------------------------------------- centroid
@@ -672,7 +678,7 @@ def test_stress_tractions_control_field():
     rng = np.random.default_rng(9)
     rho = rng.uniform(0.4, 1.0, g.n_elems)
     sol = fem.solve(g, rho, mat, bc)
-    raw = eq.stress_tractions(g, rho, mat, sol.u)
+    raw = stress_tractions(g, rho, mat, sol.u)
     assert raw.shape == (g.n_elems, 4, 2, 2)
 
     class Holder:
@@ -698,7 +704,7 @@ def test_stress_tractions_exact_on_patch():
         bc.add_edge_traction(g.elem_id(2, iy), 1, (1.0, 0.0), (1.0, 0.0))
     rho = np.ones(g.n_elems)
     sol = fem.solve(g, rho, mat, bc)
-    raw = eq.stress_tractions(g, rho, mat, sol.u)
+    raw = stress_tractions(g, rho, mat, sol.u)
     for e in g.active_elems:
         for k in range(4):
             nrm = EDGE_NORMALS[k]
@@ -717,7 +723,7 @@ def test_stress_tractions_uniform_stress_on_every_edge():
     rho = np.full(g.n_elems, 0.5)
     sxx, syy, sxy = 0.5**3 * mat.D0 @ (a[0, 0], a[1, 1], a[0, 1] + a[1, 0])
     sigma = np.array([[sxx, sxy], [sxy, syy]])
-    raw = eq.stress_tractions(g, rho, mat, u)
+    raw = stress_tractions(g, rho, mat, u)
     for k in range(4):
         assert_allclose(raw[:, k], np.broadcast_to(sigma @ EDGE_NORMALS[k], (g.n_elems, 2, 2)),
                         rtol=1e-12, atol=1e-15)
@@ -738,10 +744,10 @@ def test_stress_tractions_matches_element_loop():
     for e in g.active_elems:
         for k, (c_start, c_end) in enumerate(EDGE_LNODES):
             for end, corner in enumerate((c_start, c_end)):
-                B = fem.strain_matrix(*eq._CORNER_XI[corner], g.hx, g.hy)
+                B = fem.strain_matrix(*CORNER_XI[corner], g.hx, g.hy)
                 sxx, syy, sxy = rho[e] ** mat.p * (mat.D0 @ (B @ ue[e]))
                 expected[e, k, end] = np.array([[sxx, sxy], [sxy, syy]]) @ EDGE_NORMALS[k]
-    raw = eq.stress_tractions(g, rho, mat, u)
+    raw = stress_tractions(g, rho, mat, u)
     assert_allclose(raw, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
 
 

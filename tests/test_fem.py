@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose
 from twolevel_topopt import fem
 from twolevel_topopt.grid import BoundaryConditions, Grid
 
+from reference import EDGE_NORMALS, element_stress
+
 
 @pytest.fixture
 def steelish():
@@ -119,9 +121,7 @@ def dense_solve(g, rho, material, bc, f):
     active = np.flatnonzero(np.repeat(g.node_active, 2))
     free = np.setdiff1d(active, fixed)
     u = np.zeros(2 * g.n_nodes)
-    u[fixed] = bc.prescribed_values()
-    rhs = f[free] - dense[np.ix_(free, fixed)] @ u[fixed]
-    u[free] = np.linalg.solve(dense[np.ix_(free, free)], rhs)
+    u[free] = np.linalg.solve(dense[np.ix_(free, free)], f[free])
     return u
 
 
@@ -134,14 +134,14 @@ def full_beam():
 
 
 def masked_l_bracket():
-    # L-shaped domain with one support node pushed sideways: inactive dofs
-    # are eliminated and the prescribed value enters the loads as K u0
+    # L-shaped domain clamped along its upper arm: the dofs of the nodes
+    # the mask removes are eliminated and stay zero
     active = np.ones((6, 6), dtype=bool)
     active[3:, 3:] = False
     g = Grid(6, 6, 0.3, 0.2, active=active)
     bc = BoundaryConditions()
     for jx in range(4):
-        bc.fix_node(g.node_id(jx, 6), ux=2e-3 if jx == 1 else 0.0)
+        bc.fix_node(g.node_id(jx, 6))
     bc.add_edge_traction(g.elem_id(5, 1), 1, (0.0, -1.0), (0.5, -2.0))
     return g, bc
 
@@ -160,6 +160,7 @@ def test_solve_matches_dense_reference(steelish):
         assert_allclose(sol.u, u_ref, rtol=1e-9, atol=1e-12)
         assert_allclose(sol.compliance, f @ u_ref, rtol=1e-9)
         assert_allclose(sol.f, f)
+        assert not sol.u[~np.repeat(g.node_active, 2)].any()
 
 
 def test_compliance_equals_energy_sum(steelish):
@@ -190,26 +191,31 @@ def test_element_energy_masked_on_inactive(steelish):
 
 
 def test_patch_test_uniform_stress(steelish):
-    # prescribing a linear displacement field on the whole boundary must give
-    # the exact uniform stress state in every element of a 4x2 grid
+    # loading every boundary edge with sigma . n of one full stress state
+    # (sxx, syy and sxy all nonzero) must give that exact uniform stress in
+    # every element of a 4x2 grid; the three rigid-body constraints of a fine
+    # cell (pin bottom-left, roll bottom-right) carry no reaction
     g = Grid(4, 2, 0.5, 0.5)
     a = np.array([[1.1e-3, 0.4e-3], [-0.2e-3, 0.9e-3]])
-    bc = BoundaryConditions()
-    for jx in range(g.nx + 1):
-        for jy in range(g.ny + 1):
-            if jx in (0, g.nx) or jy in (0, g.ny):
-                x, y = g.node_coords([g.node_id(jx, jy)])[0]
-                ux, uy = a @ (x, y)
-                bc.fix_node(g.node_id(jx, jy), ux=ux, uy=uy)
-    rho = np.ones(g.n_elems)
-    sol = fem.solve(g, rho, steelish, bc)
-
     strain = np.array([a[0, 0], a[1, 1], a[0, 1] + a[1, 0]])
     sigma_exact = steelish.D0 @ strain
+    assert np.all(sigma_exact != 0.0)
+    sxx, syy, sxy = sigma_exact
+    bc = BoundaryConditions()
+    bc.fix_node(g.node_id(0, 0))
+    bc.fix_node(g.node_id(g.nx, 0), mask=(False, True))
+    for e, k in g.boundary_edges():
+        t = np.array([[sxx, sxy], [sxy, syy]]) @ EDGE_NORMALS[k]
+        bc.add_edge_traction(e, k, t, t)
+    rho = np.ones(g.n_elems)
+    sol = fem.solve(g, rho, steelish, bc)
+    reaction = fem.Operator(g, steelish, bc).check(rho, sol)
+    assert reaction <= 1e-12 * np.abs(sol.f).max()
+
     for e in range(g.n_elems):
         ue = fem.element_displacements(g, sol.u)[e]
         for xi, eta in [(0, 0), (0.7, -0.3), (-1, 1)]:
-            sigma = fem.element_stress(steelish, 0.5, 0.5, ue, xi=xi, eta=eta)
+            sigma = element_stress(steelish, 0.5, 0.5, ue, xi=xi, eta=eta)
             assert_allclose(sigma, sigma_exact, rtol=1e-10, atol=1e-16)
 
 
@@ -241,20 +247,6 @@ def test_solver_error_on_unremoved_rigid_mode(steelish):
     rho = np.ones(g.n_elems)
     with pytest.raises(fem.SolverError):
         fem.solve(g, rho, steelish, bc)
-
-
-def test_prescribed_displacements_enter_rhs(steelish):
-    # stretching the right edge of a single element reproduces uniaxial strain
-    g = Grid(1, 1, 1.0, 1.0)
-    bc = BoundaryConditions()
-    bc.fix_node(g.node_id(0, 0))
-    bc.fix_node(g.node_id(0, 1), mask=(True, False))
-    bc.fix_node(g.node_id(1, 0), ux=0.01, mask=(True, False))
-    bc.fix_node(g.node_id(1, 1), ux=0.01, mask=(True, False))
-    sol = fem.solve(g, np.ones(1), steelish, bc)
-    assert_allclose(sol.u[2 * g.node_id(1, 0)], 0.01)
-    # free vertical dofs contract by nu * strain
-    assert_allclose(sol.u[2 * g.node_id(1, 1) + 1], -0.003, rtol=1e-9)
 
 
 def test_one_blas_thread_pins_and_restores():

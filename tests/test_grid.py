@@ -10,14 +10,13 @@ from scipy import ndimage
 from twolevel_topopt.equilibrate import classify_nodes
 from twolevel_topopt.grid import (
     EDGE_LNODES,
-    EDGE_NORMALS,
     NODE_FANS,
     BoundaryConditions,
     Grid,
     GridError,
 )
 
-from reference import neighbor, node_classes
+from reference import EDGE_NORMALS, neighbor, node_classes
 
 
 def l_mask(nx, ny):
@@ -365,26 +364,26 @@ def test_bc_validate_rejects_fully_fixed_loaded_node():
 
 
 def test_constrained_dofs_and_values_align():
-    g = Grid(2, 2, 1.0, 1.0)
+    # dofs come back sorted whatever order the nodes were fixed in, and
+    # every support holds its components at zero
     bc = BoundaryConditions()
-    bc.fix_node(3, ux=0.5, uy=-1.0)
-    bc.fix_node(1, mask=(False, True), uy=2.0)
-    dofs = bc.constrained_dofs()
-    vals = bc.prescribed_values()
-    assert dofs.tolist() == [3, 6, 7]
-    assert_allclose(vals, [2.0, 0.5, -1.0])
+    bc.fix_node(3)
+    bc.fix_node(1, mask=(False, True))
+    assert bc.constrained_dofs().tolist() == [3, 6, 7]
+    assert [bc.dirichlet[n][0].tolist() for n in (1, 3)] == [[False, True], [True, True]]
+    assert all(values.tolist() == [0.0, 0.0] for _, values in bc.dirichlet.values())
 
 
 def test_fixing_a_node_again_adds_its_components():
     bc = BoundaryConditions()
-    bc.fix_node(4, ux=0.5, mask=(True, False))
-    bc.fix_node(4, uy=-1.0, mask=(False, True))
-    bc.fix_node(4, ux=0.5, uy=7.0, mask=(True, False))  # same x value, y not fixed here
+    bc.fix_node(4, mask=(True, False))
+    assert bc.dirichlet[4][0].tolist() == [True, False]
+    bc.fix_node(4, mask=(False, True))
+    bc.fix_node(4, mask=(True, False))  # x again: the union keeps y
     mask, values = bc.dirichlet[4]
     assert mask.tolist() == [True, True]
-    assert values.tolist() == [0.5, -1.0]
-    with pytest.raises(GridError, match="two prescribed values"):
-        bc.fix_node(4, uy=1.0, mask=(False, True))
+    assert values.tolist() == [0.0, 0.0]
+    assert bc.constrained_dofs().tolist() == [8, 9]
 
 
 def test_tractions_on_one_edge_sum():

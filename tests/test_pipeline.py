@@ -211,17 +211,6 @@ def test_explicit_rows_add_to_preset_loads_and_supports():
     assert bc.constrained_dofs().tolist() == preset.constrained_dofs().tolist()
 
 
-def test_conflicting_prescribed_values_are_a_config_error(monkeypatch):
-    def shifted(grid, bc):
-        bc.fix_node(grid.node_id(0, 0), ux=1e-3)
-        pipeline.SUPPORT_PRESETS["clamp-left"](grid, bc)
-
-    monkeypatch.setitem(pipeline.SUPPORT_PRESETS, "shifted", shifted)
-    config = pipeline.RunConfig(nx=4, ny=2, support_preset="shifted").validate()
-    with pytest.raises(pipeline.ConfigError, match="two prescribed values"):
-        config.build_bc(config.build_grid())
-
-
 def test_build_bc_names_an_edge_whose_nodal_loads_overflow():
     # each traction is finite, but 2 t_start + t_end is not
     config = pipeline.parse_config(
