@@ -29,11 +29,7 @@ from .grid import EDGE_LNODES, NODE_FANS, GridError, edge_lengths
 
 
 class EquilibrationError(RuntimeError):
-    """Node splitting failed; row is the first failing node of a batched split."""
-
-    def __init__(self, message, row=0):
-        super().__init__(message)
-        self.row = row
+    """The FE state cannot be split: a node's fan or the nodal forces are unusable."""
 
 
 def _cross(a, b):
@@ -79,17 +75,10 @@ def polygon_centroid(F1, F2, F3, F4):
     pole reproducing the exact uniform tractions on every edge, which also
     covers the all-zero polygon (midpoint at the origin).
 
-    Leading axes of the sides hold one polygon each; an open polygon raises
-    with the flat index of the first as `row`.
+    Leading axes of the sides hold one polygon each.
     """
     forces = np.stack(np.broadcast_arrays(*map(np.asarray, (F1, F2, F3, F4))), -2).astype(float)
     scale = _norm(forces).max(axis=-1)
-    residual = _norm(forces.sum(axis=-2))
-    open_ = residual > 1e-6 * scale
-    if open_.any():
-        row = int(np.flatnonzero(open_)[0])
-        raise EquilibrationError(f"force polygon not closed: residual {residual.flat[row]:.3e} "
-                                 f"exceeds 1e-6 x scale {scale.flat[row]:.3e}", row)
     V = np.zeros(forces.shape)
     V[..., 1:, :] = np.cumsum(forces[..., :3, :], axis=-2)
     V0, V1, V2, V3 = np.moveaxis(V, -2, 0)
@@ -239,9 +228,13 @@ def _void_aware_pole(vertices, voids, default):
     """Pole override near void elements: kill their interface side forces.
 
     One void side -> midpoint of that (vanishing) side; two adjacent void
-    sides -> their shared vertex; three void sides -> midpoint of the sole
-    non-void side, halving its nodal force between its two edges. The void
-    flags are shared by every node of a batch.
+    sides -> their shared vertex; otherwise the one non-void side -> its
+    midpoint, halving its nodal force between its two edges. Only a cycle
+    (m vertices) wraps: the end elements of a chain (m + 1 vertices) are
+    not adjacent, so a chain void, solid, void takes its solid side's
+    midpoint, and the two voids of a cycle are adjacent (classify_nodes
+    rejects opposite ones). The void flags are shared by every node of a
+    batch.
     """
     nv = sum(voids)
     m = len(voids)
@@ -252,14 +245,11 @@ def _void_aware_pole(vertices, voids, default):
         v = voids.index(True)
         return 0.5 * (vertices[..., v, :] + vertices[..., (v + 1) % n_vert, :])
     if nv == 2:
-        for i in range(m):
+        for i in range(m if n_vert == m else m - 1):
             if voids[i] and voids[(i + 1) % m]:
                 return vertices[..., (i + 1) % n_vert, :]
-        return default
-    if nv == m - 1:
-        s = voids.index(False)
-        return 0.5 * (vertices[..., s, :] + vertices[..., (s + 1) % n_vert, :])
-    return default
+    s = voids.index(False)
+    return 0.5 * (vertices[..., s, :] + vertices[..., (s + 1) % n_vert, :])
 
 
 def _vertices(forces):
@@ -275,15 +265,16 @@ def fan_poles(forces, cycle, first, last, voids):
     prescribed end forces of a chain's extreme edges; first and last flag a
     chain's reaction extremes and voids its void elements. W are the running
     vertices. A cycle, or a chain with two reactions, takes the centroid of
-    the force polygon closed by -W[k], k = min(m, 3): around a cycle that
-    side stands in for the fourth force, so the FE nodal residual cannot
-    trip the centroid's closure check, and along the chain it is the total
-    reaction. A single force is split evenly. That pole then moves next to
-    void elements. A chain with one reaction takes the vertex at its
-    prescribed end, W[m] or W[0]. A chain without reaction takes -0.0 on its
-    first half and W[m] on its second, so both extremes keep their
-    prescription and the middle element takes the closure defect
-    (-0.0 - W is -W to the sign of a zero).
+    the force polygon closed by -W[k], k = min(m, 3). That side closes the
+    polygon by construction, as W[k] sums the same forces: around a cycle
+    it stands in for the fourth force, so the FE nodal residual lands in
+    lam, and along the chain it is the total reaction. A single force is
+    split evenly. That pole then moves next to void elements. A chain with
+    one reaction takes the vertex at its prescribed end, W[m] or W[0]. A
+    chain without reaction takes -0.0 on its first half and W[m] on its
+    second, so both extremes keep their prescription and the middle
+    element takes the closure defect (-0.0 - W is -W to the sign of a
+    zero).
     """
     W = _vertices(forces)
     m = forces.shape[-2]
@@ -349,9 +340,8 @@ class EdgeTractionField:
 
     tractions: np.ndarray
     side_forces: np.ndarray
-    classes: NodeClasses
     lambdas: np.ndarray
-    report: EquilibrationReport = None
+    report: EquilibrationReport
 
 
 def equilibrate_all(grid, rho, material, bc, u, void_mask):
@@ -369,7 +359,7 @@ def equilibrate_all(grid, rho, material, bc, u, void_mask):
     if np.abs(forces).max() > 1e100:
         raise EquilibrationError(
             f"nodal forces up to {np.abs(forces).max():.3e} exceed 1e100, too large to split")
-    force_scale = float(np.linalg.norm(forces[act], axis=2).max()) if act.size else 0.0
+    force_scale = float(np.linalg.norm(forces[act], axis=2).max())
 
     classes = classify_nodes(grid, bc, void_mask)
 
@@ -391,17 +381,8 @@ def equilibrate_all(grid, rho, material, bc, u, void_mask):
     order = np.argsort(key, kind="stable")
     _, starts = np.unique(key[order], return_index=True)
     lam = np.zeros((grid.n_nodes, 2))
-    failures = []
     for rows in np.split(order, starts[1:]):
-        try:
-            lam[classes.nodes[rows]] = _split_nodes(forces, side, classes, rows)
-        except EquilibrationError as exc:
-            failures.append((rows[exc.row], exc))
-    if failures:
-        # Rows run by node id, so the first failing row is the lowest node.
-        row, exc = min(failures, key=lambda failure: failure[0])
-        raise EquilibrationError(
-            f"node {classes.nodes[row]} ({KINDS[classes.kind[row]]}): {exc}") from exc
+        lam[classes.nodes[rows]] = _split_nodes(forces, side, classes, rows)
 
     if np.isnan(side[act]).any():
         missing = int(np.isnan(side[act]).any(axis=(1, 2, 3)).sum())
@@ -413,9 +394,8 @@ def equilibrate_all(grid, rho, material, bc, u, void_mask):
         fem.tractions_from_forces(side[:, :, 0], side[:, :, 1], lengths), axis=2
     )
 
-    field_out = EdgeTractionField(tractions, side, classes, lam)
-    field_out.report = build_report(grid, field_out, force_scale)
-    return field_out
+    return EdgeTractionField(tractions, side, lam,
+                             build_report(grid, tractions, lam, classes, force_scale))
 
 
 def _split_nodes(forces, side, classes, rows):
@@ -450,19 +430,19 @@ def _split_nodes(forces, side, classes, rows):
     return lam
 
 
-def build_report(grid, field_in, force_scale):
-    """Integrate the traction field exactly and collect quality measures."""
+def build_report(grid, tractions, lambdas, classes, force_scale):
+    """Integrate the tractions exactly and collect quality measures; lambdas
+    are the closure defects and classes the NodeClasses of the split."""
     act = grid.active_elems
     net_force = np.zeros((grid.n_elems, 2))
     net_moment = np.zeros(grid.n_elems)
     net_force[act], net_moment[act] = fem.edge_traction_resultants(
-        field_in.tractions[act], grid.hx, grid.hy
+        tractions[act], grid.hx, grid.hy
     )
 
     moment_scale = force_scale * max(grid.hx, grid.hy)
     return EquilibrationReport(force_scale, moment_scale, net_force, net_moment,
-                               float(_norm(field_in.lambdas).max()),
-                               field_in.classes.kind_counts())
+                               float(_norm(lambdas).max()), classes.kind_counts())
 
 
 def action_reaction_residual(grid, field_in):

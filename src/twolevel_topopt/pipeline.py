@@ -665,7 +665,7 @@ def _read_checkpoint(path, build, fingerprint):
     """A stage's state rebuilt from its checkpoint, or None to recompute the stage.
 
     A missing file, an unreadable one (truncated, or not an archive of the
-    expected arrays) and one stamped with another config's fingerprint all
+    expected arrays and shapes) and one stamped with another config's fingerprint all
     send the stage to be recomputed, which overwrites the file; the last two
     are logged.
     """
@@ -679,7 +679,7 @@ def _read_checkpoint(path, build, fingerprint):
                         path)
             return None
         result = build(data)
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile,
+    except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile,
             zlib.error) as exc:
         log.warning("unreadable checkpoint %s (%s); recomputing its stage", path, exc)
         return None

@@ -765,6 +765,31 @@ def test_cli_recomputes_truncated_checkpoint(tmp_path, capsys, command, checkpoi
     assert _results(again) == _results(fresh)
 
 
+@pytest.mark.parametrize(
+    "command, checkpoint, name",
+    [("verify", "coarse_state.npz", "stages"), ("run", "cells.npz", "iterations")],
+)
+def test_cli_recomputes_checkpoint_with_a_misshapen_field(tmp_path, capsys, caplog, command,
+                                                          checkpoint, name):
+    # this config's fingerprint, but a field one dimension too deep: the
+    # coarse stage count as [1, 2], the cells' iteration counts as 2-D
+    path = tmp_path / "run.ini"
+    path.write_text(SMALL_RUN)
+    args = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(args) == 0
+    fresh = json.loads(capsys.readouterr().out)
+    ckpt = tmp_path / "out" / checkpoint
+    with np.load(ckpt) as data:
+        arrays = dict(data)
+    arrays[name] = np.array([1, 2]) if arrays[name].ndim == 0 else np.stack([arrays[name]] * 2, 1)
+    np.savez_compressed(ckpt, **arrays)
+    caplog.set_level("WARNING", logger="twolevel_topopt.pipeline")
+    assert cli.main(args) == 0
+    assert f"unreadable checkpoint {ckpt}" in caplog.text
+    again = json.loads(capsys.readouterr().out)
+    assert _results(again) == _results(fresh)
+
+
 def test_cli_io_failure_exit_code(tmp_path, capsys, monkeypatch):
     path = tmp_path / "run.ini"
     path.write_text(SMALL_RUN)
