@@ -11,8 +11,8 @@ conditions: interior nodes use the polygon centroid, clamped nodes close the
 polygon with a reaction side, traction boundaries pin the pole so prescribed
 edges keep exactly their prescribed values.
 
-Element fans follow grid.NODE_FANS ordering (counter-clockwise, cycle for
-interior nodes, chain for boundary nodes). Side forces are stored per
+Element fans run counter-clockwise from grid.Grid.node_quadrants: a cycle
+for interior nodes, a chain for boundary nodes (classify_nodes). Side forces are stored per
 (element, local edge, edge end) in the owning element's orientation, so a
 shared edge holds exact negations on its two sides.
 """
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .grid import EDGE_LNODES, NODE_FANS, GridError, edge_lengths
+from .grid import EDGE_LNODES, GridError, edge_lengths
 
 
 class EquilibrationError(RuntimeError):
@@ -124,15 +124,6 @@ KINDS = (
     "neumann-reentrant", "dirichlet-chain-3-1", "dirichlet-chain-3-2",
 )
 
-# grid.NODE_FANS as arrays by quadrant code: fan size (0 when non-manifold),
-# quadrant of each element slot and local id of each fan edge, zero-padded.
-_FANS = [fan or ((), (), False) for fan in NODE_FANS]
-_FAN_SIZE = np.array([len(quads) for quads, _, _ in _FANS])
-_FAN_QUADS = np.array([quads + (0,) * (4 - len(quads)) for quads, _, _ in _FANS])
-_FAN_LEDGES = np.array([tuple(k for _, k in edges) + (0,) * (5 - len(edges))
-                        for _, edges, _ in _FANS])
-
-
 @dataclass
 class NodeClasses:
     """Classified nodes as arrays.
@@ -192,25 +183,34 @@ def classify_nodes(grid, bc, void_mask):
         )
 
     quads = grid.node_quadrants()
-    code = (quads >= 0) @ [1, 2, 4, 8]
-    nodes = np.flatnonzero(code)
-    code, quads = code[nodes], quads[nodes]
-    m = _FAN_SIZE[code]
+    present = quads >= 0
+    nodes = np.flatnonzero(present.any(axis=1))
+    present, quads = present[nodes], quads[nodes]
+    m = present.sum(axis=1)
+    # A fan is the one run of present quadrants, starting right after the
+    # gap (at SE around a cycle); two runs meet only at a non-manifold node.
+    starts = present & ~np.roll(present, 1, axis=1)
+    run = (np.argmax(starts, axis=1)[:, None] + np.arange(4)) % 4
     rows = np.arange(len(nodes))
-    elements = np.where(np.arange(4) < m[:, None], quads[rows[:, None], _FAN_QUADS[code]], -1)
-    voids = void_mask[elements] & (elements >= 0)
-    ledges = _FAN_LEDGES[code]
+    slot = np.arange(4) < m[:, None]
+    elements = np.where(slot, quads[rows[:, None], run], -1)
+    voids = void_mask[elements] & slot
+    # Quadrant q's element meets the node at its corner (q + 3) % 4, so its
+    # preceding fan edge is local edge (q + 3) % 4; a chain ends with the
+    # following edge of its last element, local edge (q + 2) % 4.
+    ledges = np.pad(np.where(slot, (run + 3) % 4, 0), ((0, 0), (0, 1)))
+    chain = np.flatnonzero(m < 4)
+    ledges[chain, m[chain]] = (run[chain, m[chain] - 1] + 2) % 4
     # A chain's extreme edges: the first of its first element, the last
     # (slot m) of its last element.
-    last = np.maximum(m - 1, 0)
-    extremes = _reaction_edges(grid, bc, np.stack([elements[:, 0], elements[rows, last]], axis=1),
+    extremes = _reaction_edges(grid, bc, np.stack([elements[:, 0], elements[rows, m - 1]], axis=1),
                                np.stack([ledges[:, 0], ledges[rows, m]], axis=1))
     extremes &= (m < 4)[:, None]
     nv = voids.sum(axis=1)
 
     # Two void elements of a cycle that are not adjacent are opposite.
     checkerboard = (m == 4) & (nv == 2) & (voids[:, 0] == voids[:, 2])
-    bad = np.flatnonzero((m == 0) | checkerboard)
+    bad = np.flatnonzero((starts.sum(axis=1) > 1) | checkerboard)
     if bad.size:
         n = nodes[bad[0]]
         if checkerboard[bad[0]]:

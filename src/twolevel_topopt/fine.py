@@ -218,7 +218,7 @@ def fine_cell_solve(problem):
     False), still-usable result; a cycle stop has iterations < max_iter and
     the field the capped run would return.
     """
-    if not 0 < problem.target <= 1:
+    if not 0 < problem.target < 1:
         raise FineSolveError(f"target {problem.target} invalid")
     net_f, net_m, scale = traction_equilibrium(problem.tractions, problem.hx, problem.hy)
     char_len = max(problem.hx, problem.hy)
@@ -230,11 +230,6 @@ def fine_cell_solve(problem):
             f"(|F| = {np.linalg.norm(net_f):.3e}, |M| = {abs(net_m):.3e}, "
             f"scale = {scale:.3e})"
         )
-    if problem.target >= 1.0:
-        return FineCellResult(
-            problem.cell, np.ones(problem.n * problem.n), "optimized", m_nd=0.0
-        )
-
     m = problem.material
     solver = _cell_solver(problem.n, problem.hx, problem.hy, m.E, m.nu, m.p, m.rho_min)
     grid = solver.grid

@@ -152,10 +152,8 @@ class Grid:
         return list(zip(self.active_elems[rows].tolist(), edges.tolist()))
 
     def node_quadrants(self):
-        """Per node, the active element in each quadrant (SE, NE, NW, SW), or -1.
-
-        Returns an (n_nodes, 4) array; ``NODE_FANS`` orders a node's row.
-        """
+        """Per node, the active element in each quadrant (SE, NE, NW, SW), or
+        -1, as an (n_nodes, 4) array."""
         ids = np.full((self.nx + 2, self.ny + 2), -1)
         ids[1:-1, 1:-1] = np.where(self.active, np.arange(self.n_elems).reshape(self.nx, self.ny),
                                    -1)
@@ -185,43 +183,6 @@ class Grid:
                     stack.append((mx, my))
         if not (seen == self.active).all():
             raise GridError("active region is not edge-connected")
-
-
-# Quadrant q (SE, NE, NW, SW) of a node: local edge ids of the two element
-# edges meeting at the node, (preceding, following) in ccw order around the
-# node. E.g. the SE element touches the node with its top-left corner; going
-# ccw the mesh edge south of the node is that element's left edge (3) and the
-# mesh edge east of the node is its top edge (2).
-_QUAD_EDGES = ((3, 2), (0, 3), (1, 0), (2, 1))
-
-
-def _fan_from_quads(present):
-    """Order the quadrants present at a node into a ccw cycle or chain.
-
-    present holds one flag per quadrant (SE, NE, NW, SW). Returns (quads,
-    edges, is_cycle), or None for a non-manifold node (two element arms
-    meeting only at the node). Around an interior node the four quadrants
-    form a cycle and ``edges[i]`` lies between ``quads[i-1]`` and
-    ``quads[i]``. At a boundary node the m quadrants form a chain with m + 1
-    edges, ``edges[i]`` preceding ``quads[i]``, so ``edges[0]`` and
-    ``edges[m]`` are the chain's two boundary edges. Edges are (quadrant,
-    local edge id) pairs of the element that owns them in this orientation.
-    """
-    m = sum(present)
-    # A chain is the one run of present quadrants, starting right after the
-    # gap; two runs meet only at the node.
-    starts = [q for q in range(4) if present[q] and not present[q - 1]]
-    if len(starts) > 1:
-        return None
-    run = tuple((starts[0] + i) % 4 for i in range(m)) if starts else tuple(range(m))
-    edges = tuple((q, _QUAD_EDGES[q][0]) for q in run)
-    if 0 < m < 4:
-        edges += ((run[-1], _QUAD_EDGES[run[-1]][1]),)
-    return run, edges, m == 4
-
-
-# Node fans by quadrant code, the sum of 1 << q over the quadrants present.
-NODE_FANS = tuple(_fan_from_quads([bool(code >> q & 1) for q in range(4)]) for code in range(16))
 
 
 @dataclass

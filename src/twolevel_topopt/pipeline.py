@@ -566,7 +566,19 @@ def _save_coarse_state(path, result, fingerprint):
     _write_checkpoint(path, fingerprint=fingerprint, **state, **solution)
 
 
-def _load_coarse_state(data):
+def _check_shapes(data, **shapes):
+    """Raise ValueError unless each named checkpoint array has its shape; a
+    None in a shape matches any length."""
+    for name, shape in shapes.items():
+        got = data[name].shape
+        if len(got) != len(shape) or any(s is not None and s != g for g, s in zip(got, shape)):
+            raise ValueError(f"{name} has shape {got}, not {shape}")
+
+
+def _load_coarse_state(data, grid):
+    elems, dofs = (grid.n_elems,), (2 * grid.n_nodes,)
+    _check_shapes(data, rho=elems, frozen=elems, element_energy=elems, u=dofs, f=dofs,
+                  stage_fields=(None, grid.n_elems))
     history = [{name: cast(v) for (name, cast), v in zip(_HISTORY_COLUMNS, row, strict=True)}
                for row in data["history"]]
     return coarse.CoarseResult(
@@ -581,13 +593,13 @@ def _save_cells(path, batch, fingerprint):
     _write_checkpoint(path, fingerprint=fingerprint, n=batch.n, **columns)
 
 
-def _load_cells(data):
+def _load_cells(data, n):
+    _check_shapes(data, rho=(None, n * n))
     types = typing.get_type_hints(fine.FineCellResult)
     columns = [[_cast(v, types[name]) for v in data[name]] for name in _CELL_ARRAYS]
     cells = [fine.FineCellResult(**dict(zip(_CELL_ARRAYS, row)))
              for row in zip(*columns, strict=True)]
-    return fine.FineBatchResult(cells={r.cell: r for r in cells}, failures={},
-                                n=int(data["n"]))
+    return fine.FineBatchResult(cells={r.cell: r for r in cells}, failures={}, n=n)
 
 
 def _write_cells_csv(path, batch, targets, max_iter):
@@ -738,7 +750,8 @@ def run_pipeline(config, skip_fine=False):
     timings = {"coarse_s": 0.0, "equilibrate_s": 0.0, "io_s": 0.0}
     coarse_ckpt = out / "coarse_state.npz"
     with _timed(timings, "io_s"):
-        result = _read_checkpoint(coarse_ckpt, _load_coarse_state, fingerprint)
+        result = _read_checkpoint(coarse_ckpt, lambda data: _load_coarse_state(data, grid),
+                                  fingerprint)
     if result is None:
         with _timed(timings, "coarse_s"):
             result = coarse.stage_loop(
@@ -790,7 +803,8 @@ def run_pipeline(config, skip_fine=False):
     timings.update(farm_s=0.0, stitch_s=0.0)
     cells_ckpt = out / "cells.npz"
     with _timed(timings, "io_s"):
-        batch = _read_checkpoint(cells_ckpt, _load_cells, fingerprint)
+        batch = _read_checkpoint(cells_ckpt, lambda data: _load_cells(data, config.fine_n),
+                                 fingerprint)
     if batch is None:
         with _timed(timings, "farm_s"):
             batch = fine.solve_all_cells(

@@ -52,6 +52,26 @@ def node_classes(classes):
     return out
 
 
+def node_fan(present):
+    """The fan of a node whose quadrants (SE, NE, NW, SW) hold the elements
+    present (-1 where none): a cycle when all four hold one, else the one
+    contiguous run of them, which starts right after a gap; None when the
+    node is non-manifold."""
+    quad_edges = ((3, 2), (0, 3), (1, 0), (2, 1))  # (preceding, following) per quadrant
+    m = sum(e >= 0 for e in present)
+    if m == 0:
+        return [], [], False
+    if m == 4:
+        return present, [(present[q], quad_edges[q][0]) for q in range(4)], True
+    starts = [q for q in range(4) if present[q] >= 0 and present[q - 1] < 0]
+    run = [(starts[0] + i) % 4 for i in range(m)]
+    if len(starts) > 1 or any(present[q] < 0 for q in run):
+        return None
+    edges = [(present[q], quad_edges[q][0]) for q in run]
+    edges.append((present[run[-1]], quad_edges[run[-1]][1]))
+    return [present[q] for q in run], edges, False
+
+
 def neighbor(grid, e, edge):
     """Active element sharing the given local edge of element e, or -1."""
     ix, iy = grid.elem_index(e)

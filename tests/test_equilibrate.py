@@ -19,7 +19,6 @@ from twolevel_topopt import equilibrate as eq
 from twolevel_topopt import fem, pipeline
 from twolevel_topopt.grid import (
     EDGE_LNODES,
-    NODE_FANS,
     BoundaryConditions,
     Grid,
     GridError,
@@ -31,6 +30,7 @@ from reference import (
     NodeClass,
     neighbor,
     node_classes,
+    node_fan,
     stress_tractions,
 )
 
@@ -484,8 +484,8 @@ def test_classify_rejects_three_void_neighbours_around_solid_corners():
 
 
 def _ref_classify_nodes(grid, bc, void_mask):
-    """classify_nodes one node at a time, each fan from the node's row of
-    Grid.node_quadrants and grid.NODE_FANS, as a dict."""
+    """classify_nodes one node at a time, each fan walked by node_fan from
+    the node's row of Grid.node_quadrants, as a dict."""
     void_mask = np.asarray(void_mask, dtype=bool).ravel()
 
     def edge_is_dirichlet(elem, ledge):
@@ -506,13 +506,10 @@ def _ref_classify_nodes(grid, bc, void_mask):
     quadrants = grid.node_quadrants()
     classes = {}
     for n in np.flatnonzero(grid.node_active):
-        present = quadrants[n].tolist()
-        fan = NODE_FANS[sum(1 << q for q in range(4) if present[q] >= 0)]
+        fan = node_fan(quadrants[n].tolist())
         if fan is None:
             raise GridError(f"non-manifold active region at node {n}")
-        quads, fan_edges, is_cycle = fan
-        elements = [present[q] for q in quads]
-        edges = [(present[q], k) for q, k in fan_edges]
+        elements, edges, is_cycle = fan
         voids = [bool(void_mask[e]) for e in elements]
         m = len(elements)
         if is_cycle:

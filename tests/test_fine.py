@@ -293,25 +293,16 @@ def test_fine_cell_solve_unbalanced_escape_hatch():
     assert result.max_reaction > 1e-3 * result.reaction_scale
 
 
-def test_fine_cell_solve_rejects_bad_target():
-    with pytest.raises(fine.FineSolveError):
+@pytest.mark.parametrize("target", [0.0, 1.0, np.nan])
+def test_fine_cell_solve_rejects_bad_target(target):
+    # a free cell's target lies strictly inside (0, 1); solve_all_cells fills
+    # frozen cells itself
+    with pytest.raises(fine.FineSolveError, match=f"target {target} invalid"):
         fine.fine_cell_solve(
             fine.FineCellProblem(
-                cell=0, target=0.0, tractions=np.zeros((4, 2, 2)), hx=1.0, hy=1.0
+                cell=0, target=target, tractions=np.zeros((4, 2, 2)), hx=1.0, hy=1.0
             )
         )
-
-
-def test_fine_cell_solve_full_cell_shortcut():
-    result = fine.fine_cell_solve(
-        fine.FineCellProblem(
-            cell=7, target=1.0, tractions=np.zeros((4, 2, 2)), hx=1.0, hy=1.0, n=8
-        )
-    )
-    assert result.kind == "optimized"
-    assert_allclose(result.rho, 1.0)
-    assert result.m_nd == 0.0
-    assert result.iterations == 0
 
 
 def test_fine_cell_solve_uniform_stress_is_fixed_point():

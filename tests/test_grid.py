@@ -10,13 +10,12 @@ from scipy import ndimage
 from twolevel_topopt.equilibrate import classify_nodes
 from twolevel_topopt.grid import (
     EDGE_LNODES,
-    NODE_FANS,
     BoundaryConditions,
     Grid,
     GridError,
 )
 
-from reference import EDGE_NORMALS, neighbor, node_classes
+from reference import EDGE_NORMALS, neighbor, node_classes, node_fan
 
 
 def l_mask(nx, ny):
@@ -238,45 +237,14 @@ def test_node_fans_are_consistent_chains_or_cycles(g):
             assert tuple(edges[-1]) in boundary
 
 
-def _ref_fan(present):
-    """The fan of a node whose quadrants (SE, NE, NW, SW) hold the elements
-    present (-1 where none): a cycle when all four hold one, else the one
-    contiguous run of them, which starts right after a gap; None when the
-    node is non-manifold."""
-    quad_edges = ((3, 2), (0, 3), (1, 0), (2, 1))  # (preceding, following) per quadrant
-    m = sum(e >= 0 for e in present)
-    if m == 0:
-        return [], [], False
-    if m == 4:
-        return present, [(present[q], quad_edges[q][0]) for q in range(4)], True
-    starts = [q for q in range(4) if present[q] >= 0 and present[q - 1] < 0]
-    run = [(starts[0] + i) % 4 for i in range(m)]
-    if len(starts) > 1 or any(present[q] < 0 for q in run):
-        return None
-    edges = [(present[q], quad_edges[q][0]) for q in run]
-    edges.append((present[run[-1]], quad_edges[run[-1]][1]))
-    return [present[q] for q in run], edges, False
-
-
 def _ref_node_fan(g, n):
-    """Node n's quadrant elements, walked one by one, and its _ref_fan."""
+    """Node n's quadrant elements, walked one by one, and their node_fan."""
     jx, jy = g.node_index(n)
     present = []
     for ix, iy in ((jx, jy - 1), (jx, jy), (jx - 1, jy), (jx - 1, jy - 1)):  # SE NE NW SW
         inside = 0 <= ix < g.nx and 0 <= iy < g.ny
         present.append(g.elem_id(ix, iy) if inside and g.active[ix, iy] else -1)
-    return present, _ref_fan(present)
-
-
-def test_node_fans_table_matches_reference():
-    # each quadrant stands in for its element id
-    for code, fan in enumerate(NODE_FANS):
-        ref = _ref_fan([q if code >> q & 1 else -1 for q in range(4)])
-        if fan is None:
-            assert ref is None
-        else:
-            quads, edges, is_cycle = fan
-            assert (list(quads), list(edges), is_cycle) == ref
+    return present, node_fan(present)
 
 
 @st.composite
@@ -318,6 +286,24 @@ def test_node_fan_matches_reference_at_a_non_manifold_node():
     g = Grid(3, 3, 1.0, 1.0, active=active)
     with pytest.raises(GridError, match=f"non-manifold active region at node {g.node_id(2, 2)}"):
         classify_nodes(g, BoundaryConditions(), np.zeros(g.n_elems, dtype=bool))
+    _assert_fans_match_reference(g)
+
+
+@pytest.mark.parametrize("code", range(1, 16))
+def test_node_fan_matches_reference_for_every_quadrant_pattern(code):
+    # code sets bit q for each quadrant (SE, NE, NW, SW) present at node
+    # (c, c): the centre of a 2 x 2 grid, or for the two diagonal codes,
+    # which no 2 x 2 grid connects, the centre of a 4 x 4 grid whose outer
+    # ring joins them
+    size = 4 if code in (5, 10) else 2
+    c = size // 2
+    active = np.ones((size, size), dtype=bool)
+    for q, (ix, iy) in enumerate(((c, c - 1), (c, c), (c - 1, c), (c - 1, c - 1))):
+        active[ix, iy] = bool(code >> q & 1)
+    g = Grid(size, size, 1.0, 1.0, active=active)
+    present, fan = _ref_node_fan(g, g.node_id(c, c))
+    assert [e >= 0 for e in present] == [bool(code >> q & 1) for q in range(4)]
+    assert (fan is None) == (code in (5, 10))
     _assert_fans_match_reference(g)
 
 

@@ -765,14 +765,23 @@ def test_cli_recomputes_truncated_checkpoint(tmp_path, capsys, command, checkpoi
     assert _results(again) == _results(fresh)
 
 
-@pytest.mark.parametrize(
-    "command, checkpoint, name",
-    [("verify", "coarse_state.npz", "stages"), ("run", "cells.npz", "iterations")],
-)
+# Fields with this config's fingerprint that do not fit it, by (command,
+# checkpoint, field): the coarse stage count as [1, 2] and the cells'
+# iteration counts as 2-D, one dimension too deep; each cell raster cut to 9
+# of its 16 entries; the coarse densities cut to 5 of the 8 elements; each
+# coarse stage field cut to 5 columns.
+_MISSHAPEN = {
+    ("verify", "coarse_state.npz", "stages"): lambda a: np.array([1, 2]),
+    ("run", "cells.npz", "iterations"): lambda a: np.stack([a] * 2, 1),
+    ("run", "cells.npz", "rho"): lambda a: a[:, :9],
+    ("verify", "coarse_state.npz", "rho"): lambda a: a[:5],
+    ("verify", "coarse_state.npz", "stage_fields"): lambda a: a[:, :5],
+}
+
+
+@pytest.mark.parametrize("command, checkpoint, name", list(_MISSHAPEN))
 def test_cli_recomputes_checkpoint_with_a_misshapen_field(tmp_path, capsys, caplog, command,
                                                           checkpoint, name):
-    # this config's fingerprint, but a field one dimension too deep: the
-    # coarse stage count as [1, 2], the cells' iteration counts as 2-D
     path = tmp_path / "run.ini"
     path.write_text(SMALL_RUN)
     args = [command, "--config", str(path), "--out", str(tmp_path / "out")]
@@ -781,7 +790,7 @@ def test_cli_recomputes_checkpoint_with_a_misshapen_field(tmp_path, capsys, capl
     ckpt = tmp_path / "out" / checkpoint
     with np.load(ckpt) as data:
         arrays = dict(data)
-    arrays[name] = np.array([1, 2]) if arrays[name].ndim == 0 else np.stack([arrays[name]] * 2, 1)
+    arrays[name] = _MISSHAPEN[command, checkpoint, name](arrays[name])
     np.savez_compressed(ckpt, **arrays)
     caplog.set_level("WARNING", logger="twolevel_topopt.pipeline")
     assert cli.main(args) == 0
@@ -1095,7 +1104,7 @@ def test_cells_checkpoint_round_trip(tmp_path):
     }
     path = tmp_path / "cells.npz"
     pipeline._save_cells(path, fine.FineBatchResult(cells=cells, failures={}, n=4), "fp")
-    loaded = pipeline._read_checkpoint(path, pipeline._load_cells, "fp")
+    loaded = pipeline._read_checkpoint(path, lambda data: pipeline._load_cells(data, 4), "fp")
     assert (loaded.n, loaded.failures, list(loaded.cells)) == (4, {}, [2, 4, 9])
     for cell, result in cells.items():
         assert_same_fields(loaded.cells[cell], result)
@@ -1110,7 +1119,7 @@ def test_cells_checkpoint_keeps_a_solved_cell_whole(tmp_path):
     assert result.kind == "optimized" and result.iterations > 1
     path = tmp_path / "cells.npz"
     pipeline._save_cells(path, fine.FineBatchResult(cells={3: result}, failures={}, n=6), "fp")
-    loaded = pipeline._read_checkpoint(path, pipeline._load_cells, "fp")
+    loaded = pipeline._read_checkpoint(path, lambda data: pipeline._load_cells(data, 6), "fp")
     assert_same_fields(loaded.cells[3], result)
 
 
@@ -1128,7 +1137,8 @@ def test_coarse_checkpoint_round_trip(tmp_path):
     )
     path = tmp_path / "coarse_state.npz"
     pipeline._save_coarse_state(path, result, "fp")
-    loaded = pipeline._read_checkpoint(path, pipeline._load_coarse_state, "fp")
+    loaded = pipeline._read_checkpoint(
+        path, lambda data: pipeline._load_coarse_state(data, Grid(4, 2, 1.0, 1.0)), "fp")
     assert_same_fields(loaded, result, skip=("history", "solution", "stage_fields"))
     assert_same_fields(loaded.solution, solution)
     assert loaded.history == history
