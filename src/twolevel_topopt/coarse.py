@@ -329,20 +329,12 @@ def freeze_out_of_range(grid, rho, frozen, policy, rho_min):
 
 
 @fem.one_blas_thread()
-def stage_loop(
-    grid,
-    material,
-    bc,
-    policy,
-    r_min=1.5,
-    eps=0.03,
-    max_inner=200,
-    stage_cap=50,
-):
+def stage_loop(grid, material, bc, policy, r_min, eps, max_inner, stage_cap):
     """Fig.-style two-level outer loop at the coarse scale.
 
     Runs the SIMP inner loop, freezes out-of-range densities and repeats
     until a stage ends with every free density inside the threshold range.
+    The caller sets all four loop settings; RunConfig holds their defaults.
     """
     policy.validate(material.rho_min)
     operator = fem.Operator(grid, material, bc)

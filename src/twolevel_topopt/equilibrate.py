@@ -366,14 +366,8 @@ def equilibrate_all(grid, rho, material, bc, u, void_mask):
     side = np.full((grid.n_elems, 4, 2, 2), np.nan)
     # Boundary edges start from their prescription (zero where unloaded);
     # reaction edges are overwritten by the node splits below.
-    for elem, ledge in grid.boundary_edges():
-        data = bc.neumann.get((elem, ledge))
-        if data is None:
-            side[elem, ledge] = 0.0
-        else:
-            side[elem, ledge] = fem.consistent_edge_loads(
-                data[0], data[1], grid.edge_length(ledge)
-            )
+    boundary = tuple(np.array(grid.boundary_edges()).T)
+    side[boundary] = fem.edge_end_forces(grid, bc)[boundary]
 
     # Nodes of one class share their fan size, reaction extremes and void
     # flags, so each class is split as one batch.

@@ -14,6 +14,7 @@ import ctypes
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg as sla
@@ -70,19 +71,19 @@ def solve_blas_threads():
     return 1 if _openblas() else None
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaterialModel:
     """Isotropic plane-stress material with SIMP penalization.
 
     E: Young's modulus, nu: Poisson ratio, p: penalty exponent applied as
-    D(x) = rho^p D0, rho_min: lower density bound kept in the model to
-    avoid singular stiffness.
+    D(x) = rho^p D0. rho_min, the lower density bound that keeps the
+    stiffness nonsingular, is fixed at 1e-3 for every material.
     """
 
     E: float = 1.0
     nu: float = 0.3
     p: float = 3.0
-    rho_min: float = 1e-3
+    rho_min: ClassVar[float] = 1e-3
 
     def __post_init__(self):
         if self.E <= 0:
@@ -91,8 +92,6 @@ class MaterialModel:
             raise ValueError(f"nu out of range [0, 0.5): {self.nu}")
         if self.p < 1:
             raise ValueError(f"penalty p must be >= 1, got {self.p}")
-        if not 0 < self.rho_min < 1:
-            raise ValueError(f"rho_min must be in (0, 1), got {self.rho_min}")
 
     @property
     def D0(self):
@@ -215,15 +214,25 @@ def edge_traction_resultants(tractions, hx, hy):
     return forces.sum(axis=(-3, -2)), moment.sum(axis=(-2, -1))
 
 
+def edge_end_forces(grid, bc):
+    """Consistent end forces of the Neumann edge tractions of bc.
+
+    Returns an (n_elems, 4, 2, 2) array: per element and local edge, the
+    (start, end) force 2-vectors, zero on every edge without a traction.
+    """
+    forces = np.zeros((grid.n_elems, 4, 2, 2))
+    elems, ledges = np.array(list(bc.neumann), dtype=int).reshape(-1, 2).T
+    t = np.array(list(bc.neumann.values()), dtype=float).reshape(-1, 2, 2)
+    lengths = edge_lengths(grid.hx, grid.hy)[ledges, None]
+    forces[elems, ledges] = np.stack(consistent_edge_loads(t[:, 0], t[:, 1], lengths), axis=1)
+    return forces
+
+
 def load_vector(grid, bc):
     """Assemble the global nodal load vector from Neumann edge tractions."""
-    f = np.zeros(2 * grid.n_nodes)
-    for (e, edge), (t_start, t_end) in bc.neumann.items():
-        a, b = grid.edge_nodes(e, edge)
-        p_start, p_end = consistent_edge_loads(t_start, t_end, grid.edge_length(edge))
-        f[2 * a : 2 * a + 2] += p_start
-        f[2 * b : 2 * b + 2] += p_end
-    return f
+    dofs = 2 * grid.elem_nodes[:, EDGE_LNODES, None] + np.arange(2)
+    return np.bincount(dofs.ravel(), weights=edge_end_forces(grid, bc).ravel(),
+                       minlength=2 * grid.n_nodes)
 
 
 @dataclass

@@ -156,14 +156,15 @@ class _CellSolver(fem.Operator):
 
 
 @functools.lru_cache(maxsize=4)
-def _cell_solver(n, hx, hy, E, nu, p, rho_min):
+def _cell_solver(n, hx, hy, material):
     """The _CellSolver of an n x n cell of a coarse hx x hy element.
 
     Every cell of a farm shares its mesh, supports, element stiffness and
-    band pattern, so each process builds them once. The solver and its grid
-    are shared between callers and must not be mutated.
+    band pattern, so each process builds them once, keyed on the frozen
+    material record. The solver and its grid are shared between callers and
+    must not be mutated.
     """
-    return _CellSolver(n, hx, hy, fem.MaterialModel(E=E, nu=nu, p=p, rho_min=rho_min))
+    return _CellSolver(n, hx, hy, material)
 
 
 def apply_cell_tractions(problem, grid):
@@ -230,8 +231,7 @@ def fine_cell_solve(problem):
             f"(|F| = {np.linalg.norm(net_f):.3e}, |M| = {abs(net_m):.3e}, "
             f"scale = {scale:.3e})"
         )
-    m = problem.material
-    solver = _cell_solver(problem.n, problem.hx, problem.hy, m.E, m.nu, m.p, m.rho_min)
+    solver = _cell_solver(problem.n, problem.hx, problem.hy, problem.material)
     grid = solver.grid
     loads = apply_cell_tractions(problem, grid)
     frozen = np.zeros(grid.n_elems, dtype=np.int8)

@@ -112,9 +112,6 @@ class Grid:
     def elem_index(self, e):
         return divmod(e, self.ny)
 
-    def edge_length(self, edge):
-        return edge_lengths(self.hx, self.hy)[edge]
-
     def edge_nodes(self, e, edge):
         """Global (start, end) node ids of a local edge, counter-clockwise."""
         a, b = EDGE_LNODES[edge]

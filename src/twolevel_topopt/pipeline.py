@@ -121,8 +121,6 @@ def apply_parabolic_edge_shear(grid, bc):
     # (exact for the cubic integrands).
     L = grid.hy
     det = L * L / 12.0
-    if det == 0.0:
-        raise ConfigError(f"shear-right: grid.hy = {L!r} is too small to fit the load on")
     for elem, iy in edges:
         y0 = iy * grid.hy
         y1 = y0 + grid.hy
@@ -188,6 +186,11 @@ def _at_least(low):
     return lambda value: None if value >= low else f"must be at least {low}, got {value!r}"
 
 
+# The least element side whose square is a normal float, 2**-511: below it
+# the mesh's areas and squared lengths underflow.
+_MIN_SIDE = np.sqrt(np.finfo(float).tiny)
+
+
 def _known(lookup, what):
     """Rule: a name that `lookup` maps to its builder."""
     return lambda name: None if lookup(name) else f"unknown {what} {name!r}"
@@ -215,8 +218,8 @@ class RunConfig:
     name: str = _ini("run", "custom")
     nx: int = _ini("grid", 32, rule=_positive)
     ny: int = _ini("grid", 16, rule=_positive)
-    hx: float = _ini("grid", 0.0625, rule=_positive)
-    hy: float = _ini("grid", 0.0625, rule=_positive)
+    hx: float = _ini("grid", 0.0625, rule=_at_least(_MIN_SIDE))
+    hy: float = _ini("grid", 0.0625, rule=_at_least(_MIN_SIDE))
     mask: str = _ini("grid", "none", rule=_known(_mask_builder, "mask spec"))
     E: float = _ini("material", 1000.0, key="e")
     nu: float = _ini("material", 0.3)
@@ -305,12 +308,13 @@ class RunConfig:
             raise
         except GridError as exc:
             raise ConfigError(f"supports and loads: {exc}") from exc
-        for (e, k), (t_start, t_end) in bc.neumann.items():
-            with np.errstate(over="ignore"):
-                loads = fem.consistent_edge_loads(t_start, t_end, grid.edge_length(k))
-            if not np.isfinite(loads).all():
-                raise ConfigError(f"loads: the nodal loads on element {grid.elem_index(e)} "
-                                  f"edge {k} are not finite")
+        with np.errstate(over="ignore"):
+            loads = fem.edge_end_forces(grid, bc)
+        overflowed = np.argwhere(~np.isfinite(loads).all(axis=(2, 3)))
+        if overflowed.size:
+            e, k = overflowed[0].tolist()
+            raise ConfigError(f"loads: the nodal loads on element {grid.elem_index(e)} "
+                              f"edge {k} are not finite")
         return bc
 
     def coarse_material(self):
@@ -593,8 +597,10 @@ def _save_cells(path, batch, fingerprint):
     _write_checkpoint(path, fingerprint=fingerprint, n=batch.n, **columns)
 
 
-def _load_cells(data, n):
+def _load_cells(data, ids, n):
     _check_shapes(data, rho=(None, n * n))
+    if not np.array_equal(data["cell"], ids):
+        raise ValueError(f"the cell ids are not the {len(ids)} active elements")
     types = typing.get_type_hints(fine.FineCellResult)
     columns = [[_cast(v, types[name]) for v in data[name]] for name in _CELL_ARRAYS]
     cells = [fine.FineCellResult(**dict(zip(_CELL_ARRAYS, row)))
@@ -803,8 +809,9 @@ def run_pipeline(config, skip_fine=False):
     timings.update(farm_s=0.0, stitch_s=0.0)
     cells_ckpt = out / "cells.npz"
     with _timed(timings, "io_s"):
-        batch = _read_checkpoint(cells_ckpt, lambda data: _load_cells(data, config.fine_n),
-                                 fingerprint)
+        batch = _read_checkpoint(
+            cells_ckpt, lambda data: _load_cells(data, grid.active_elems, config.fine_n),
+            fingerprint)
     if batch is None:
         with _timed(timings, "farm_s"):
             batch = fine.solve_all_cells(

@@ -368,7 +368,8 @@ def test_freeze_respects_already_frozen(mat):
 def test_stage_loop_small_cantilever(mat):
     g, bc = cantilever(8, 4)
     policy = ThresholdPolicy(rho_bar_min=0.12, rho_bar_max=0.88, rho0=0.5)
-    result = coarse.stage_loop(g, mat, bc, policy, r_min=1.3, eps=0.02)
+    result = coarse.stage_loop(g, mat, bc, policy, r_min=1.3, eps=0.02, max_inner=200,
+                               stage_cap=50)
     assert result.converged
     assert 1 <= result.stages <= 8
     assert_allclose(result.volume_fraction(g), 0.5, atol=1e-3)
@@ -389,7 +390,8 @@ def test_stage_loop_small_cantilever(mat):
 def test_stage_loop_records_monotone_frozen_counts(mat):
     g, bc = cantilever(8, 4)
     policy = ThresholdPolicy()
-    result = coarse.stage_loop(g, mat, bc, policy, r_min=1.3, eps=0.02)
+    result = coarse.stage_loop(g, mat, bc, policy, r_min=1.3, eps=0.02, max_inner=200,
+                               stage_cap=50)
     # stage snapshots store densities; frozen cells sit exactly at the
     # canonical values, so their count per stage is recoverable
     counts = [

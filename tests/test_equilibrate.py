@@ -22,6 +22,7 @@ from twolevel_topopt.grid import (
     BoundaryConditions,
     Grid,
     GridError,
+    edge_lengths,
 )
 
 from reference import (
@@ -643,7 +644,7 @@ def test_equilibrate_moment_balance_is_pole_independent():
                 n1, n2 = g.edge_nodes(e, k)
                 a, b = coords[n1] - ref, coords[n2] - ref
                 t_s, t_e = field.tractions[e, k]
-                L = g.edge_length(k)
+                L = edge_lengths(g.hx, g.hy)[k]
                 dvec = b - a
                 dt = t_e - t_s
                 m_tot += L * (
@@ -1012,7 +1013,7 @@ def _per_node_equilibrate(g, rho, mat, bc, u, void_mask):
             if neighbor(g, e, k) < 0:
                 data = bc.neumann.get((int(e), k))
                 side[e, k] = 0.0 if data is None else fem.consistent_edge_loads(
-                    data[0], data[1], g.edge_length(k))
+                    data[0], data[1], edge_lengths(g.hx, g.hy)[k])
     lambdas = np.zeros((g.n_nodes, 2))
     for n, cls in classes.items():
         lambdas[n] = _ref_split_node(forces, side, cls)

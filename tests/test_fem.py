@@ -1,11 +1,13 @@
 """Plane-stress FE core: element matrices, assembly, loads and the solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from twolevel_topopt import fem
-from twolevel_topopt.grid import BoundaryConditions, Grid
+from twolevel_topopt.grid import BoundaryConditions, Grid, edge_lengths
 
 from reference import EDGE_NORMALS, element_stress
 
@@ -22,8 +24,18 @@ def test_material_validation():
         fem.MaterialModel(E=1.0, nu=0.5)
     with pytest.raises(ValueError):
         fem.MaterialModel(E=1.0, nu=0.3, p=0.5)
-    with pytest.raises(ValueError):
-        fem.MaterialModel(E=1.0, nu=0.3, rho_min=0.0)
+
+
+def test_material_is_frozen_with_a_fixed_density_floor():
+    material = fem.MaterialModel(E=1.0, nu=0.3, p=3.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        material.E = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        material.rho_min = 0.01
+    # the floor is no field: no material takes another one
+    assert material.rho_min == fem.MaterialModel.rho_min == 1e-3
+    with pytest.raises(TypeError):
+        fem.MaterialModel(E=1.0, rho_min=0.01)
 
 
 def test_constitutive_matrix_plane_stress(steelish):
@@ -71,6 +83,33 @@ def test_consistent_edge_loads_linear_exact():
     p_s, p_e = fem.consistent_edge_loads((0.0, 2.0), (0.0, 2.0), 0.5)
     assert_allclose(p_s, [0.0, 0.5])
     assert_allclose(p_e, [0.0, 0.5])
+
+
+def test_load_vector_matches_an_edge_by_edge_scatter():
+    # every boundary edge of an L-shaped domain carries a random linear
+    # traction; a boundary node takes the end forces of its two edges, whose
+    # sum does not depend on their order, so the one-pass scatter must equal
+    # the edge-by-edge one bitwise
+    active = np.ones((5, 4), dtype=bool)
+    active[3:, 2:] = False
+    g = Grid(5, 4, 0.3, 0.7, active=active)
+    bc = BoundaryConditions()
+    rng = np.random.default_rng(3)
+    for e, k in g.boundary_edges():
+        bc.add_edge_traction(e, k, rng.normal(size=2), rng.normal(size=2))
+    end_forces = np.zeros((g.n_elems, 4, 2, 2))
+    f = np.zeros(2 * g.n_nodes)
+    for (e, k), (t_start, t_end) in bc.neumann.items():
+        p_start, p_end = fem.consistent_edge_loads(t_start, t_end, edge_lengths(g.hx, g.hy)[k])
+        end_forces[e, k] = p_start, p_end
+        a, b = g.edge_nodes(e, k)
+        f[2 * a : 2 * a + 2] += p_start
+        f[2 * b : 2 * b + 2] += p_end
+    assert np.array_equal(fem.edge_end_forces(g, bc), end_forces)
+    assert np.array_equal(fem.load_vector(g, bc), f)
+    # without tractions both are zero
+    assert not fem.edge_end_forces(g, BoundaryConditions()).any()
+    assert not fem.load_vector(g, BoundaryConditions()).any()
 
 
 def test_tractions_from_forces_round_trip():

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from twolevel_topopt import coarse, fem, fine
-from twolevel_topopt.grid import EDGE_LNODES, BoundaryConditions, Grid
+from twolevel_topopt.grid import EDGE_LNODES, BoundaryConditions, Grid, edge_lengths
 
 
 def uniaxial_tractions(sigma=1.0):
@@ -244,7 +244,7 @@ def test_apply_cell_tractions_matches_sub_edge_loop():
                 ends = g.edge_nodes(g.elem_id(ix, iy), ledge)
                 ts = [t[ledge, 0] + ((coords[m] - a) @ axis) / (axis @ axis)
                       * (t[ledge, 1] - t[ledge, 0]) for m in ends]
-                loads = fem.consistent_edge_loads(ts[0], ts[1], g.edge_length(ledge))
+                loads = fem.consistent_edge_loads(ts[0], ts[1], edge_lengths(g.hx, g.hy)[ledge])
                 for m, load in zip(ends, loads):
                     expected[2 * m : 2 * m + 2] += load
         assert np.array_equal(fine.apply_cell_tractions(problem, g), expected)
@@ -361,8 +361,7 @@ def test_fine_cell_solve_without_projection_is_the_coarse_loop():
         n=12, max_iter=60, projection=fine.ProjectionParams(m_nd_min=101.0),
     )
     result = fine.fine_cell_solve(problem)
-    m = problem.material
-    solver = fine._cell_solver(problem.n, problem.hx, problem.hy, m.E, m.nu, m.p, m.rho_min)
+    solver = fine._cell_solver(problem.n, problem.hx, problem.hy, problem.material)
     g = solver.grid
     args = (solver, fine.apply_cell_tractions(problem, g), np.full(g.n_elems, problem.target),
             problem.target * g.n_elems * g.hx * g.hy, np.zeros(g.n_elems, dtype=np.int8),
@@ -417,7 +416,8 @@ def small_coarse_run():
     bc.add_edge_traction(g.elem_id(3, 0), 1, (0.0, -1.0), (0.0, -1.0))
     mat = fem.MaterialModel(E=1000.0, nu=0.3, p=1.0)
     policy = coarse.ThresholdPolicy(rho_bar_min=0.12, rho_bar_max=0.88, rho0=0.5)
-    result = coarse.stage_loop(g, mat, bc, policy, r_min=1.3, eps=0.02)
+    result = coarse.stage_loop(g, mat, bc, policy, r_min=1.3, eps=0.02, max_inner=200,
+                               stage_cap=50)
     return g, bc, mat, result
 
 
@@ -473,11 +473,12 @@ def test_solve_all_cells_takes_fine_cell_settings():
         stages=1, converged=True, history=[], solution=None,
     )
     tractions = np.zeros((g.n_elems, 4, 2, 2))
-    # frozen rasters take their size and void density from the settings
-    material = fem.MaterialModel(E=1000.0, nu=0.3, p=3.0, rho_min=0.01)
+    # frozen rasters take their size from the settings, their void density
+    # from the fixed floor
+    material = fem.MaterialModel(E=1000.0, nu=0.3, p=3.0)
     batch = fine.solve_all_cells(g, cres, tractions, n=5, material=material)
     assert batch.n == 5
-    assert np.array_equal(batch.cells[0].rho, np.full(25, 0.01))
+    assert np.array_equal(batch.cells[0].rho, np.full(25, fem.MaterialModel.rho_min))
     assert np.array_equal(batch.cells[1].rho, np.ones(25))
     default = fine.solve_all_cells(g, cres, tractions)
     assert default.n == fine.FineCellProblem.n
@@ -503,6 +504,28 @@ def test_solve_all_cells_pool_matches_serial_bitwise():
         assert p.rho.tobytes() == r.rho.tobytes()
         assert (p.kind, p.iterations, p.converged, p.compliance) == (
             r.kind, r.iterations, r.converged, r.compliance)
+
+
+def test_cell_solver_is_built_once_per_farm_and_keyed_on_the_material():
+    from twolevel_topopt import equilibrate as eq
+
+    g, bc, mat, cres = small_coarse_run()
+    field = eq.equilibrate_all(
+        g, cres.rho, mat, bc, cres.solution.u, void_mask=cres.frozen == coarse.VOID
+    )
+    fine._cell_solver.cache_clear()
+    batch = fine.solve_all_cells(g, cres, field.tractions, workers=1, n=8, eps=0.02,
+                                 max_iter=120)
+    k = sum(r.kind == "optimized" for r in batch.cells.values())
+    assert k >= 2
+    info = fine._cell_solver.cache_info()
+    assert (info.misses, info.hits) == (1, k - 1)
+    # an equal material record is the same key; another modulus is not
+    key = (8, g.hx, g.hy)
+    fine._cell_solver(*key, fem.MaterialModel(E=1000.0, nu=0.3, p=3.0))
+    assert fine._cell_solver.cache_info().hits == k
+    fine._cell_solver(*key, fem.MaterialModel(E=2000.0, nu=0.3, p=3.0))
+    assert fine._cell_solver.cache_info().misses == 2
 
 
 def test_solve_all_cells_shares_one_read_only_raster_per_frozen_kind():

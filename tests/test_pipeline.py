@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -734,8 +734,16 @@ def abuse_configs(draw):
                    for section, keys in sections.items())
 
 
+# An element side whose square underflows to 0, which the fine cell loads
+# divide by: the config must be rejected before any stage runs.
+_TINY_SIDES = ("[run]\nworkers = 0\n[grid]\nnx = 1\nny = 1\nhx = 2.6206234595857217e-267\n"
+               "[coarse]\nmax_inner = 1\nstage_cap = 1\n[fine]\nn = 2\nmax_iter = 1\n"
+               "[material]\ne = 2.6206234595857217e-267\n")
+
+
 @settings(max_examples=100, deadline=None)
 @given(abuse_configs())
+@example(_TINY_SIDES)
 def test_cli_survives_abusive_configs(text):
     # whatever the config, the run ends in a mapped exit code, and a run that
     # succeeds writes strict JSON
@@ -766,16 +774,24 @@ def test_cli_recomputes_truncated_checkpoint(tmp_path, capsys, command, checkpoi
 
 
 # Fields with this config's fingerprint that do not fit it, by (command,
-# checkpoint, field): the coarse stage count as [1, 2] and the cells'
-# iteration counts as 2-D, one dimension too deep; each cell raster cut to 9
-# of its 16 entries; the coarse densities cut to 5 of the 8 elements; each
-# coarse stage field cut to 5 columns.
+# checkpoint, edit), each edit returning the arrays it replaces: the coarse
+# stage count as [1, 2] and the cells' iteration counts as 2-D, one
+# dimension too deep; each cell raster cut to 9 of its 16 entries; the
+# coarse densities cut to 5 of the 8 elements; each coarse stage field cut
+# to 5 columns; the cell ids shifted by 100 off the grid; the first cell
+# dropped from every array; the second cell's id set to the first's.
 _MISSHAPEN = {
-    ("verify", "coarse_state.npz", "stages"): lambda a: np.array([1, 2]),
-    ("run", "cells.npz", "iterations"): lambda a: np.stack([a] * 2, 1),
-    ("run", "cells.npz", "rho"): lambda a: a[:, :9],
-    ("verify", "coarse_state.npz", "rho"): lambda a: a[:5],
-    ("verify", "coarse_state.npz", "stage_fields"): lambda a: a[:, :5],
+    ("verify", "coarse_state.npz", "stages"): lambda a: {"stages": np.array([1, 2])},
+    ("run", "cells.npz", "iterations"):
+        lambda a: {"iterations": np.stack([a["iterations"]] * 2, 1)},
+    ("run", "cells.npz", "rho"): lambda a: {"rho": a["rho"][:, :9]},
+    ("verify", "coarse_state.npz", "rho"): lambda a: {"rho": a["rho"][:5]},
+    ("verify", "coarse_state.npz", "stage_fields"):
+        lambda a: {"stage_fields": a["stage_fields"][:, :5]},
+    ("run", "cells.npz", "shifted-ids"): lambda a: {"cell": a["cell"] + 100},
+    ("run", "cells.npz", "dropped-cell"):
+        lambda a: {name: a[name][1:] for name in pipeline._CELL_ARRAYS},
+    ("run", "cells.npz", "duplicated-id"): lambda a: {"cell": a["cell"][[0, 0, *range(2, 8)]]},
 }
 
 
@@ -790,7 +806,7 @@ def test_cli_recomputes_checkpoint_with_a_misshapen_field(tmp_path, capsys, capl
     ckpt = tmp_path / "out" / checkpoint
     with np.load(ckpt) as data:
         arrays = dict(data)
-    arrays[name] = _MISSHAPEN[command, checkpoint, name](arrays[name])
+    arrays.update(_MISSHAPEN[command, checkpoint, name](arrays))
     np.savez_compressed(ckpt, **arrays)
     caplog.set_level("WARNING", logger="twolevel_topopt.pipeline")
     assert cli.main(args) == 0
@@ -1104,7 +1120,8 @@ def test_cells_checkpoint_round_trip(tmp_path):
     }
     path = tmp_path / "cells.npz"
     pipeline._save_cells(path, fine.FineBatchResult(cells=cells, failures={}, n=4), "fp")
-    loaded = pipeline._read_checkpoint(path, lambda data: pipeline._load_cells(data, 4), "fp")
+    loaded = pipeline._read_checkpoint(path, lambda data: pipeline._load_cells(data, [2, 4, 9], 4),
+                                       "fp")
     assert (loaded.n, loaded.failures, list(loaded.cells)) == (4, {}, [2, 4, 9])
     for cell, result in cells.items():
         assert_same_fields(loaded.cells[cell], result)
@@ -1119,7 +1136,7 @@ def test_cells_checkpoint_keeps_a_solved_cell_whole(tmp_path):
     assert result.kind == "optimized" and result.iterations > 1
     path = tmp_path / "cells.npz"
     pipeline._save_cells(path, fine.FineBatchResult(cells={3: result}, failures={}, n=6), "fp")
-    loaded = pipeline._read_checkpoint(path, lambda data: pipeline._load_cells(data, 6), "fp")
+    loaded = pipeline._read_checkpoint(path, lambda data: pipeline._load_cells(data, [3], 6), "fp")
     assert_same_fields(loaded.cells[3], result)
 
 
