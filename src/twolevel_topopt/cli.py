@@ -5,8 +5,8 @@ Subcommands:
   verify       coarse pass and equilibration certificate only
   preset-list  available benchmark presets
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 I/O failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (also a
+dead farm worker or running out of memory), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import json
 import logging
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 from . import pipeline
@@ -101,8 +102,12 @@ def main(argv=None):
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (InfeasibleVolumeError, SolverError, EquilibrationError, FineSolveError,
-            GridError, pipeline.PipelineError) as exc:
+            GridError, pipeline.PipelineError, BrokenProcessPool) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        # numpy names the allocation that failed; a bare MemoryError says nothing.
+        print("run failed: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

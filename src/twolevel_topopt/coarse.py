@@ -41,7 +41,8 @@ class ThresholdPolicy:
     rho_bar_max: float = 0.88
     rho0: float = 0.5
 
-    def validate(self, rho_min):
+    def validate(self):
+        rho_min = fem.MaterialModel.rho_min
         if not 0 < self.rho_bar_min < self.rho_bar_max < 1:
             raise ValueError(
                 f"need 0 < rho_bar_min < rho_bar_max < 1, got "
@@ -133,16 +134,16 @@ def filter_sensitivities(grid, rho, sens, r_min):
     return out.ravel(order="C")
 
 
-def oc_step_values(rho, B, rho_min):
+def oc_step_values(rho, B):
     """Pointwise OC move: rho*B clamped to the move-limited box; B is the
     already-damped factor."""
     rho = np.asarray(rho, dtype=float)
-    lo = np.maximum((1.0 - ZETA) * rho, rho_min)
+    lo = np.maximum((1.0 - ZETA) * rho, fem.MaterialModel.rho_min)
     hi = np.minimum((1.0 + ZETA) * rho, 1.0)
     return np.clip(rho * np.asarray(B, dtype=float), lo, hi)
 
 
-def oc_update(grid, rho, filtered_sens, volume_target, material, frozen):
+def oc_update(grid, rho, filtered_sens, volume_target, frozen):
     """One OC density update with the volume multiplier solved exactly.
 
     volume_target is in absolute units (density times element area summed
@@ -169,7 +170,7 @@ def oc_update(grid, rho, filtered_sens, volume_target, material, frozen):
     drive = -np.asarray(filtered_sens, dtype=float)[free]
     drive = np.maximum(drive, 0.0)
     rho_f = rho[free]
-    lo = np.maximum((1 - ZETA) * rho_f, material.rho_min)
+    lo = np.maximum((1 - ZETA) * rho_f, fem.MaterialModel.rho_min)
     hi = np.minimum((1 + ZETA) * rho_f, 1.0)
 
     target_free = volume_target - frozen_vol
@@ -181,7 +182,7 @@ def oc_update(grid, rho, filtered_sens, volume_target, material, frozen):
         # beyond even the unlimited bounds the configuration is infeasible;
         # otherwise take the extreme admissible move and recover later.
         abs_max = free.sum() * cell_vol
-        abs_min = free.sum() * material.rho_min * cell_vol
+        abs_min = free.sum() * fem.MaterialModel.rho_min * cell_vol
         if target_free > abs_max + 1e-12 or target_free < abs_min - 1e-12:
             raise InfeasibleVolumeError(
                 f"volume target {volume_target:.6g} unattainable with the "
@@ -225,7 +226,7 @@ def oc_update(grid, rho, filtered_sens, volume_target, material, frozen):
     # The damped factor (drive / (lmbda cell_vol))^ETA is formed as
     # (drive / cell_vol)^ETA t: the undamped one can overflow.
     damped = (drive / cell_vol) ** ETA * t
-    new[free] = oc_step_values(rho_f, damped, material.rho_min)
+    new[free] = oc_step_values(rho_f, damped)
     achieved = new[act].sum() * cell_vol
     if abs(achieved - volume_target) > VOL_TOL * volume_target:
         raise InfeasibleVolumeError(
@@ -243,7 +244,7 @@ def simp_loop(operator, loads, rho, volume_target, frozen, r_min, eps, max_iter,
     operator is the fem.Operator of the grid and its supports, loads the
     full-length load vector. check_each_solve passes every solve through the
     operator's residual gates. projection (the fine scale's fine.ProjectionParams) may sharpen
-    each OC field: its step(it, rho, beta, rho_min) returns the field, the
+    each OC field: its step(it, rho, beta) returns the field, the
     next beta, the grey measure and whether it projected, starting from
     beta 1. Delta spans all elements; OC moves free ones only. Returns (rho,
     converged, history), one row per iteration whose volume_fraction is the
@@ -270,12 +271,11 @@ def simp_loop(operator, loads, rho, volume_target, frozen, r_min, eps, max_iter,
             operator.check(rho, solution)
         sens = sensitivity(grid, rho, material, solution.element_energy)
         filtered = filter_sensitivities(grid, rho, sens, r_min)
-        new_rho, clamped = oc_update(grid, rho, filtered, volume_target, material, frozen)
+        new_rho, clamped = oc_update(grid, rho, filtered, volume_target, frozen)
         row = {"iteration": it, "compliance": solution.compliance,
                "volume_fraction": new_rho[act].sum() / act.size}
         if projection is not None:
-            new_rho, beta, m_nd, projected = projection.step(
-                it, new_rho, beta, material.rho_min)
+            new_rho, beta, m_nd, projected = projection.step(it, new_rho, beta)
             row.update(m_nd=m_nd, beta=beta, projected=projected)
         row["max_delta"] = delta = float(np.abs(new_rho - rho).max())
         history.append(row)
@@ -302,7 +302,7 @@ def simp_inner_solve(operator, loads, rho, volume_target, frozen, r_min, eps,
     return rho, converged
 
 
-def freeze_out_of_range(grid, rho, frozen, policy, rho_min):
+def freeze_out_of_range(grid, rho, frozen, policy):
     """Freeze densities beyond the thresholds; returns the number frozen.
 
     Values equal to a threshold freeze too. Free elements left with three or
@@ -316,7 +316,7 @@ def freeze_out_of_range(grid, rho, frozen, policy, rho_min):
     frozen[to_solid] = SOLID
     frozen[to_void] = VOID
     rho[to_solid] = 1.0
-    rho[to_void] = rho_min
+    rho[to_void] = fem.MaterialModel.rho_min
     count = int(to_solid.sum() + to_void.sum())
 
     while True:
@@ -324,7 +324,7 @@ def freeze_out_of_range(grid, rho, frozen, policy, rho_min):
         if not forced.any():
             return count
         frozen[forced] = VOID
-        rho[forced] = rho_min
+        rho[forced] = fem.MaterialModel.rho_min
         count += int(forced.sum())
 
 
@@ -336,7 +336,7 @@ def stage_loop(grid, material, bc, policy, r_min, eps, max_inner, stage_cap):
     until a stage ends with every free density inside the threshold range.
     The caller sets all four loop settings; RunConfig holds their defaults.
     """
-    policy.validate(material.rho_min)
+    policy.validate()
     operator = fem.Operator(grid, material, bc)
     loads = fem.load_vector(grid, bc)
 
@@ -359,7 +359,7 @@ def stage_loop(grid, material, bc, policy, r_min, eps, max_inner, stage_cap):
             log.warning("stage %d stopped unconverged: %s", stage,
                         "the inner iteration cap" if len(history) - start == max_inner
                         else "a limit cycle")
-        n_frozen = freeze_out_of_range(grid, rho, frozen, policy, material.rho_min)
+        n_frozen = freeze_out_of_range(grid, rho, frozen, policy)
         stage_fields.append(rho.copy())
         log.info(
             "stage %d: %d newly frozen, %d free left",

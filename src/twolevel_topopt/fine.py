@@ -45,7 +45,7 @@ class ProjectionParams:
         if not self.beta_max >= 1:
             raise ValueError(f"beta_max must be at least 1, got {self.beta_max!r}")
 
-    def step(self, it, rho, beta, rho_min):
+    def step(self, it, rho, beta):
         """The projection step after iteration it's OC update.
 
         On even iterations, while the grey measure of rho exceeds m_nd_min,
@@ -56,7 +56,7 @@ class ProjectionParams:
         if it % 2 == 0 and m_nd > self.m_nd_min:
             # The projection maps [0,1] onto itself, so densities near the
             # floor come out below it; pull them back into the FE-valid range.
-            rho = np.clip(project_density(rho, beta), rho_min, 1.0)
+            rho = np.clip(project_density(rho, beta), fem.MaterialModel.rho_min, 1.0)
             return rho, min(2.0 * beta, self.beta_max), m_nd, True
         return rho, beta, m_nd, False
 
@@ -288,17 +288,17 @@ def solve_all_cells(grid, coarse_result, tractions, workers=None, **settings):
     require_equilibrated); the rest keep the FineCellProblem defaults.
     Frozen-solid cells share one read-only all-ones raster and frozen-void
     cells one all-rho_min raster, without any FE work. Unfrozen cells are
-    independent and are farmed out to a process pool when workers > 1.
-    Per-cell failures are collected into the result instead of aborting the
-    batch.
+    independent; when workers > 1 they go to a pool of at most one process
+    per cell. Per-cell failures are collected into the result instead of
+    aborting the batch.
     """
     template = FineCellProblem(cell=-1, target=0.0, tractions=None, hx=grid.hx, hy=grid.hy,
                                **settings)
-    n, rho_min = template.n, template.material.rho_min
+    n = template.n
 
     # Shared, not copied per cell: a forked pool worker would hold every copy.
     filled = {coarse.SOLID: (np.ones(n * n), "frozen-solid"),
-              coarse.VOID: (np.full(n * n, rho_min), "frozen-void")}
+              coarse.VOID: (np.full(n * n, fem.MaterialModel.rho_min), "frozen-void")}
     for raster, _ in filled.values():
         raster.flags.writeable = False
 
@@ -314,7 +314,7 @@ def solve_all_cells(grid, coarse_result, tractions, workers=None, **settings):
 
     failures = {}
     if workers and workers > 1 and len(problems) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(problems))) as pool:
             outcomes = list(pool.map(_solve_for_pool, problems, chunksize=1))
     else:
         outcomes = [_solve_for_pool(problem) for problem in problems]

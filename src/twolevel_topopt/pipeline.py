@@ -261,7 +261,7 @@ class RunConfig:
         # they are defined.
         try:
             material = self.coarse_material()
-            self.threshold_policy().validate(material.rho_min)
+            self.threshold_policy().validate()
             fem.element_stiffness(material, self.hx, self.hy)
             fem.element_stiffness(self.fine_material(), self.hx / self.fine_n,
                                   self.hy / self.fine_n)

@@ -129,18 +129,21 @@ def test_filter_radius_past_the_grid_matches_all_pairs(r_min):
 
 def test_oc_step_values_frozen_examples():
     # B = 4 wants rho*sqrt(4) = 1.0, the 20 percent move limit caps at 0.6
-    assert_allclose(coarse.oc_step_values(np.array([0.5]), 4.0 ** 0.5, 1e-3), 0.6)
+    assert_allclose(coarse.oc_step_values(np.array([0.5]), 4.0 ** 0.5), 0.6)
     # B = 0.25 wants 0.25, the lower move limit caps at 0.4
-    assert_allclose(coarse.oc_step_values(np.array([0.5]), 0.25 ** 0.5, 1e-3), 0.4)
+    assert_allclose(coarse.oc_step_values(np.array([0.5]), 0.25 ** 0.5), 0.4)
     # small B inside the box passes through the damped move
     assert_allclose(
-        coarse.oc_step_values(np.array([0.5]), 1.1 ** 0.5, 1e-3),
+        coarse.oc_step_values(np.array([0.5]), 1.1 ** 0.5),
         0.5 * 1.1**0.5,
     )
     # never below rho_min, never above one
-    out = coarse.oc_step_values(np.array([1e-3, 1.0]), 1.0 ** 0.5, 1e-3)
-    assert out[0] >= 1e-3
+    rho_min = fem.MaterialModel.rho_min
+    out = coarse.oc_step_values(np.array([rho_min, 1.0]), 1.0 ** 0.5)
+    assert out[0] >= rho_min
     assert out[1] <= 1.0
+    # a step far below the floor stops at it
+    assert coarse.oc_step_values(np.array([1.1 * rho_min]), 0.1) == rho_min
 
 
 def test_oc_update_hits_volume_target(mat):
@@ -153,7 +156,7 @@ def test_oc_update_hits_volume_target(mat):
     )
     frozen = np.zeros(g.n_elems, dtype=int)
     target = 0.5 * g.n_elems * g.hx * g.hy
-    new, clamped = coarse.oc_update(g, rho, sens, target, mat, frozen)
+    new, clamped = coarse.oc_update(g, rho, sens, target, frozen)
     assert not clamped
     assert_allclose(new.sum() * g.hx * g.hy, target, rtol=2e-4)
     assert np.all(new >= mat.rho_min - 1e-15)
@@ -176,7 +179,7 @@ def test_oc_update_leaves_frozen_untouched(mat):
         g, rho, coarse.sensitivity(g, rho, mat, sol.element_energy), 1.5
     )
     target = rho.sum() * g.hx * g.hy
-    new, _ = coarse.oc_update(g, rho, sens, target, mat, frozen)
+    new, _ = coarse.oc_update(g, rho, sens, target, frozen)
     assert new[0] == 1.0
     assert new[1] == mat.rho_min
     assert_allclose(new.sum() * g.hx * g.hy, target, rtol=2e-4)
@@ -192,12 +195,12 @@ def test_oc_update_clamps_when_target_out_of_reach(mat):
     frozen = np.zeros(g.n_elems, dtype=int)
     # target above the +20 percent reachable volume but below the absolute cap
     target = 0.5 * g.n_elems * g.hx * g.hy
-    new, clamped = coarse.oc_update(g, rho, sens, target, mat, frozen)
+    new, clamped = coarse.oc_update(g, rho, sens, target, frozen)
     assert clamped
     assert_allclose(new, 0.24)  # extreme admissible move
 
 
-def test_oc_update_infeasible_target(mat):
+def test_oc_update_infeasible_target():
     g, bc = cantilever(4, 2)
     rho = np.full(g.n_elems, 0.5)
     frozen = np.zeros(g.n_elems, dtype=int)
@@ -207,7 +210,7 @@ def test_oc_update_infeasible_target(mat):
     # frozen solids alone already exceed the target volume
     target = 3.0 * g.hx * g.hy
     with pytest.raises(InfeasibleVolumeError):
-        coarse.oc_update(g, rho, sens, target, mat, frozen)
+        coarse.oc_update(g, rho, sens, target, frozen)
 
 
 def test_oc_update_zero_drive_target_beyond_limit_move(mat):
@@ -220,7 +223,7 @@ def test_oc_update_zero_drive_target_beyond_limit_move(mat):
     sens[:3] = 0.0
     frozen = np.zeros(g.n_elems, dtype=int)
     # limiting move: 3 x 0.4 + 5 x 0.6 = 4.2; vmax = 8 x 0.6 = 4.8
-    new, clamped = coarse.oc_update(g, rho, sens, 4.5, mat, frozen)
+    new, clamped = coarse.oc_update(g, rho, sens, 4.5, frozen)
     assert clamped
     assert np.all(np.isfinite(new))
     assert np.all((new >= mat.rho_min) & (new <= 1.0))
@@ -288,10 +291,10 @@ def test_oc_update_exact_multiplier_matches_bisection(case):
         return
     if target_sum > free.sum() or target_sum < free.sum() * mat.rho_min:
         with pytest.raises(InfeasibleVolumeError):
-            coarse.oc_update(g, rho, sens, target, mat, frozen)
+            coarse.oc_update(g, rho, sens, target, frozen)
         return
 
-    new, clamped = coarse.oc_update(g, rho, sens, target, mat, frozen)
+    new, clamped = coarse.oc_update(g, rho, sens, target, frozen)
     assert np.array_equal(new[~free], rho[~free])
     assert np.all((new[free] >= lo) & (new[free] <= hi))
     limit = np.where(drive > 0, hi, lo)
@@ -314,32 +317,35 @@ def test_oc_update_exact_multiplier_matches_bisection(case):
         assert abs(new.sum() * cv - target) <= coarse.VOL_TOL * target
 
 
-def test_threshold_policy_validation(mat):
+def test_threshold_policy_validation():
+    rho_min = fem.MaterialModel.rho_min
     with pytest.raises(ValueError):
-        ThresholdPolicy(rho_bar_min=0.9, rho_bar_max=0.1).validate(1e-3)
+        ThresholdPolicy(rho_bar_min=0.9, rho_bar_max=0.1).validate()
     with pytest.raises(ValueError):
-        ThresholdPolicy(rho_bar_min=1e-4).validate(1e-3)
+        ThresholdPolicy(rho_bar_min=1e-4).validate()
+    with pytest.raises(ValueError, match="rho_bar_min must exceed rho_min"):
+        ThresholdPolicy(rho_bar_min=rho_min).validate()
     with pytest.raises(ValueError):
-        ThresholdPolicy(rho0=0.0).validate(1e-3)
+        ThresholdPolicy(rho0=0.0).validate()
     # a start below rho_min is no density the FE model accepts
     with pytest.raises(ValueError, match=r"rho0 must be in \[rho_min, 1\]"):
-        ThresholdPolicy(rho0=5e-4).validate(1e-3)
-    ThresholdPolicy(rho0=1e-3).validate(1e-3)
-    ThresholdPolicy().validate(1e-3)
+        ThresholdPolicy(rho0=0.5 * rho_min).validate()
+    ThresholdPolicy(rho0=rho_min).validate()
+    ThresholdPolicy().validate()
 
 
-def test_freeze_thresholds_and_ties(mat):
+def test_freeze_thresholds_and_ties():
     g = Grid(5, 1, 1.0, 1.0)
     policy = ThresholdPolicy(rho_bar_min=0.12, rho_bar_max=0.88)
     rho = np.array([0.88, 0.95, 0.12, 0.5, 0.121])
     frozen = np.zeros(5, dtype=int)
-    n = coarse.freeze_out_of_range(g, rho, frozen, policy, 1e-3)
+    n = coarse.freeze_out_of_range(g, rho, frozen, policy)
     assert n == 3  # ties freeze on both ends
     assert frozen.tolist() == [SOLID, SOLID, VOID, FREE, FREE]
-    assert_allclose(rho, [1.0, 1.0, 1e-3, 0.5, 0.121])
+    assert rho.tolist() == [1.0, 1.0, fem.MaterialModel.rho_min, 0.5, 0.121]
 
 
-def test_freeze_voids_surrounded_free_elements(mat):
+def test_freeze_voids_surrounded_free_elements():
     # center element keeps a mid density but three edge-neighbours void out,
     # so it must be voided as well (and the cascade can continue)
     g = Grid(3, 3, 1.0, 1.0)
@@ -349,18 +355,18 @@ def test_freeze_voids_surrounded_free_elements(mat):
     for e in (g.elem_id(0, 1), g.elem_id(1, 0), g.elem_id(1, 2)):
         rho[e] = 0.05
     frozen = np.zeros(9, dtype=int)
-    n = coarse.freeze_out_of_range(g, rho, frozen, policy, 1e-3)
+    n = coarse.freeze_out_of_range(g, rho, frozen, policy)
     assert frozen[center] == VOID
-    assert rho[center] == 1e-3
+    assert rho[center] == fem.MaterialModel.rho_min
     assert n == 4
 
 
-def test_freeze_respects_already_frozen(mat):
+def test_freeze_respects_already_frozen():
     g = Grid(2, 1, 1.0, 1.0)
     policy = ThresholdPolicy()
     rho = np.array([1.0, 0.5])
     frozen = np.array([SOLID, FREE])
-    n = coarse.freeze_out_of_range(g, rho, frozen, policy, 1e-3)
+    n = coarse.freeze_out_of_range(g, rho, frozen, policy)
     assert n == 0
     assert frozen.tolist() == [SOLID, FREE]
 
@@ -408,7 +414,7 @@ class AlternatingProjection:
     def __init__(self, fields, growing=False):
         self.fields, self.growing = fields, growing
 
-    def step(self, it, rho, beta, rho_min):
+    def step(self, it, rho, beta):
         return self.fields[it % 2], 2.0 * beta if self.growing else beta, 0.0, True
 
 

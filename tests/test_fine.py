@@ -506,6 +506,40 @@ def test_solve_all_cells_pool_matches_serial_bitwise():
             r.kind, r.iterations, r.converged, r.compliance)
 
 
+def test_farm_pool_starts_at_most_one_process_per_free_cell(monkeypatch):
+    from twolevel_topopt import equilibrate as eq
+
+    g, bc, mat, cres = small_coarse_run()
+    field = eq.equilibrate_all(
+        g, cres.rho, mat, bc, cres.solution.u, void_mask=cres.frozen == coarse.VOID
+    )
+    sizes = []
+
+    class InProcessPool:
+        """Records the pool size it is asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(fine, "ProcessPoolExecutor", InProcessPool)
+    k = int(np.count_nonzero(cres.frozen[g.active_elems] == coarse.FREE))
+    assert k >= 2
+    batch = fine.solve_all_cells(g, cres, field.tractions, workers=k + 62, n=8, eps=0.02,
+                                 max_iter=120)
+    assert sizes == [k]
+    assert not batch.failures
+    assert sum(r.kind == "optimized" for r in batch.cells.values()) == k
+
+
 def test_cell_solver_is_built_once_per_farm_and_keyed_on_the_material():
     from twolevel_topopt import equilibrate as eq
 

@@ -887,7 +887,24 @@ def test_cli_rejects_bad_mask_file(tmp_path, capsys, rows, message):
     assert "configuration error" in err and message in err
 
 
-@pytest.mark.parametrize("old, new, code", [
+# Run before main in the child interpreter; forked farm workers inherit the
+# patch. A dead worker (an OOM kill looks the same) breaks the pool.
+DIE_IN_WORKER = """
+import os
+from twolevel_topopt import fine
+def die(problem):
+    os._exit(1)
+fine._solve_for_pool = die
+"""
+NO_MEMORY = """
+from twolevel_topopt import pipeline
+def no_memory(*args, **kwargs):
+    raise MemoryError
+pipeline.Grid = no_memory
+"""
+
+
+@pytest.mark.parametrize("old, new, code, patch", [(*case, None) for case in [
     ("r_min = 1.3", "r_min = inf", cli.EXIT_CONFIG),
     ("r_min = 1.3", "r_min = 1e30", 0),  # the filter's reach stops at the grid
     ("[coarse]\n", "[coarse]\np = nan\n", cli.EXIT_CONFIG),
@@ -915,11 +932,15 @@ def test_cli_rejects_bad_mask_file(tmp_path, capsys, rows, message):
      cli.EXIT_NUMERICAL),
     ("preset = shear-right\n", "preset = shear-right\nneumann = 3 0 1 0 0 0 1e104\n",
      cli.EXIT_NUMERICAL),
+]] + [
+    # a patched run: the farm's two workers die, or the grid finds no memory
+    ("workers = 1", "workers = 2", cli.EXIT_NUMERICAL, DIE_IN_WORKER),
+    ("workers = 1", "workers = 1", cli.EXIT_NUMERICAL, NO_MEMORY),
 ], ids=["r_min-inf", "r_min-1e30", "p-nan", "e-nan", "hx-inf", "neumann-nan", "empty-mask",
         "compliance-overflow", "neumann-sum-overflow", "nodal-load-overflow", "stiffness-overflow",
         "filter-weight-overflow", "filter-underflow", "residual-norm-overflow",
-        "force-polygon-overflow"])
-def test_cli_ends_without_traceback_or_warning(tmp_path, old, new, code):
+        "force-polygon-overflow", "worker-died", "out-of-memory"])
+def test_cli_ends_without_traceback_or_warning(tmp_path, old, new, code, patch):
     # a separate interpreter, so that stderr shows whatever escapes main
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -929,15 +950,22 @@ def test_cli_ends_without_traceback_or_warning(tmp_path, old, new, code):
     src = str(Path(pipeline.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
         "PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-m", "twolevel_topopt.cli", "verify", "--config", str(path),
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    args = ["--config", str(path), "--out", str(tmp_path / "out")]
+    if patch is None:
+        command = ["-m", "twolevel_topopt.cli", "verify", *args]
+    else:
+        main = "import sys\nfrom twolevel_topopt import cli\nsys.exit(cli.main(sys.argv[1:]))"
+        command = ["-c", patch + main, "run", *args]
+    done = subprocess.run([sys.executable, *command], capture_output=True, text=True, env=env,
+                          timeout=300)
     assert done.returncode == code, done.stderr
     assert "Traceback" not in done.stderr and "Warning" not in done.stderr, done.stderr
     if code == cli.EXIT_CONFIG:
         assert done.stderr.startswith("configuration error: ")
+    if patch is not None:
+        assert done.stderr.startswith("run failed: ")
+    if patch is NO_MEMORY:
+        assert done.stderr == "run failed: out of memory\n"
 
 
 @pytest.mark.parametrize("command", ["verify", "run"])
