@@ -149,7 +149,7 @@ def oc_update(grid, rho, filtered_sens, volume_target, frozen):
     volume_target is in absolute units (density times element area summed
     over all active elements, frozen included). Returns (new_rho, clamped),
     clamped telling whether the move limits stopped the step short of the
-    target.
+    target. A step with no positive drive anywhere takes a uniform drive.
 
     With t = lmbda^(-ETA), each free density is clip(a_i t, lo_i, hi_i) with
     a_i = rho_i (drive_i / cell_vol)^ETA and lo_i, hi_i its move limits, so
@@ -169,6 +169,9 @@ def oc_update(grid, rho, filtered_sens, volume_target, frozen):
 
     drive = -np.asarray(filtered_sens, dtype=float)[free]
     drive = np.maximum(drive, 0.0)
+    if not drive.any():
+        # No density gains stiffness over another: scale them all alike.
+        drive = np.ones_like(drive)
     rho_f = rho[free]
     lo = np.maximum((1 - ZETA) * rho_f, fem.MaterialModel.rho_min)
     hi = np.minimum((1 + ZETA) * rho_f, 1.0)

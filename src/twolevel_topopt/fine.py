@@ -67,7 +67,8 @@ class FineCellProblem:
 
     tractions has shape (4, 2, 2): per local edge of the coarse cell, the
     linear traction's (start, end) 2-vectors in the cell's counter-clockwise
-    orientation. hx, hy are the coarse cell's physical dimensions.
+    orientation; they must be self-equilibrated, and fine_cell_solve always
+    checks that they are. hx, hy are the coarse cell's physical dimensions.
     """
 
     cell: int
@@ -83,9 +84,6 @@ class FineCellProblem:
     eps: float = 0.01
     projection: ProjectionParams = field(default_factory=ProjectionParams)
     max_iter: int = 300
-    # Control runs may disable the balance check, e.g. the raw-stress farm
-    # of tests/reference.py; the supports then carry real reactions.
-    require_equilibrated: bool = True
 
 
 @dataclass
@@ -211,19 +209,20 @@ def traction_equilibrium(tractions, hx, hy):
 def fine_cell_solve(problem):
     """Optimize one cell per the fine-scale flowchart.
 
-    Rejects traction sets that are not self-equilibrated. Runs
-    coarse.simp_loop from a uniform density equal to the cell target, with
-    the problem's ProjectionParams sharpening the field; convergence is
-    max |drho| < eps on the end-of-iteration field. Hitting the iteration cap,
-    or a cycle that would repeat up to it, returns a flagged (converged
-    False), still-usable result; a cycle stop has iterations < max_iter and
-    the field the capped run would return.
+    Always rejects tractions whose net force or moment exceeds 1e-6 of their
+    scale (times the longer side, for the moment). Runs coarse.simp_loop
+    from a uniform density equal to the cell target, with the problem's
+    ProjectionParams sharpening the field; convergence is max |drho| < eps
+    on the end-of-iteration field. Hitting the iteration cap, or a cycle
+    that would repeat up to it, returns a flagged (converged False),
+    still-usable result; a cycle stop has iterations < max_iter and the
+    field the capped run would return.
     """
     if not 0 < problem.target < 1:
         raise FineSolveError(f"target {problem.target} invalid")
     net_f, net_m, scale = traction_equilibrium(problem.tractions, problem.hx, problem.hy)
     char_len = max(problem.hx, problem.hy)
-    if problem.require_equilibrated and scale > 0 and (
+    if scale > 0 and (
         np.linalg.norm(net_f) > 1e-6 * scale or abs(net_m) > 1e-6 * scale * char_len
     ):
         raise FineSolveError(
@@ -284,8 +283,8 @@ def solve_all_cells(grid, coarse_result, tractions, workers=None, **settings):
 
     tractions is an (n_elems, 4, 2, 2) array such as
     EdgeTractionField.tractions. settings are FineCellProblem fields shared
-    by every cell (n, material, r_min, eps, projection, max_iter,
-    require_equilibrated); the rest keep the FineCellProblem defaults.
+    by every cell (n, material, r_min, eps, projection, max_iter); the rest
+    keep the FineCellProblem defaults.
     Frozen-solid cells share one read-only all-ones raster and frozen-void
     cells one all-rho_min raster, without any FE work. Unfrozen cells are
     independent; when workers > 1 they go to a pool of at most one process

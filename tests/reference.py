@@ -7,14 +7,16 @@ hand-written expectations and slow one-at-a-time references.
 The raw-stress control loads each cell with sigma . n of the FE stresses at
 the element corners instead of the equilibrated tractions. It is the
 paper's comparison baseline: the acceptance tests run a fine farm on it to
-show the boundary-continuity advantage of the equilibrated field.
+show the boundary-continuity advantage of the equilibrated field. Those
+loads are not self-equilibrated, so that farm runs under unchecked_balance.
 """
 
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
-from twolevel_topopt import fem
+from twolevel_topopt import fem, fine
 from twolevel_topopt.equilibrate import KINDS
 from twolevel_topopt.grid import CORNER_OFFSETS, EDGE_LNODES, EDGE_NEIGHBOR_OFFSETS
 
@@ -115,3 +117,18 @@ def stress_tractions(grid, rho, material, u):
     tractions = np.zeros((grid.n_elems, 4, 2, 2))
     tractions[act] = np.einsum("akeij,kj->akei", ends, EDGE_NORMALS)
     return tractions
+
+
+def unchecked_balance():
+    """Patch that lets fine_cell_solve take unbalanced tractions.
+
+    It wraps fine.traction_equilibrium: the real force scale is kept and the
+    net force and moment read zero, so the supports carry the imbalance as
+    reactions. Farm workers forked under the patch inherit it.
+    """
+    real = fine.traction_equilibrium
+
+    def balanced(tractions, hx, hy):
+        return np.zeros(2), 0.0, real(tractions, hx, hy)[2]
+
+    return mock.patch.object(fine, "traction_equilibrium", balanced)

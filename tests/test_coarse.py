@@ -282,6 +282,8 @@ def test_oc_update_exact_multiplier_matches_bisection(case):
     cv = g.hx * g.hy
     free = frozen == FREE
     rho_f, drive = rho[free], -sens[free]
+    if not drive.any():
+        drive = np.ones_like(drive)  # no drive anywhere moves as a uniform one
     lo = np.maximum(0.8 * rho_f, mat.rho_min)
     hi = np.minimum(1.2 * rho_f, 1.0)
     vmin, vmax = lo.sum(), hi.sum()

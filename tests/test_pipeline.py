@@ -1,6 +1,7 @@
 """Config parsing, artifact formats, stitching and the end-to-end pipeline."""
 
 import configparser
+import csv
 import json
 import os
 import re
@@ -604,6 +605,20 @@ def test_run_pipeline_verify_only(tmp_path):
     )
     assert cert["elements"] == 8
     assert cert["max_force_residual_rel"] <= 1e-8
+
+
+def test_verify_without_loads_keeps_the_volume(tmp_path):
+    # no load drives any density, so the first OC step scales the uniform
+    # start onto its own volume target and the stage converges at once
+    path = tmp_path / "unloaded.ini"
+    path.write_text(SMALL_RUN.replace("preset = shear-right", "preset = none"))
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["stages"] == 1 and summary["coarse_converged"]
+    assert abs(summary["coarse_volume_fraction"] - 0.5) <= 1e-12
+    with open(out / "coarse_history.csv") as f:
+        assert len(list(csv.DictReader(f))) == 1
 
 
 # ---------------------------------------------------------------------- CLI
