@@ -33,7 +33,7 @@ class InfeasibleVolumeError(RuntimeError):
 ZETA, ETA, VOL_TOL = 0.2, 0.5, 1e-4
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThresholdPolicy:
     """Freezing thresholds and the prescribed volume fraction rho0."""
 
@@ -41,7 +41,7 @@ class ThresholdPolicy:
     rho_bar_max: float = 0.88
     rho0: float = 0.5
 
-    def validate(self):
+    def __post_init__(self):
         rho_min = fem.MaterialModel.rho_min
         if not 0 < self.rho_bar_min < self.rho_bar_max < 1:
             raise ValueError(
@@ -206,10 +206,10 @@ def oc_update(grid, rho, filtered_sens, volume_target, frozen):
     slope = np.cumsum(np.concatenate([a, -a])[order])
     offset = lo.sum() + np.cumsum(np.concatenate([-lo_m, hi_m])[order])
     volume = (offset + slope * breaks[order]) * cell_vol
-    if not moving.any() or target_free >= volume[-1]:
+    if target_free >= volume[-1]:
         # Zero-drive densities stay at their lower limit however small the
-        # multiplier, so the target lies beyond the volume reachable as
-        # lmbda -> 0: take that limiting move.
+        # multiplier, so a target beyond the volume reachable as lmbda -> 0
+        # takes that limiting move.
         new[free] = np.where(moving, hi, lo)
         return new, True
 
@@ -250,14 +250,16 @@ def simp_loop(operator, loads, rho, volume_target, frozen, r_min, eps, max_iter,
     each OC field: its step(it, rho, beta) returns the field, the
     next beta, the grey measure and whether it projected, starting from
     beta 1. Delta spans all elements; OC moves free ones only. Returns (rho,
-    converged, history), one row per iteration whose volume_fraction is the
-    mean active density after the OC step.
+    stop, history): stop is "converged", "cycle" or "iteration-cap", and
+    history holds one row per iteration whose volume_fraction is the mean
+    active density after the OC step.
 
-    A loop that has locked into a limit cycle stops unconverged: when a
-    field and its beta equal those two iterations back to within 1e-3 eps,
-    every later iteration repeats the last two, so the field the cap would
-    return is the kept one whose iteration has the parity of max_iter. Such
-    a stop returns fewer than max_iter history rows.
+    A loop that has locked into a limit cycle stops early: when a field and
+    its beta equal those two iterations back to within 1e-3 eps, every
+    later iteration repeats the last two, so the field the cap would return
+    is the kept one whose iteration has the parity of max_iter. Such a stop
+    returns "cycle" and fewer than max_iter history rows; a cycle first seen
+    on iteration max_iter is the cap's own stop.
     """
     grid, material = operator.grid, operator.material
     act = grid.active_elems
@@ -284,12 +286,13 @@ def simp_loop(operator, loads, rho, volume_target, frozen, r_min, eps, max_iter,
         history.append(row)
         rho = new_rho
         if delta < eps and not clamped:
-            return rho, True, history
+            return rho, "converged", history
         kept.append((rho, beta))
         back, back_beta = kept[0]
-        if len(kept) > period and back_beta == beta and np.abs(rho - back).max() < 1e-3 * eps:
-            return kept[-1 - (it - max_iter) % period][0], False, history
-    return rho, False, history
+        if (it < max_iter and len(kept) > period and back_beta == beta
+                and np.abs(rho - back).max() < 1e-3 * eps):
+            return kept[-1 - (it - max_iter) % period][0], "cycle", history
+    return rho, "iteration-cap", history
 
 
 def simp_inner_solve(operator, loads, rho, volume_target, frozen, r_min, eps,
@@ -297,12 +300,12 @@ def simp_inner_solve(operator, loads, rho, volume_target, frozen, r_min, eps,
     """One coarse stage of simp_loop, every solve checked.
 
     Appends the stage's history rows, tagged with `stage`, to history.
-    Returns (rho, converged).
+    Returns (rho, stop), stop as simp_loop names it.
     """
-    rho, converged, rows = simp_loop(operator, loads, rho, volume_target, frozen,
-                                     r_min, eps, max_iter, check_each_solve=True)
+    rho, stop, rows = simp_loop(operator, loads, rho, volume_target, frozen,
+                                r_min, eps, max_iter, check_each_solve=True)
     history.extend({"stage": stage, **row} for row in rows)
-    return rho, converged
+    return rho, stop
 
 
 def freeze_out_of_range(grid, rho, frozen, policy):
@@ -339,7 +342,6 @@ def stage_loop(grid, material, bc, policy, r_min, eps, max_inner, stage_cap):
     until a stage ends with every free density inside the threshold range.
     The caller sets all four loop settings; RunConfig holds their defaults.
     """
-    policy.validate()
     operator = fem.Operator(grid, material, bc)
     loads = fem.load_vector(grid, bc)
 
@@ -355,13 +357,10 @@ def stage_loop(grid, material, bc, policy, r_min, eps, max_inner, stage_cap):
     stages = 0
     for stage in range(1, stage_cap + 1):
         stages = stage
-        start = len(history)
-        rho, inner_ok = simp_inner_solve(operator, loads, rho, volume_target, frozen,
-                                         r_min, eps, max_inner, stage, history)
-        if not inner_ok:
-            log.warning("stage %d stopped unconverged: %s", stage,
-                        "the inner iteration cap" if len(history) - start == max_inner
-                        else "a limit cycle")
+        rho, stop = simp_inner_solve(operator, loads, rho, volume_target, frozen,
+                                     r_min, eps, max_inner, stage, history)
+        if stop != "converged":
+            log.warning("stage %d stopped unconverged: %s", stage, stop)
         n_frozen = freeze_out_of_range(grid, rho, frozen, policy)
         stage_fields.append(rho.copy())
         log.info(

@@ -8,7 +8,7 @@ is the coarse one, coarse.simp_loop, plus an exponential density projection
 applied on even iterations while the field is still far from 0-1, doubling
 the projection steepness from 1 up to beta_max. A cell stops converged,
 at the iteration cap, or early once its OC step and projection repeat a
-cycle of fields; the last two are flagged unconverged and still usable.
+cycle of fields; its stop_reason names which, and all three are usable.
 """
 
 from __future__ import annotations
@@ -93,13 +93,18 @@ class FineCellResult:
     cell: int
     rho: np.ndarray
     kind: str  # frozen-solid | frozen-void | optimized
-    converged: bool = True  # False at the iteration cap or a cycle stop
+    stop_reason: str = "frozen"  # or coarse.simp_loop's converged | cycle | iteration-cap
     iterations: int = 0
     m_nd: float = 0.0
     beta_final: float = 0.0
     compliance: float = 0.0
     max_reaction: float = 0.0
     reaction_scale: float = 0.0
+
+    @property
+    def converged(self):
+        """False after a cycle or iteration-cap stop; kept for bench/run.py."""
+        return self.stop_reason in ("frozen", "converged")
 
 
 def project_density(rho, beta):
@@ -214,8 +219,8 @@ def fine_cell_solve(problem):
     from a uniform density equal to the cell target, with the problem's
     ProjectionParams sharpening the field; convergence is max |drho| < eps
     on the end-of-iteration field. Hitting the iteration cap, or a cycle
-    that would repeat up to it, returns a flagged (converged False),
-    still-usable result; a cycle stop has iterations < max_iter and the
+    that would repeat up to it, returns a still-usable result whose
+    stop_reason says so; a cycle stop has iterations < max_iter and the
     field the capped run would return.
     """
     if not 0 < problem.target < 1:
@@ -236,7 +241,7 @@ def fine_cell_solve(problem):
     frozen = np.zeros(grid.n_elems, dtype=np.int8)
     volume_target = problem.target * grid.n_elems * grid.hx * grid.hy
 
-    rho, converged, history = coarse.simp_loop(
+    rho, stop_reason, history = coarse.simp_loop(
         solver, loads, np.full(grid.n_elems, problem.target), volume_target, frozen,
         problem.r_min, problem.eps, problem.max_iter, projection=problem.projection,
     )
@@ -249,7 +254,7 @@ def fine_cell_solve(problem):
         cell=problem.cell,
         rho=rho,
         kind="optimized",
-        converged=converged,
+        stop_reason=stop_reason,
         iterations=len(history),
         m_nd=measure_nondiscreteness(rho),
         beta_final=history[-1]["beta"] if history else 1.0,

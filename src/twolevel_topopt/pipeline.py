@@ -261,7 +261,7 @@ class RunConfig:
         # they are defined.
         try:
             material = self.coarse_material()
-            self.threshold_policy().validate()
+            self.threshold_policy()
             fem.element_stiffness(material, self.hx, self.hy)
             fem.element_stiffness(self.fine_material(), self.hx / self.fine_n,
                                   self.hy / self.fine_n)
@@ -608,28 +608,20 @@ def _load_cells(data, ids, n):
     return fine.FineBatchResult(cells={r.cell: r for r in cells}, failures={}, n=n)
 
 
-def _write_cells_csv(path, batch, targets, max_iter):
-    """Write cells.csv; returns the counts of unconverged cells, of those
-    the ones a cycle stopped before max_iter, and of cells whose mean
-    density misses the target, their coarse density, by more than 1e-4. A
-    cell's stop reason is `frozen`, `converged`, `iteration-cap` or
-    `cycle`."""
+def _write_cells_csv(path, batch, targets):
+    """Write cells.csv; returns the counts of cells stopped by a cycle or
+    the iteration cap, of those the cycle-stopped ones, and of cells whose
+    mean density misses the target, their coarse density, by more than 1e-4."""
     flags = {"cells_not_converged": 0, "cells_cycled": 0, "cells_off_target": 0}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([*_CELL_COLUMNS, "target", "mean_density", "stop_reason"])
+        writer.writerow([*_CELL_COLUMNS, "target", "mean_density"])
         for cell, r in sorted(batch.cells.items()):
             target, mean = float(targets[cell]), float(r.rho.mean())
-            cycled = not r.converged and r.iterations < max_iter
-            flags["cells_not_converged"] += not r.converged
-            flags["cells_cycled"] += cycled
+            flags["cells_not_converged"] += r.stop_reason in ("cycle", "iteration-cap")
+            flags["cells_cycled"] += r.stop_reason == "cycle"
             flags["cells_off_target"] += abs(mean - target) > 1e-4
-            values = (getattr(r, name) for name in _CELL_COLUMNS)
-            writer.writerow(
-                [*(int(v) if isinstance(v, (bool, np.bool_)) else v for v in values),
-                 target, mean, "frozen" if r.kind != "optimized" else "converged"
-                 if r.converged else "cycle" if cycled else "iteration-cap"]
-            )
+            writer.writerow([*(getattr(r, name) for name in _CELL_COLUMNS), target, mean])
     return flags
 
 
@@ -821,7 +813,7 @@ def run_pipeline(config, skip_fine=False):
                 max_iter=config.fine_max_iter, workers=config.workers,
             )
         if batch.failures:
-            _write_cells_csv(out / "cells.csv", batch, result.rho, config.fine_max_iter)
+            _write_cells_csv(out / "cells.csv", batch, result.rho)
             details = "; ".join(
                 f"cell {cell}: {msg}" for cell, msg in sorted(batch.failures.items())
             )
@@ -829,7 +821,7 @@ def run_pipeline(config, skip_fine=False):
         with _timed(timings, "io_s"):
             _save_cells(cells_ckpt, batch, fingerprint)
     with _timed(timings, "io_s"):
-        flags = _write_cells_csv(out / "cells.csv", batch, result.rho, config.fine_max_iter)
+        flags = _write_cells_csv(out / "cells.csv", batch, result.rho)
 
     with _timed(timings, "stitch_s"):
         image = stitch(grid, batch)

@@ -322,18 +322,18 @@ def test_oc_update_exact_multiplier_matches_bisection(case):
 def test_threshold_policy_validation():
     rho_min = fem.MaterialModel.rho_min
     with pytest.raises(ValueError):
-        ThresholdPolicy(rho_bar_min=0.9, rho_bar_max=0.1).validate()
+        ThresholdPolicy(rho_bar_min=0.9, rho_bar_max=0.1)
     with pytest.raises(ValueError):
-        ThresholdPolicy(rho_bar_min=1e-4).validate()
+        ThresholdPolicy(rho_bar_min=1e-4)
     with pytest.raises(ValueError, match="rho_bar_min must exceed rho_min"):
-        ThresholdPolicy(rho_bar_min=rho_min).validate()
+        ThresholdPolicy(rho_bar_min=rho_min)
     with pytest.raises(ValueError):
-        ThresholdPolicy(rho0=0.0).validate()
+        ThresholdPolicy(rho0=0.0)
     # a start below rho_min is no density the FE model accepts
     with pytest.raises(ValueError, match=r"rho0 must be in \[rho_min, 1\]"):
-        ThresholdPolicy(rho0=0.5 * rho_min).validate()
-    ThresholdPolicy(rho0=rho_min).validate()
-    ThresholdPolicy().validate()
+        ThresholdPolicy(rho0=0.5 * rho_min)
+    ThresholdPolicy(rho0=rho_min)
+    ThresholdPolicy()
 
 
 def test_freeze_thresholds_and_ties():
@@ -395,6 +395,15 @@ def test_stage_loop_small_cantilever(mat):
     assert result.history  # inner iterations were recorded
 
 
+def test_stage_loop_logs_a_stage_stopped_by_the_inner_cap(mat, caplog):
+    g, bc = cantilever(8, 4)
+    caplog.set_level("WARNING", logger="twolevel_topopt.coarse")
+    result = coarse.stage_loop(g, mat, bc, ThresholdPolicy(), r_min=1.3, eps=1e-12,
+                               max_inner=2, stage_cap=1)
+    assert len(result.history) == 2
+    assert "stage 1 stopped unconverged: iteration-cap" in caplog.text
+
+
 def test_stage_loop_records_monotone_frozen_counts(mat):
     g, bc = cantilever(8, 4)
     policy = ThresholdPolicy()
@@ -420,17 +429,27 @@ class AlternatingProjection:
         return self.fields[it % 2], 2.0 * beta if self.growing else beta, 0.0, True
 
 
-@pytest.mark.parametrize("max_iter", [20, 21])
-def test_simp_loop_stops_a_cycle_with_the_capped_phase(mat, max_iter):
+def alternating_loop(mat, max_iter, growing=False):
+    """simp_loop on a 4 x 4 cantilever whose projection alternates two fields."""
     g, bc = cantilever(4, 4)
     fields = (np.full(g.n_elems, 0.7), np.full(g.n_elems, 0.3))
-    rho, converged, history = coarse.simp_loop(
+    return fields, coarse.simp_loop(
         fem.Operator(g, mat, bc), fem.load_vector(g, bc), np.full(g.n_elems, 0.5),
         0.5 * g.n_elems, np.zeros(g.n_elems, dtype=np.int8), 1.3, 0.01, max_iter,
-        projection=AlternatingProjection(fields),
+        projection=AlternatingProjection(fields, growing),
     )
+
+
+@pytest.mark.parametrize("max_iter, stop", [
+    pytest.param(20, "cycle", id="20"),
+    pytest.param(21, "cycle", id="21"),
+    # a cycle first seen on the last allowed iteration is the cap's stop
+    pytest.param(3, "iteration-cap", id="3"),
+])
+def test_simp_loop_stops_a_cycle_with_the_capped_phase(mat, max_iter, stop):
+    fields, (rho, got, history) = alternating_loop(mat, max_iter)
     # iteration 3 repeats iteration 1, the first repeat two iterations back
-    assert not converged
+    assert got == stop
     assert [row["iteration"] for row in history] == [1, 2, 3]
     # the capped run would end on iteration max_iter, whose field is fields[max_iter % 2]
     assert rho is fields[max_iter % 2]
@@ -438,12 +457,6 @@ def test_simp_loop_stops_a_cycle_with_the_capped_phase(mat, max_iter):
 
 def test_simp_loop_runs_to_the_cap_while_beta_still_moves(mat):
     # the fields repeat, but a changed beta means a changed map: no cycle yet
-    g, bc = cantilever(4, 4)
-    fields = (np.full(g.n_elems, 0.7), np.full(g.n_elems, 0.3))
-    rho, converged, history = coarse.simp_loop(
-        fem.Operator(g, mat, bc), fem.load_vector(g, bc), np.full(g.n_elems, 0.5),
-        0.5 * g.n_elems, np.zeros(g.n_elems, dtype=np.int8), 1.3, 0.01, 9,
-        projection=AlternatingProjection(fields, growing=True),
-    )
-    assert (converged, len(history)) == (False, 9)
+    fields, (rho, stop, history) = alternating_loop(mat, 9, growing=True)
+    assert (stop, len(history)) == ("iteration-cap", 9)
     assert rho is fields[1]

@@ -295,7 +295,7 @@ def test_fine_cell_solve_without_tractions_keeps_the_uniform_target():
         cell=0, target=0.4, tractions=np.zeros((4, 2, 2)), hx=1.0, hy=1.0, n=8, max_iter=20
     )
     result = fine.fine_cell_solve(problem)
-    assert result.kind == "optimized" and result.converged
+    assert (result.kind, result.stop_reason) == ("optimized", "converged")
     assert result.iterations == 1
     assert abs(result.rho.mean() - 0.4) <= 1e-12
     assert_allclose(result.rho, 0.4, rtol=1e-12)
@@ -308,7 +308,7 @@ def test_fine_cell_solve_uniform_stress_is_fixed_point():
         cell=0, target=0.5, tractions=uniaxial_tractions(), hx=1.0, hy=1.0, n=8
     )
     result = fine.fine_cell_solve(problem)
-    assert result.converged
+    assert result.stop_reason == "converged"
     assert result.iterations == 1
     assert_allclose(result.rho, 0.5, atol=1e-9)
     assert result.beta_final == 1.0
@@ -331,7 +331,7 @@ def test_fine_cell_solve_bending_cell():
         cell=0, target=0.5, tractions=t, hx=1.0, hy=1.0, n=16, max_iter=200
     )
     result = fine.fine_cell_solve(problem)
-    assert result.converged
+    assert result.stop_reason == "converged"
     assert result.kind == "optimized"
     assert_allclose(result.rho.mean(), 0.5, atol=2e-3)
     assert np.all(result.rho >= problem.material.rho_min - 1e-15)
@@ -363,10 +363,10 @@ def test_fine_cell_solve_without_projection_is_the_coarse_loop():
             problem.target * g.n_elems * g.hx * g.hy, np.zeros(g.n_elems, dtype=np.int8),
             problem.r_min, problem.eps, problem.max_iter)
     gated, _, gated_history = coarse.simp_loop(*args, projection=problem.projection)
-    rho, converged, history = coarse.simp_loop(*args)
+    rho, stop, history = coarse.simp_loop(*args)
     assert not any(h["projected"] for h in gated_history)
     assert result.rho.tobytes() == gated.tobytes() == rho.tobytes()
-    assert (result.iterations, result.converged) == (len(history), converged)
+    assert (result.iterations, result.stop_reason) == (len(history), stop)
     assert [{key: row[key] for key in history[0]} for row in gated_history] == history
 
 
@@ -396,7 +396,7 @@ def test_fine_cell_solve_stops_a_two_cycle_on_the_capped_phase(example2_cell74, 
     # the capped run returns mean density 0.9466 after 300 iterations and
     # 0.7573 after 301; the cycle stop returns the same phase long before
     result = fine.fine_cell_solve(replace(example2_cell74, max_iter=max_iter))
-    assert not result.converged
+    assert result.stop_reason == "cycle"
     assert result.iterations <= 60
     assert_allclose(result.rho.mean(), mean, atol=1e-3)
 
@@ -507,8 +507,8 @@ def test_solve_all_cells_pool_matches_serial_bitwise():
     for e, r in serial.cells.items():
         p = pooled.cells[e]
         assert p.rho.tobytes() == r.rho.tobytes()
-        assert (p.kind, p.iterations, p.converged, p.compliance) == (
-            r.kind, r.iterations, r.converged, r.compliance)
+        assert (p.kind, p.iterations, p.stop_reason, p.compliance) == (
+            r.kind, r.iterations, r.stop_reason, r.compliance)
 
 
 def test_farm_pool_starts_at_most_one_process_per_free_cell(monkeypatch):

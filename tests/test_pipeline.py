@@ -1041,25 +1041,24 @@ def test_cells_csv_flags_capped_and_off_target_cells(tmp_path):
     rho_off = np.full(16, 0.6)
     rho_off[0] = 0.6 + 16 * 2e-4  # mean 0.6002 for a target of 0.6
     cells = {
-        3: fine.FineCellResult(3, np.full(16, 0.4), "optimized", converged=True),
-        5: fine.FineCellResult(5, rho_off, "optimized", converged=True),
-        7: fine.FineCellResult(7, np.full(16, 0.5), "optimized", converged=False,
+        3: fine.FineCellResult(3, np.full(16, 0.4), "optimized", "converged"),
+        5: fine.FineCellResult(5, rho_off, "optimized", "converged"),
+        7: fine.FineCellResult(7, np.full(16, 0.5), "optimized", "iteration-cap",
                                iterations=20),
         8: fine.FineCellResult(8, np.ones(16), "frozen-solid"),
-        9: fine.FineCellResult(9, np.full(16, 0.7), "optimized", converged=False,
-                               iterations=19),
+        9: fine.FineCellResult(9, np.full(16, 0.7), "optimized", "cycle", iterations=19),
     }
     batch = fine.FineBatchResult(cells=cells, failures={}, n=4)
     targets = np.zeros(10)
     targets[[3, 5, 7, 8, 9]] = [0.4 + 5e-5, 0.6, 0.5, 1.0, 0.7]
     path = tmp_path / "cells.csv"
-    # an unconverged cell under max_iter iterations stopped on a cycle
-    assert pipeline._write_cells_csv(path, batch, targets, 20) == {
+    assert pipeline._write_cells_csv(path, batch, targets) == {
         "cells_not_converged": 2, "cells_cycled": 1, "cells_off_target": 1}
     import csv
 
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
+    assert list(rows[0])[:3] == ["cell", "kind", "stop_reason"]
     assert [int(r["cell"]) for r in rows] == [3, 5, 7, 8, 9]
     assert [r["stop_reason"] for r in rows] == ["converged", "converged", "iteration-cap",
                                                 "frozen", "cycle"]
@@ -1088,10 +1087,11 @@ def test_run_pipeline_records_cell_flags_and_blas_threads(small_run):
     assert on_disk["cell_iterations_max"] == iterations[-1]
     assert on_disk["cell_iterations_median"] == float(np.median(iterations))
     for r in rows:
-        assert r["stop_reason"] == ("frozen" if r["kind"].startswith("frozen")
-                                    else "converged" if r["converged"] == "1"
-                                    else "cycle" if int(r["iterations"]) < config.fine_max_iter
-                                    else "iteration-cap")
+        assert (r["stop_reason"] == "frozen") == r["kind"].startswith("frozen")
+        if r["stop_reason"] == "cycle":
+            assert int(r["iterations"]) < config.fine_max_iter
+        if r["stop_reason"] == "iteration-cap":
+            assert int(r["iterations"]) == config.fine_max_iter
 
 
 @pytest.mark.parametrize("command, workers, keys", [
@@ -1155,7 +1155,7 @@ def assert_same_fields(loaded, original, skip=()):
 def test_cells_checkpoint_round_trip(tmp_path):
     rho = np.random.default_rng(5).uniform(1e-3, 1.0, size=16)
     cells = {
-        2: fine.FineCellResult(2, rho, "optimized", converged=False, iterations=17,
+        2: fine.FineCellResult(2, rho, "optimized", "cycle", iterations=17,
                                m_nd=12.5, beta_final=2.0, compliance=3.25e-3,
                                max_reaction=1e-15, reaction_scale=1.5),
         4: fine.FineCellResult(4, np.ones(16), "frozen-solid"),
@@ -1210,8 +1210,6 @@ def test_coarse_checkpoint_round_trip(tmp_path):
 
 
 def test_cells_checkpoint_in_the_old_layout_is_recomputed(tmp_path, capsys, caplog):
-    # the layout before the arrays were named after the FineCellResult fields:
-    # ids, rasters and integer kind codes
     path = tmp_path / "run.ini"
     path.write_text(SMALL_RUN)
     args = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
@@ -1221,11 +1219,21 @@ def test_cells_checkpoint_in_the_old_layout_is_recomputed(tmp_path, capsys, capl
     with np.load(ckpt) as data:
         arrays = dict(data)
     codes = {"frozen-solid": 0, "frozen-void": 1, "optimized": 2}
-    arrays.update(ids=arrays.pop("cell"), rasters=arrays.pop("rho"),
-                  kinds=np.array([codes[k] for k in arrays.pop("kind")]))
-    np.savez_compressed(ckpt, **arrays)
+    renamed = {"cell": "ids", "rho": "rasters", "kind": "kinds"}
+    reasons = arrays.pop("stop_reason")
+    old_layouts = [
+        # before the arrays were named after the FineCellResult fields: ids,
+        # rasters and integer kind codes
+        {**{renamed.get(k, k): v for k, v in arrays.items()},
+         "kinds": np.array([codes[k] for k in arrays["kind"]])},
+        # before the stop reason: a converged flag in its place
+        {**arrays, "converged": np.isin(reasons, ["frozen", "converged"])},
+    ]
     caplog.set_level("WARNING", logger="twolevel_topopt.pipeline")
-    assert cli.main(args) == 0
-    assert f"unreadable checkpoint {ckpt}" in caplog.text
-    again = json.loads(capsys.readouterr().out)
-    assert _results(again) == _results(fresh)
+    for layout in old_layouts:
+        np.savez_compressed(ckpt, **layout)
+        caplog.clear()
+        assert cli.main(args) == 0
+        assert f"unreadable checkpoint {ckpt}" in caplog.text
+        again = json.loads(capsys.readouterr().out)
+        assert _results(again) == _results(fresh)
