@@ -174,9 +174,10 @@ def apply_cell_tractions(problem, grid):
     """Distribute the 4 coarse edge tractions onto the fine boundary mesh.
 
     grid is the cell's n x n fine grid, as its _CellSolver holds it. Each
-    coarse linear traction is sampled at the fine sub-edge endpoints and
-    converted to consistent nodal loads, preserving the total force of every
-    coarse edge. Returns the assembled fine load vector.
+    coarse linear traction is sampled at the fine sub-edge endpoints, and
+    fem.load_vector turns the sub-edge tractions into consistent nodal
+    loads, preserving the total force of every coarse edge. Returns the
+    assembled fine load vector.
     """
     lnodes = np.array(EDGE_LNODES)
     # The fine elements along the bottom, right, top and left sides, each
@@ -192,11 +193,10 @@ def apply_cell_tractions(problem, grid):
     frac /= (axis * axis).sum(axis=1)[:, None, None]
     t_start, t_end = np.asarray(problem.tractions, dtype=float).transpose(1, 0, 2)
     t = t_start[:, None, None] + frac[..., None] * (t_end - t_start)[:, None, None]
-    lengths = edge_lengths(grid.hx, grid.hy)[:, None, None]
-    loads = np.stack(fem.consistent_edge_loads(t[:, :, 0], t[:, :, 1], lengths), axis=2)
-    f = np.zeros(2 * grid.n_nodes)
-    np.add.at(f, 2 * ends[..., None] + np.arange(2), loads)
-    return f
+    # Side k of the cell is local edge k of each of its fine elements.
+    edges = zip(side_elems.ravel().tolist(), np.repeat(np.arange(4), grid.nx).tolist())
+    neumann = dict(zip(edges, t.reshape(-1, 2, 2)))
+    return fem.load_vector(grid, BoundaryConditions(neumann=neumann))
 
 
 def traction_equilibrium(tractions, hx, hy):
@@ -214,17 +214,19 @@ def traction_equilibrium(tractions, hx, hy):
 def fine_cell_solve(problem):
     """Optimize one cell per the fine-scale flowchart.
 
-    Always rejects tractions whose net force or moment exceeds 1e-6 of their
-    scale (times the longer side, for the moment). Runs coarse.simp_loop
-    from a uniform density equal to the cell target, with the problem's
-    ProjectionParams sharpening the field; convergence is max |drho| < eps
-    on the end-of-iteration field. Hitting the iteration cap, or a cycle
-    that would repeat up to it, returns a still-usable result whose
-    stop_reason says so; a cycle stop has iterations < max_iter and the
-    field the capped run would return.
+    Always rejects non-finite tractions and tractions whose net force or
+    moment exceeds 1e-6 of their scale (times the longer side, for the
+    moment). Runs coarse.simp_loop from a uniform density equal to the cell
+    target, with the problem's ProjectionParams sharpening the field;
+    convergence is max |drho| < eps on the end-of-iteration field. Hitting
+    the iteration cap, or a cycle that would repeat up to it, returns a
+    still-usable result whose stop_reason says so; a cycle stop has
+    iterations < max_iter and the field the capped run would return.
     """
     if not 0 < problem.target < 1:
         raise FineSolveError(f"target {problem.target} invalid")
+    if not np.isfinite(problem.tractions).all():
+        raise FineSolveError("tractions are not finite")
     net_f, net_m, scale = traction_equilibrium(problem.tractions, problem.hx, problem.hy)
     char_len = max(problem.hx, problem.hy)
     if scale > 0 and (

@@ -79,35 +79,29 @@ def _parse_dirichlet(raw):
     return rows
 
 
-def _clamp_line(grid, bc, axis, value):
-    """Fix both displacement components of all active nodes on a grid line."""
+def _clamp_line(grid, axis, value):
+    """Support rows fixing both components of the active nodes on a grid line."""
     if axis == "x":
-        nodes = [grid.node_id(value, jy) for jy in range(grid.ny + 1)]
+        nodes = [(value, jy) for jy in range(grid.ny + 1)]
     else:
-        nodes = [grid.node_id(jx, value) for jx in range(grid.nx + 1)]
-    for node in nodes:
-        if grid.node_active[node]:
-            bc.fix_node(node)
+        nodes = [(jx, value) for jx in range(grid.nx + 1)]
+    return [(jx, jy, "xy") for jx, jy in nodes if grid.node_active[grid.node_id(jx, jy)]]
 
 
-def apply_parabolic_edge_shear(grid, bc):
-    """Parabolic downward shear on the structure's right boundary edges.
+def apply_parabolic_edge_shear(grid):
+    """Load rows of a parabolic downward shear on the structure's right edges.
 
-    Finds the active boundary edges on the rightmost material column, spans
-    a beam-style parabola tau(y) = 1 - (2(y-c)/h)^2 of unit peak over their
-    joint vertical extent (zero at the extent's ends, peak at its middle)
-    and stores each edge's best linear fit. The per-edge fits are the exact
-    L2 projections of the parabola, so every edge keeps its exact share of
-    the total load.
+    Takes the active elements of the rightmost column, spans a beam-style
+    parabola tau(y) = 1 - (2(y-c)/h)^2 of unit peak over their joint
+    vertical extent (zero at the extent's ends, peak at its middle) and
+    returns one row per element with its right edge's best linear fit. The
+    per-edge fits are the exact L2 projections of the parabola, so every
+    edge keeps its exact share of the total load.
     """
-    edges = []
-    for elem, ledge in grid.boundary_edges():
-        ix, iy = grid.elem_index(elem)
-        if ledge == 1 and ix == grid.nx - 1:
-            edges.append((elem, iy))
-    if not edges:
+    ix = grid.nx - 1
+    ys = np.flatnonzero(grid.active[ix]).tolist()
+    if not ys:
         raise ConfigError("shear-right: no boundary edges on the right side")
-    ys = [iy for _, iy in edges]
     y_lo = min(ys) * grid.hy
     y_hi = (max(ys) + 1) * grid.hy
     h = y_hi - y_lo
@@ -121,7 +115,8 @@ def apply_parabolic_edge_shear(grid, bc):
     # (exact for the cubic integrands).
     L = grid.hy
     det = L * L / 12.0
-    for elem, iy in edges:
+    rows = []
+    for iy in ys:
         y0 = iy * grid.hy
         y1 = y0 + grid.hy
         ym = 0.5 * (y0 + y1)
@@ -129,7 +124,8 @@ def apply_parabolic_edge_shear(grid, bc):
         b2 = L / 6.0 * (0.0 + 4.0 * tau(ym) * 0.5 + tau(y1) * 1.0)
         t_s = (L / 3.0 * b1 - L / 6.0 * b2) / det
         t_e = (L / 3.0 * b2 - L / 6.0 * b1) / det
-        bc.add_edge_traction(elem, 1, (0.0, -t_s), (0.0, -t_e))
+        rows.append((ix, iy, 1, 0.0, -t_s, 0.0, -t_e))
+    return rows
 
 
 def load_mask_csv(path, nx, ny):
@@ -155,18 +151,19 @@ def load_mask_csv(path, nx, ny):
 
 
 # Name -> builder of each preset: the activity mask of an nx x ny grid (None
-# when every cell is active), or the supports or loads a preset adds to bc.
+# when every cell is active), or the rows of the supports or loads on a grid,
+# in the formats of the explicit dirichlet and neumann rows.
 MASKS = {
     "none": lambda nx, ny: None,
     "upper-right-quadrant": lambda nx, ny: np.logical_or.outer(np.arange(nx) < nx // 2,
                                                                np.arange(ny) < ny // 2),
 }
 SUPPORT_PRESETS = {
-    "clamp-left": lambda grid, bc: _clamp_line(grid, bc, axis="x", value=0),
-    "clamp-top": lambda grid, bc: _clamp_line(grid, bc, axis="y", value=grid.ny),
-    "none": lambda grid, bc: None,
+    "clamp-left": lambda grid: _clamp_line(grid, axis="x", value=0),
+    "clamp-top": lambda grid: _clamp_line(grid, axis="y", value=grid.ny),
+    "none": lambda grid: [],
 }
-LOAD_PRESETS = {"shear-right": apply_parabolic_edge_shear, "none": lambda grid, bc: None}
+LOAD_PRESETS = {"shear-right": apply_parabolic_edge_shear, "none": lambda grid: []}
 
 
 def _mask_builder(spec):
@@ -288,21 +285,17 @@ class RunConfig:
         return Grid(self.nx, self.ny, self.hx, self.hy, active=active)
 
     def build_bc(self, grid):
-        """The supports and loads on grid: the presets', plus the explicit
-        rows, which add supports and tractions to what a preset put on the
-        same node or edge. A conflict among them or with the mask, or an
-        edge whose nodal loads overflow, is a ConfigError; too few supports
-        leave the stiffness singular, a RigidModeError."""
+        """The supports and loads on grid: the presets' rows, then the
+        explicit rows, which add supports and tractions to what a preset put
+        on the same node or edge. A conflict among them or with the mask, or
+        an edge whose nodal loads overflow, is a ConfigError; too few
+        supports leave the stiffness singular, a RigidModeError."""
         bc = BoundaryConditions()
         try:
-            SUPPORT_PRESETS[self.support_preset](grid, bc)
-            for jx, jy, comps in self.dirichlet:
-                node = grid.node_id(int(jx), int(jy))
-                bc.fix_node(node, mask=("x" in comps, "y" in comps))
-            LOAD_PRESETS[self.load_preset](grid, bc)
-            for ix, iy, ledge, tsx, tsy, tex, tey in self.neumann:
-                elem = grid.elem_id(int(ix), int(iy))
-                bc.add_edge_traction(elem, int(ledge), (tsx, tsy), (tex, tey))
+            for jx, jy, comps in SUPPORT_PRESETS[self.support_preset](grid) + self.dirichlet:
+                bc.fix_node(grid.node_id(int(jx), int(jy)), mask=("x" in comps, "y" in comps))
+            for ix, iy, ledge, *t in LOAD_PRESETS[self.load_preset](grid) + self.neumann:
+                bc.add_edge_traction(grid.elem_id(int(ix), int(iy)), int(ledge), t[:2], t[2:])
             bc.validate(grid)
         except RigidModeError:
             raise

@@ -277,6 +277,18 @@ def test_fine_cell_solve_rejects_unbalanced_tractions():
         fine.fine_cell_solve(problem)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fine_cell_solve_rejects_non_finite_tractions(bad):
+    # NaN passes every balance comparison and inf overflows the resultants:
+    # both must stop before the balance check, without a RuntimeWarning
+    t = uniaxial_tractions()
+    t[1, 0, 0] = bad
+    problem = fine.FineCellProblem(cell=0, target=0.5, tractions=t, hx=1.0, hy=1.0, n=8,
+                                   max_iter=5)
+    with pytest.raises(fine.FineSolveError, match="tractions are not finite"):
+        fine.fine_cell_solve(problem)
+
+
 @pytest.mark.parametrize("target", [0.0, 1.0, np.nan])
 def test_fine_cell_solve_rejects_bad_target(target):
     # a free cell's target lies strictly inside (0, 1); solve_all_cells fills
@@ -448,18 +460,21 @@ def test_solve_all_cells_fills_and_optimizes():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_solve_all_cells_collects_failures(workers):
-    g = Grid(3, 1, 1.0, 1.0)
-    frozen = np.array([coarse.FREE, coarse.FREE, coarse.SOLID], dtype=np.int8)
-    rho = np.array([0.5, 0.4, 1.0])
+    g = Grid(4, 1, 1.0, 1.0)
+    frozen = np.array([coarse.FREE, coarse.FREE, coarse.SOLID, coarse.FREE], dtype=np.int8)
+    rho = np.array([0.5, 0.4, 1.0, 0.5])
     cres = coarse.CoarseResult(
         rho=rho, frozen=frozen, stages=1, converged=True, history=[], solution=None
     )
     tractions = np.zeros((g.n_elems, 4, 2, 2))
     tractions[0, 1, :, 0] = 1.0  # unbalanced: cell 0 must be rejected
     tractions[1] = bending_plus_tension_tractions()
+    tractions[3] = uniaxial_tractions()
+    tractions[3, 3, 1, 0] = np.nan  # non-finite: cell 3 must be rejected
     batch = fine.solve_all_cells(g, cres, tractions, workers=workers, n=6, max_iter=10)
-    assert list(batch.failures) == [0]
+    assert list(batch.failures) == [0, 3]
     assert "self-equilibrated" in batch.failures[0]
+    assert batch.failures[3] == "tractions are not finite"
     assert batch.cells[2].kind == "frozen-solid"
     # serial or pooled, the balanced cell comes back bitwise as a lone solve
     alone = fine.fine_cell_solve(fine.FineCellProblem(

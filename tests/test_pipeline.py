@@ -195,6 +195,42 @@ def test_every_preset_name_validates_and_builds(name, value):
     assert bool(bc.neumann) == (config.load_preset != "none")
 
 
+@pytest.mark.parametrize("support", list(pipeline.SUPPORT_PRESETS))
+@pytest.mark.parametrize("load", list(pipeline.LOAD_PRESETS))
+@pytest.mark.parametrize("base", ["[run]\npreset = example1\n", "[run]\npreset = example2\n",
+                                  "[grid]\nnx = 4\nny = 4\n"], ids=["example1", "example2", "4x4"])
+def test_preset_rows_written_as_explicit_rows_build_the_same_bc(base, support, load):
+    # a preset is its rows: written out as config rows, with repr floats, they
+    # build the preset's supports and loads bitwise, or fail with its error
+    grid = pipeline.parse_config(base).build_grid()
+    dirichlet = "".join(f"\n  {jx} {jy} {comps}"
+                        for jx, jy, comps in pipeline.SUPPORT_PRESETS[support](grid))
+    neumann = "".join("\n  " + " ".join(map(repr, row))
+                      for row in pipeline.LOAD_PRESETS[load](grid))
+    preset_text = f"{base}[supports]\npreset = {support}\n[loads]\npreset = {load}\n"
+    rows_text = (f"{base}[supports]\npreset = none\ndirichlet ={dirichlet}\n"
+                 f"[loads]\npreset = none\nneumann ={neumann}\n")
+
+    def outcome(text):
+        """Every key, in order, and every mask and traction array, as bytes."""
+        try:
+            config = pipeline.parse_config(text)
+            bc = config.build_bc(config.build_grid())
+        except pipeline.ConfigError as exc:
+            return str(exc)
+        return ([(node, mask.tobytes(), zeros.tobytes())
+                 for node, (mask, zeros) in bc.dirichlet.items()],
+                [(edge, start.tobytes(), end.tobytes())
+                 for edge, (start, end) in bc.neumann.items()])
+
+    want = outcome(preset_text)
+    assert outcome(rows_text) == want
+    # only a missing support, or the top clamp's corner under the right-edge
+    # shear of a full grid, fails
+    clash = support == "clamp-top" and load == "shear-right" and "example2" not in base
+    assert isinstance(want, str) == (support == "none" or clash)
+
+
 def test_explicit_rows_add_to_preset_loads_and_supports():
     # the README's example neumann row lands on an edge the preset loads
     text = ("[run]\npreset = example1\n[loads]\nneumann = 31 0 1 0 -1 0 -1\n"
