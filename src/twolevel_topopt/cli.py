@@ -91,13 +91,7 @@ def main(argv=None):
         return 0
 
     try:
-        config = _load_config(args)
-    except pipeline.ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        summary = pipeline.run_pipeline(config, skip_fine=args.command == "verify")
+        summary = pipeline.run_pipeline(_load_config(args), skip_fine=args.command == "verify")
     except pipeline.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

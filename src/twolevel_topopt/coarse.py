@@ -56,13 +56,16 @@ class ThresholdPolicy:
 
 @dataclass
 class CoarseResult:
-    """Converged coarse field: densities, frozen states and run history."""
+    """Converged coarse field: densities, frozen states and run history.
+
+    history holds one float row per inner iteration, columns HISTORY_COLUMNS.
+    """
 
     rho: np.ndarray
     frozen: np.ndarray
     stages: int
     converged: bool
-    history: list
+    history: np.ndarray
     solution: fem.FESolution
     stage_fields: list = field(default_factory=list)
 
@@ -295,16 +298,20 @@ def simp_loop(operator, loads, rho, volume_target, frozen, r_min, eps, max_iter,
     return rho, "iteration-cap", history
 
 
+# The columns of a coarse history row: its stage, then simp_loop's row.
+HISTORY_COLUMNS = ("stage", "iteration", "compliance", "volume_fraction", "max_delta")
+
+
 def simp_inner_solve(operator, loads, rho, volume_target, frozen, r_min, eps,
                      max_iter, stage, history):
     """One coarse stage of simp_loop, every solve checked.
 
-    Appends the stage's history rows, tagged with `stage`, to history.
-    Returns (rho, stop), stop as simp_loop names it.
+    Appends the stage's history rows, lists in HISTORY_COLUMNS order, to
+    history. Returns (rho, stop), stop as simp_loop names it.
     """
     rho, stop, rows = simp_loop(operator, loads, rho, volume_target, frozen,
                                 r_min, eps, max_iter, check_each_solve=True)
-    history.extend({"stage": stage, **row} for row in rows)
+    history.extend([stage, *(row[name] for name in HISTORY_COLUMNS[1:])] for row in rows)
     return rho, stop
 
 
@@ -351,12 +358,9 @@ def stage_loop(grid, material, bc, policy, r_min, eps, max_inner, stage_cap):
     frozen = np.zeros(grid.n_elems, dtype=np.int8)
     volume_target = policy.rho0 * act_mask.sum() * grid.hx * grid.hy
 
-    history = []
-    stage_fields = []
+    history, stage_fields = [], []
     converged = False
-    stages = 0
     for stage in range(1, stage_cap + 1):
-        stages = stage
         rho, stop = simp_inner_solve(operator, loads, rho, volume_target, frozen,
                                      r_min, eps, max_inner, stage, history)
         if stop != "converged":
@@ -375,12 +379,6 @@ def stage_loop(grid, material, bc, policy, r_min, eps, max_inner, stage_cap):
 
     solution = operator.solve(rho, loads)
     operator.check(rho, solution)
-    return CoarseResult(
-        rho=rho,
-        frozen=frozen,
-        stages=stages,
-        converged=converged,
-        history=history,
-        solution=solution,
-        stage_fields=stage_fields,
-    )
+    return CoarseResult(rho=rho, frozen=frozen, stages=len(stage_fields), converged=converged,
+                        history=np.array(history, dtype=float), solution=solution,
+                        stage_fields=stage_fields)

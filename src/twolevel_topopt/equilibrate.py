@@ -334,13 +334,9 @@ class EdgeTractionField:
 
     tractions[e, k, 0] and [e, k, 1] are the 2-vector traction values at the
     start and end node of local edge k of element e, acting on element e.
-    side_forces holds the matching consistent end forces and lambdas the
-    (n_nodes, 2) closure defects of the node splits.
     """
 
     tractions: np.ndarray
-    side_forces: np.ndarray
-    lambdas: np.ndarray
     report: EquilibrationReport
 
 
@@ -349,9 +345,10 @@ def equilibrate_all(grid, rho, material, bc, u, void_mask):
 
     Works from the element nodal forces rho^p K0 u_e, so the input state
     must be a converged solve for exactly this density field. Returns an
-    EdgeTractionField whose report certifies per-element equilibrium,
-    pointwise action-reaction and per-node closure defects. void_mask marks
-    the frozen-void elements, as classify_nodes takes it.
+    EdgeTractionField whose report holds the per-element net forces and
+    moments and the largest per-node closure defect;
+    pipeline.equilibrium_certificate adds the action-reaction residual.
+    void_mask marks the frozen-void elements, as classify_nodes takes it.
     """
     forces = fem.element_nodal_forces(grid, rho, material, u)
     act = grid.active_elems
@@ -388,8 +385,7 @@ def equilibrate_all(grid, rho, material, bc, u, void_mask):
         fem.tractions_from_forces(side[:, :, 0], side[:, :, 1], lengths), axis=2
     )
 
-    return EdgeTractionField(tractions, side, lam,
-                             build_report(grid, tractions, lam, classes, force_scale))
+    return EdgeTractionField(tractions, build_report(grid, tractions, lam, classes, force_scale))
 
 
 def _split_nodes(forces, side, classes, rows):

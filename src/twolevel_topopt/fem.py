@@ -392,16 +392,11 @@ def solve(grid, rho, material, bc):
     return solution
 
 
-def element_displacements(grid, u):
-    """(n_elems, 8) element displacement vectors gathered from u."""
-    return u[grid.elem_dofs]
-
-
 def element_compliance_contributions(grid, rho, material, u, ke=None):
     """Per-element rho^p u_e.K0.u_e; sums to the compliance over active elements."""
     if ke is None:
         ke = element_stiffness(material, grid.hx, grid.hy)
-    ue = element_displacements(grid, u)
+    ue = u[grid.elem_dofs]
     base = ((ue @ ke) * ue).sum(axis=1)
     out = np.zeros(grid.n_elems)
     act = grid.active_elems
@@ -413,7 +408,7 @@ def element_nodal_forces(grid, rho, material, u, ke=None):
     """(n_elems, 4, 2) nodal forces F_e = rho^p K_e u_e per element corner."""
     if ke is None:
         ke = element_stiffness(material, grid.hx, grid.hy)
-    ue = element_displacements(grid, u)
+    ue = u[grid.elem_dofs]
     scale = np.zeros(grid.n_elems)
     act = grid.active_elems
     scale[act] = np.asarray(rho, dtype=float)[act] ** material.p

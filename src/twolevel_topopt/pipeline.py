@@ -419,10 +419,6 @@ class HighResImage:
     n: int  # pixels per coarse cell side
     active: np.ndarray  # coarse activity mask (nx, ny)
 
-    def raster_rows(self):
-        """Rows top-to-bottom for file output (row 0 = top of the domain)."""
-        return np.flipud(self.data.T)
-
 
 def stitch(grid, batch):
     """Place every cell's fine raster into one high-resolution image.
@@ -488,7 +484,7 @@ def write_csv_raster(path, raster):
 
 def render(image, fmt, path):
     """Write a HighResImage as 'pgm' or 'csv'."""
-    raster = image.raster_rows()
+    raster = field_raster(image.data)
     if fmt == "pgm":
         write_pgm(path, raster)
     elif fmt == "csv":
@@ -497,17 +493,13 @@ def render(image, fmt, path):
         raise ConfigError(f"unknown render format {fmt!r}")
 
 
-def field_raster(grid, values):
-    """Top-down (ny, nx) raster view of a per-element field."""
-    return np.flipud(np.asarray(values, dtype=float).reshape(grid.nx, grid.ny).T)
+def field_raster(values):
+    """Top-down raster view of an (x, y)-indexed field: row 0 is the top of
+    the domain."""
+    return np.flipud(values.T)
 
 
 # -- pipeline ---------------------------------------------------------------
-
-# A coarse history row: its keys and their types, in coarse_history.csv and
-# in the history array of coarse_state.npz.
-_HISTORY_COLUMNS = (("stage", int), ("iteration", int), ("compliance", float),
-                    ("volume_fraction", float), ("max_delta", float))
 
 # The arrays of cells.npz, one per FineCellResult field; all but rho are also
 # the leading columns of cells.csv.
@@ -521,13 +513,14 @@ def _write_coarse_artifacts(out, grid, result):
         stale.unlink()
     for k, rho_k in enumerate(result.stage_fields, 1):
         base = out / f"coarse_stage_{k:02d}"
-        raster = field_raster(grid, rho_k)
+        raster = field_raster(rho_k.reshape(grid.nx, grid.ny))
         write_pgm(base.with_suffix(".pgm"), raster)
         write_csv_raster(base.with_suffix(".csv"), raster)
     with open(out / "coarse_history.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(name for name, _ in _HISTORY_COLUMNS)
-        writer.writerows([row[name] for name, _ in _HISTORY_COLUMNS] for row in result.history)
+        writer.writerow(coarse.HISTORY_COLUMNS)
+        writer.writerows([int(stage), int(it), *rest]
+                         for stage, it, *rest in result.history.tolist())
 
 
 def _write_checkpoint(path, **arrays):
@@ -557,8 +550,6 @@ def _fields_from(cls, data, skip=()):
 
 def _save_coarse_state(path, result, fingerprint):
     state = {f.name: getattr(result, f.name) for f in fields(result) if f.name != "solution"}
-    state["history"] = np.array(
-        [[row[name] for name, _ in _HISTORY_COLUMNS] for row in result.history], dtype=float)
     solution = {f.name: getattr(result.solution, f.name) for f in fields(result.solution)}
     _write_checkpoint(path, fingerprint=fingerprint, **state, **solution)
 
@@ -575,13 +566,10 @@ def _check_shapes(data, **shapes):
 def _load_coarse_state(data, grid):
     elems, dofs = (grid.n_elems,), (2 * grid.n_nodes,)
     _check_shapes(data, rho=elems, frozen=elems, element_energy=elems, u=dofs, f=dofs,
-                  stage_fields=(None, grid.n_elems))
-    history = [{name: cast(v) for (name, cast), v in zip(_HISTORY_COLUMNS, row, strict=True)}
-               for row in data["history"]]
-    return coarse.CoarseResult(
-        history=history, solution=fem.FESolution(**_fields_from(fem.FESolution, data)),
-        **_fields_from(coarse.CoarseResult, data, skip=("history", "solution")),
-    )
+                  stage_fields=(None, grid.n_elems),
+                  history=(None, len(coarse.HISTORY_COLUMNS)))
+    return coarse.CoarseResult(solution=fem.FESolution(**_fields_from(fem.FESolution, data)),
+                               **_fields_from(coarse.CoarseResult, data, skip=("solution",)))
 
 
 def _save_cells(path, batch, fingerprint):

@@ -103,7 +103,7 @@ def stress_tractions(grid, rho, material, u):
     serves as the comparison baseline for boundary-continuity measurements.
     """
     act = grid.active_elems
-    ue = fem.element_displacements(grid, u)[act]
+    ue = u[grid.elem_dofs][act]
     rho = np.asarray(rho, dtype=float)[act]
     stress = np.stack(
         [

@@ -392,7 +392,12 @@ def test_stage_loop_small_cantilever(mat):
     resolved = fem.solve(g, result.rho, mat, bc)
     assert_allclose(result.solution.compliance, resolved.compliance, rtol=1e-10)
     assert len(result.stage_fields) == result.stages
-    assert result.history  # inner iterations were recorded
+    # one float row per inner iteration; the stage column runs from 1 to the last stage
+    assert result.history.dtype == float
+    assert result.history.shape == (len(result.history), len(coarse.HISTORY_COLUMNS)) > (0, 0)
+    stage = result.history[:, coarse.HISTORY_COLUMNS.index("stage")]
+    assert np.all(np.diff(stage) >= 0)
+    assert np.array_equal(np.unique(stage), np.arange(1, result.stages + 1))
 
 
 def test_stage_loop_logs_a_stage_stopped_by_the_inner_cap(mat, caplog):
